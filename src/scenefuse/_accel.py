@@ -11,11 +11,13 @@ log-determinant form:
     B = (1/8) d' S^-1 d + (1/2)(log det S - (log det A + log det B)/2)
     H = sqrt(1 - exp(-B))            with S = (A + B)/2
 
-A candidate pair whose averaged covariance has determinant below det_min
-scores +inf (unmergeable); a candidate with log-determinant -inf (a degenerate
-covariance) scores 1.0 through the same arithmetic, which any merge threshold
-in (0,1) rejects. The determinant uses the same first-row cofactor expansion
-as graph.det3x3, so identical inputs give a distance of exactly 0.0.
+A pair whose averaged covariance has determinant below det_min, or one of
+whose covariances is degenerate (log-determinant -inf), has B = +inf and is
+unmergeable. The determinant uses the same first-row cofactor expansion as
+graph.det3x3, so identical inputs whose log-determinants were taken with the
+same log give a distance of exactly 0.0. `bhattacharyya` is the one
+implementation of the formula: the engine's scorer and the public
+fusion.bhattacharyya and fusion.hellinger all go through it.
 
 The operation order matches a numpy evaluation of the same formulas
 element by element, and log/exp go through numpy's scalar ufuncs (math.exp
@@ -38,6 +40,40 @@ _sqrt = math.sqrt
 _INF = math.inf
 
 
+def bhattacharyya(mean_a, cov_a, logdet_a, mean_b, cov_b, logdet_b, det_min):
+    """Bhattacharyya distance B of two Gaussians given as a 3-float mean, a
+    9-float row-major covariance and its log-determinant.
+
+    +inf when det S <= det_min, or when a log-determinant is -inf (a
+    degenerate covariance): the pair is unmergeable.
+    """
+    q00, q01, q02, q10, q11, q12, q20, q21, q22 = cov_a
+    c00, c01, c02, c10, c11, c12, c20, c21, c22 = cov_b
+    s00 = 0.5 * (c00 + q00); s01 = 0.5 * (c01 + q01); s02 = 0.5 * (c02 + q02)
+    s10 = 0.5 * (c10 + q10); s11 = 0.5 * (c11 + q11); s12 = 0.5 * (c12 + q12)
+    s20 = 0.5 * (c20 + q20); s21 = 0.5 * (c21 + q21); s22 = 0.5 * (c22 + q22)
+    k00 = s11 * s22 - s12 * s21
+    k01 = s10 * s22 - s12 * s20
+    k02 = s10 * s21 - s11 * s20
+    det = s00 * k00 - s01 * k01 + s02 * k02
+    if not (det > det_min):
+        return _INF
+    # adjugate entries for the symmetric solve d' S^-1 d = d' adj(S) d / det
+    a11 = s00 * s22 - s02 * s20
+    a22 = s00 * s11 - s01 * s10
+    a01 = -(s01 * s22 - s02 * s21)
+    a02 = s01 * s12 - s02 * s11
+    a12 = -(s00 * s12 - s02 * s10)
+    m0, m1, m2 = mean_a
+    n0, n1, n2 = mean_b
+    d0 = n0 - m0; d1 = n1 - m1; d2 = n2 - m2
+    quad = (
+        k00 * d0 * d0 + a11 * d1 * d1 + a22 * d2 * d2
+        + 2.0 * (a01 * d0 * d1 + a02 * d0 * d2 + a12 * d1 * d2)
+    )
+    return 0.125 * quad / det + 0.5 * (float(_log(det)) - 0.5 * (logdet_a + logdet_b))
+
+
 def _closest(mean, cov, logdet, means, covs, logdets, ids, det_min):
     """(position in ids, distance) of the first closest candidate.
 
@@ -45,34 +81,10 @@ def _closest(mean, cov, logdet, means, covs, logdets, ids, det_min):
     when a distance is NaN (as numpy's argmin, which stops at the first NaN).
     """
     best_k, best = -1, _INF
-    if not len(ids):
-        return best_k, best
-    m0, m1, m2 = mean
-    q00, q01, q02, q10, q11, q12, q20, q21, q22 = cov
     for k, j in enumerate(ids):
-        c00, c01, c02, c10, c11, c12, c20, c21, c22 = covs[j]
-        s00 = 0.5 * (c00 + q00); s01 = 0.5 * (c01 + q01); s02 = 0.5 * (c02 + q02)
-        s10 = 0.5 * (c10 + q10); s11 = 0.5 * (c11 + q11); s12 = 0.5 * (c12 + q12)
-        s20 = 0.5 * (c20 + q20); s21 = 0.5 * (c21 + q21); s22 = 0.5 * (c22 + q22)
-        k00 = s11 * s22 - s12 * s21
-        k01 = s10 * s22 - s12 * s20
-        k02 = s10 * s21 - s11 * s20
-        det = s00 * k00 - s01 * k01 + s02 * k02
-        if not (det > det_min):
-            continue  # +inf never beats the running best
-        # adjugate entries for the symmetric solve d' S^-1 d = d' adj(S) d / det
-        a11 = s00 * s22 - s02 * s20
-        a22 = s00 * s11 - s01 * s10
-        a01 = -(s01 * s22 - s02 * s21)
-        a02 = s01 * s12 - s02 * s11
-        a12 = -(s00 * s12 - s02 * s10)
-        n0, n1, n2 = means[j]
-        d0 = n0 - m0; d1 = n1 - m1; d2 = n2 - m2
-        quad = (
-            k00 * d0 * d0 + a11 * d1 * d1 + a22 * d2 * d2
-            + 2.0 * (a01 * d0 * d1 + a02 * d0 * d2 + a12 * d1 * d2)
-        )
-        b = 0.125 * quad / det + 0.5 * (float(_log(det)) - 0.5 * (logdet + logdets[j]))
+        b = bhattacharyya(mean, cov, logdet, means[j], covs[j], logdets[j], det_min)
+        if b == _INF:
+            continue  # unmergeable
         x = 1.0 - float(_exp(-b))
         if x > 0.0:
             h = _sqrt(x)

@@ -10,12 +10,10 @@ Exit codes, shared by every subcommand:
   5  scene generation failure
 
 ``run`` streams a JSON Lines detection file through the fusion engine a
-frame at a time and writes the final graph as JSON. By default everything
-happens on one thread; ``pipeline_split`` in the config moves parsing to a
-reader thread connected by a bounded in-order queue. ``--bench`` collects
-per-frame wall times for the parse, lift, and merge stages separately and
-writes mean/median/p99 per stage plus end-to-end FPS next to the output
-graph.
+frame at a time, on one thread, and writes the final graph as JSON.
+``--bench`` collects per-frame wall times for the parse, lift, and merge
+stages separately and writes mean/median/p99 per stage plus end-to-end FPS
+next to the output graph.
 
 ``eval`` matches a saved graph against a ground-truth scene and prints the
 five headline recall numbers; ``synth`` materializes a synthetic dataset
@@ -33,10 +31,8 @@ import dataclasses
 import json
 import logging
 import os
-import queue
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -62,8 +58,6 @@ from .synthetic import load_scene_spec, scene_vocab, synthesize_dataset
 
 log = logging.getLogger(__name__)
 
-QUEUE_DEPTH = 8
-
 
 def _configure_logging() -> None:
     name = os.environ.get("SCENEFUSE_LOG", "WARNING").upper()
@@ -73,13 +67,9 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-# ---------------------------------------------------------------------------
-# frame sources: both yield (parse_seconds, frame) so bench can cost the
-# parse stage separately from lift and merge
-# ---------------------------------------------------------------------------
-
-
-def _serial_frames(path):
+def _timed_frames(path):
+    """Yield (parse_seconds, frame) so bench can cost the parse stage
+    separately from lift and merge."""
     it = parse_frame_stream(path)
     while True:
         t0 = time.perf_counter()
@@ -88,38 +78,6 @@ def _serial_frames(path):
         except StopIteration:
             return
         yield time.perf_counter() - t0, frame
-
-
-def _threaded_frames(path):
-    """Reader thread parses; the consumer sees frames in stream order."""
-    q: queue.Queue = queue.Queue(maxsize=QUEUE_DEPTH)
-    done = object()
-
-    def reader():
-        try:
-            it = parse_frame_stream(path)
-            while True:
-                t0 = time.perf_counter()
-                try:
-                    frame = next(it)
-                except StopIteration:
-                    break
-                q.put((time.perf_counter() - t0, frame))
-        except BaseException as exc:  # re-raised on the consumer side
-            q.put(exc)
-            return
-        q.put(done)
-
-    t = threading.Thread(target=reader, name="scenefuse-reader", daemon=True)
-    t.start()
-    while True:
-        item = q.get()
-        if item is done:
-            break
-        if isinstance(item, BaseException):
-            raise item
-        yield item
-    t.join()
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +155,6 @@ def _execute_run(cfg: RunConfig) -> tuple[GlobalSSG, ClassVocabulary, dict | Non
     state = GlobalSSG()
     rng = np.random.default_rng(cfg.seed)
     depth = DepthCache(Path(cfg.input).resolve().parent)
-    source = _threaded_frames(cfg.input) if cfg.pipeline_split else _serial_frames(cfg.input)
 
     parse_s: list[float] = []
     lift_s: list[float] = []
@@ -205,7 +162,7 @@ def _execute_run(cfg: RunConfig) -> tuple[GlobalSSG, ClassVocabulary, dict | Non
     n_frames = 0
     skipped = 0
     t_start = time.perf_counter()
-    for parse_dt, frame in source:
+    for parse_dt, frame in _timed_frames(cfg.input):
         res = process_frame(
             frame,
             state,

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
+from . import _accel
 from ._accel import best_match, merge_moments_into
 from .errors import DegenerateCovarianceError, MergeContractError, MissingDepthError, SceneFuseError
 from .geometry import CameraIntrinsics, CameraPose, Gaussian3D, Z_MIN, lift_detections
@@ -41,7 +42,6 @@ from .graph import (
     ObjectNode,
     RelationEdge,
     det9,
-    log_det3x3,
     log_det9,
     merge_point_reservoirs,
 )
@@ -112,27 +112,25 @@ class FrameResult:
     skip_reason: str = ""
 
 
-def _logdet_or_raise(cov: np.ndarray, who: str) -> float:
-    ld = log_det3x3(cov)
-    if ld == -math.inf:
-        raise DegenerateCovarianceError(f"{who} covariance has determinant <= {DET_MIN:g}")
-    return ld
-
-
 def bhattacharyya(a: Gaussian3D, b: Gaussian3D) -> float:
     """Bhattacharyya distance between two 3D Gaussians.
 
-    Uses the log-determinant form so the distance is exactly 0.0 for
-    bit-identical inputs. Raises DegenerateCovarianceError if either input
-    covariance, or their average, has determinant below the guard.
+    Uses the log-determinant form (the engine's kernel, _accel.bhattacharyya)
+    so the distance is exactly 0.0 for bit-identical inputs. Raises
+    DegenerateCovarianceError if either input covariance, or their average,
+    has determinant below the guard.
     """
-    ld_a = _logdet_or_raise(a.cov, "first")
-    ld_b = _logdet_or_raise(b.cov, "second")
-    s = 0.5 * (a.cov + b.cov)
-    ld_s = _logdet_or_raise(s, "averaged")
-    d = a.mean - b.mean
-    quad = float(d @ np.linalg.solve(s, d))
-    return 0.125 * quad + 0.5 * (ld_s - 0.5 * (ld_a + ld_b))
+    cov_a = a.cov.reshape(9).tolist()
+    cov_b = b.cov.reshape(9).tolist()
+    ld_a = _queue_log_det(cov_a)
+    ld_b = _queue_log_det(cov_b)
+    for ld, who in ((ld_a, "first"), (ld_b, "second")):
+        if ld == _NEG_INF:
+            raise DegenerateCovarianceError(f"{who} covariance has determinant <= {DET_MIN:g}")
+    dist = _accel.bhattacharyya(a.mean.tolist(), cov_a, ld_a, b.mean.tolist(), cov_b, ld_b, DET_MIN)
+    if dist == math.inf:
+        raise DegenerateCovarianceError(f"averaged covariance has determinant <= {DET_MIN:g}")
+    return dist
 
 
 def hellinger(a: Gaussian3D, b: Gaussian3D) -> float:
@@ -353,7 +351,9 @@ def _queue_log_det(c: list[float]) -> float:
 
     Queued nodes take numpy's log and graph rows math.log (graph.log_det9). The
     two differ in the last bit on a few inputs; each side keeps the one the
-    merge decisions are defined with (tests/reference_fusion.py).
+    merge decisions are defined with (tests/reference_fusion.py). The public
+    bhattacharyya takes numpy's log too, the same log the kernel applies to
+    det S, so that a Gaussian's distance to itself is exactly 0.0.
     """
     d = det9(c)
     return float(np.log(d)) if d > DET_MIN and d != math.inf else -math.inf

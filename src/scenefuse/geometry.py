@@ -35,9 +35,6 @@ from .errors import (
 Z_MIN = 1e-4
 # Condition-number ceiling for J @ J.T before the pseudo-inverse is refused.
 COND_MAX = 1e12
-# Eigenvalues of a covariance may dip this far below zero before the matrix
-# is rejected; anything in [-PSD_EIG_TOL, 0) is clamped to exactly 0.
-PSD_EIG_TOL = 1e-12
 
 _IDENTITY3 = np.eye(3)
 
@@ -129,24 +126,6 @@ class ProjectionJacobian:
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """(A + A.T)/2 — suppresses floating-point asymmetry before det/solve use."""
     return (a + a.T) * 0.5
-
-
-def ensure_psd(cov: np.ndarray, tol: float = PSD_EIG_TOL) -> np.ndarray:
-    """Validate a covariance and clamp tiny negative eigenvalues to zero.
-
-    Symmetrizes, then eigendecomposes. Eigenvalues below -tol mean the matrix
-    is genuinely not PSD and a ValueError is raised; eigenvalues in [-tol, 0)
-    are treated as numerical noise and clamped to exactly 0.
-    """
-    sym = symmetrize(np.asarray(cov, dtype=np.float64))
-    w, v = np.linalg.eigh(sym)
-    if w[0] < -tol:
-        raise ValueError(f"covariance is not PSD (min eigenvalue {w[0]:.3e})")
-    if w[0] < 0.0:
-        w = np.maximum(w, 0.0)
-        sym = (v * w) @ v.T
-        sym = symmetrize(sym)
-    return sym
 
 
 def _check_depth(z: float) -> None:

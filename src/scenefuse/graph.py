@@ -6,14 +6,13 @@ floats, and indexes each class's nodes by mean x. The fusion engine merges a
 few nodes per detection, one at a time, and at that size numpy's per-call
 cost outweighs the arithmetic: the engine reads and writes the float rows
 and finds candidates through the x index, with no numpy call per merge.
-Node objects build their Gaussian3D, and `mirror()` its structure-of-arrays
-view, from the rows on demand. `validate` checks all of them against the rows.
+Node objects build their Gaussian3D from the rows on demand; the rows are
+the only store of node Gaussians, and `validate` checks them.
 """
 
 from __future__ import annotations
 
 import bisect
-import copy
 import json
 import logging
 import math
@@ -42,7 +41,7 @@ def det9(c) -> float:
 
 
 def log_det3x3(a: np.ndarray) -> float:
-    """log det for the mirror; -inf marks a degenerate covariance."""
+    """log det of a 3x3 matrix; -inf marks a degenerate covariance."""
     return log_det9(np.asarray(a, dtype=np.float64).reshape(9).tolist())
 
 
@@ -170,9 +169,7 @@ class GlobalSSG:
     these rows directly; a node's `gaussian` is built from its row when read.
     Per class, node ids are also kept in order of mean x, with an upper bound
     on the covariance traces, so that the engine can find the nodes near a
-    point (`x_range`, `trace_bound`). The structure-of-arrays `mirror()` holds
-    the same rows as numpy arrays; rows written with `set_row` reach it when
-    it is next read.
+    point (`x_range`, `trace_bound`).
     """
 
     def __init__(self):
@@ -186,40 +183,6 @@ class GlobalSSG:
         self.row_traces: list[float] = []
         self._x_order: dict[int, tuple[list[float], list[int]]] = {}
         self._trace_bound: dict[int, float] = {}
-        self._means = np.empty((0, 3), dtype=np.float64)
-        self._covs = np.empty((0, 3, 3), dtype=np.float64)
-        self._logdets = np.empty((0,), dtype=np.float64)
-        self._stale: set[int] = set()  # rows not yet copied into the mirror
-        self._class_arrays: dict[int, np.ndarray] = {}
-
-    # -- storage mirror ----------------------------------------------------
-
-    def _ensure_capacity(self, rows: int) -> None:
-        cap = self._means.shape[0]
-        if rows <= cap:
-            return
-        new_cap = max(64, cap * 2, rows)
-        means = np.empty((new_cap, 3), dtype=np.float64)
-        covs = np.empty((new_cap, 3, 3), dtype=np.float64)
-        logdets = np.empty((new_cap,), dtype=np.float64)
-        means[:cap] = self._means
-        covs[:cap] = self._covs
-        logdets[:cap] = self._logdets
-        self._means, self._covs, self._logdets = means, covs, logdets
-
-    def _sync_mirror(self) -> None:
-        if self._stale:
-            ids = sorted(self._stale)
-            self._means[ids] = [self.row_means[i] for i in ids]
-            self._covs[ids] = np.array([self.row_covs[i] for i in ids]).reshape(-1, 3, 3)
-            self._logdets[ids] = [self.row_logdets[i] for i in ids]
-            self._stale.clear()
-
-    def mirror(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows as arrays: means, covariances, log-determinants (rows
-        beyond live ids are unspecified)."""
-        self._sync_mirror()
-        return self._means, self._covs, self._logdets
 
     # -- mutation ----------------------------------------------------------
 
@@ -263,7 +226,6 @@ class GlobalSSG:
         nid = self.next_id if node_id is None else node_id
         if nid in self.nodes:
             raise ValueError(f"node id {nid} already present")
-        self._ensure_capacity(nid + 1)
         if nid >= len(self.row_means):
             grow = nid + 1 - len(self.row_means)
             self.row_means += [None] * grow
@@ -277,7 +239,6 @@ class GlobalSSG:
             bisect.insort(ids, nid)
         else:
             ids.append(nid)
-        self._class_arrays.pop(class_id, None)
         if class_id not in self._x_order:
             self._x_order[class_id] = ([], [])
             self._trace_bound[class_id] = -math.inf
@@ -294,10 +255,6 @@ class GlobalSSG:
         cov = gaussian.cov.reshape(9).tolist()
         ld = log_det9(cov) if logdet is None else logdet
         self._place(nid, self.nodes[nid].class_id, gaussian.mean.tolist(), cov, ld)
-        self._stale.discard(nid)
-        self._means[nid] = gaussian.mean
-        self._covs[nid] = gaussian.cov
-        self._logdets[nid] = ld
 
     def set_row(self, node_id: int, mean: list[float], cov: list[float], logdet: float) -> None:
         """set_gaussian from a 3-float mean and a 9-float row-major covariance,
@@ -306,7 +263,6 @@ class GlobalSSG:
         node = self.nodes[node_id]
         self._place(node_id, node.class_id, mean, cov, logdet)
         node._gaussian = None
-        self._stale.add(node_id)
 
     def accumulate_edge(self, subject_id: int, object_id: int, votes: dict[int, list]) -> RelationEdge:
         if subject_id == object_id:
@@ -323,17 +279,6 @@ class GlobalSSG:
 
     # -- queries / maintenance ----------------------------------------------
 
-    def candidate_ids(self, class_id: int) -> list[int]:
-        return self.class_index.get(class_id, [])
-
-    def candidate_id_array(self, class_id: int) -> np.ndarray:
-        """candidate_ids as a cached int64 array; invalidated by add_node."""
-        arr = self._class_arrays.get(class_id)
-        if arr is None:
-            arr = np.asarray(self.class_index.get(class_id, ()), dtype=np.int64)
-            self._class_arrays[class_id] = arr
-        return arr
-
     def x_range(self, class_id: int, lo: float, hi: float) -> list[int]:
         """Ids of the class's nodes whose mean x lies in [lo, hi], in x order."""
         entry = self._x_order.get(class_id)
@@ -345,10 +290,6 @@ class GlobalSSG:
     def trace_bound(self, class_id: int) -> float:
         """An upper bound on the covariance traces of the class's nodes."""
         return self._trace_bound.get(class_id, -math.inf)
-
-    def snapshot(self) -> "GlobalSSG":
-        """Deep copy for concurrent export/evaluation."""
-        return copy.deepcopy(self)
 
     def total_weight(self) -> int:
         return sum(n.weight for n in self.nodes.values())
@@ -371,15 +312,11 @@ class GlobalSSG:
             assert s in self.nodes and o in self.nodes, f"dangling edge {s}->{o}"
             assert edge.votes, f"empty votes on {s}->{o}"
             assert all(v[0] >= 1 for v in edge.votes.values()), "vote count < 1"
-        self._sync_mirror()
         for nid, node in self.nodes.items():
             assert node.id == nid
             assert node.weight >= 1
             assert nid < self.next_id
             mean, cov = self.row_means[nid], self.row_covs[nid]
-            np.testing.assert_array_equal(self._means[nid], mean)
-            np.testing.assert_array_equal(self._covs[nid].reshape(9), cov)
-            np.testing.assert_array_equal(self._logdets[nid], self.row_logdets[nid])
             assert self.row_logdets[nid] == log_det9(cov), "log-determinant out of sync"
             assert self.row_traces[nid] == cov[0] + cov[4] + cov[8], "trace out of sync"
             np.testing.assert_array_equal(node.gaussian.mean, mean)

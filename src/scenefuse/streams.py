@@ -352,21 +352,27 @@ def sample_centroid_depth(detection: Detection, depth: DepthMap) -> float:
 
 
 class DepthCache:
-    """Per-run loader that resolves depth_ref paths relative to the stream file."""
+    """Per-run loader that resolves depth_ref paths relative to the stream file.
+
+    Only the most recently read map is kept. Depth refs are per frame, so a
+    frame's detections share one read, and memory stays bounded however long
+    the stream is.
+    """
 
     def __init__(self, root: Path | str | None):
         self.root = Path(root) if root is not None else None
-        self._cache: dict[str, DepthMap] = {}
+        self._ref: str | None = None
+        self._map: DepthMap | None = None
 
     def __call__(self, ref: str) -> DepthMap:
-        dm = self._cache.get(ref)
-        if dm is None:
+        if ref != self._ref:
+            self._ref = self._map = None  # let the old map go before the new one is read
             path = Path(ref)
             if not path.is_absolute() and self.root is not None:
                 path = self.root / path
-            dm = read_depth_map(path)
-            self._cache[ref] = dm
-        return dm
+            self._map = read_depth_map(path)
+            self._ref = ref
+        return self._map
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +388,6 @@ class RunConfig:
     seed: int = 0
     record_eval_points: bool = False
     bench: bool = False
-    pipeline_split: bool = False
     input: str | None = None
     output: str | None = None
     export_dot: str | None = None
@@ -392,8 +397,7 @@ class RunConfig:
 
 _FUSION_KEYS = {f.name for f in dataclass_fields(FusionConfig)}
 _RUN_KEYS = {
-    "seed", "record_eval_points", "bench", "pipeline_split",
-    "input", "output", "export_dot", "vocab",
+    "seed", "record_eval_points", "bench", "input", "output", "export_dot", "vocab",
 }
 
 
@@ -413,7 +417,7 @@ def run_config_from_obj(obj: dict) -> RunConfig:
         if isinstance(obj["seed"], bool) or not isinstance(obj["seed"], int):
             raise ConfigError("seed must be an integer")
         cfg.seed = obj["seed"]
-    for key in ("record_eval_points", "bench", "pipeline_split"):
+    for key in ("record_eval_points", "bench"):
         if key in obj:
             if not isinstance(obj[key], bool):
                 raise ConfigError(f"{key} must be a boolean")

@@ -83,7 +83,8 @@ def hellinger_scan_np(mean, cov, logdet, means, covs, logdets, ids, det_min, out
     )
     b = 0.125 * quad / det_safe + 0.5 * (np.log(det_safe) - 0.5 * (logdet + logdets[ids]))
     h = np.sqrt(np.maximum(1.0 - np.exp(-b), 0.0))
-    out[: len(ids)] = np.where(bad, np.inf, h)
+    # B = +inf (a degenerate candidate, log det -inf) is unmergeable, as in the engine
+    out[: len(ids)] = np.where(bad | (b == np.inf), np.inf, h)
 
 
 def best_match_np(
@@ -113,6 +114,17 @@ def best_match_np(
             bi_b, bd_b = k, float(dist[k])
     return bi_a, bd_a, bi_b, bd_b
 
+
+def graph_arrays(g: GlobalSSG) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The graph's node rows as arrays indexed by node id: means (n, 3),
+    covariances (n, 3, 3) and log-determinants (n,); unused ids read 0."""
+    n = len(g.row_means)
+    means = np.zeros((n, 3))
+    covs = np.zeros((n, 3, 3))
+    for i in g.nodes:
+        means[i] = g.row_means[i]
+        covs[i] = np.reshape(g.row_covs[i], (3, 3))
+    return means, covs, np.array(g.row_logdets, dtype=np.float64)
 
 
 @dataclass
@@ -175,7 +187,6 @@ def integrate(
     alive[order] = True
     remap: dict[int, int] = {}
     threshold = cfg.hellinger_threshold
-    mirror_means, mirror_covs, mirror_logdets = global_graph.mirror()
 
     while queue:
         i = queue.popleft()
@@ -196,7 +207,6 @@ def integrate(
                 eval_points=slot.eval_points,
                 eval_seen=slot.eval_seen,
             )
-            mirror_means, mirror_covs, mirror_logdets = global_graph.mirror()
             for orig in slot.carried:
                 remap[orig] = node.id
             continue
@@ -205,11 +215,12 @@ def integrate(
         while True:
             peers = local_by_class[slot.class_id]
             cand_q = peers[alive[peers]]
-            cand_g = global_graph.candidate_id_array(slot.class_id)
+            cand_g = np.asarray(global_graph.class_index.get(slot.class_id, ()), dtype=np.int64)
+            g_means, g_covs, g_logdets = graph_arrays(global_graph)
             best_q, dq, best_g, dg = best_match_np(
                 q_means[i], q_covs[i], q_logdets[i],
                 q_means, q_covs, q_logdets, cand_q,
-                mirror_means, mirror_covs, mirror_logdets, cand_g,
+                g_means, g_covs, g_logdets, cand_g,
                 DET_MIN,
             )
             if min(dq, dg) >= threshold:
@@ -220,7 +231,7 @@ def integrate(
                 mean = np.empty(3)
                 cov = np.empty((3, 3))
                 merge_moments_np(
-                    float(gnode.weight), mirror_means[gid], mirror_covs[gid],
+                    float(gnode.weight), g_means[gid], g_covs[gid],
                     float(slot.weight), q_means[i], q_covs[i], mean, cov,
                 )
                 if gnode.eval_points is None and slot.eval_points is None:
@@ -274,7 +285,6 @@ def integrate(
                 eval_points=slot.eval_points,
                 eval_seen=slot.eval_seen,
             )
-            mirror_means, mirror_covs, mirror_logdets = global_graph.mirror()
             for orig in slot.carried:
                 remap[orig] = node.id
 

@@ -602,7 +602,7 @@ def test_long_randomized_stream_preserves_graph_invariants():
             assert edge.subject_id == s and edge.object_id == o
         ids = np.fromiter(g.nodes.keys(), dtype=np.int64)
         if len(ids):
-            eigs = np.linalg.eigvalsh(g._covs[ids])
+            eigs = np.linalg.eigvalsh(np.array([g.row_covs[i] for i in ids]).reshape(-1, 3, 3))
             worst_eig = min(worst_eig, float(eigs.min()))
             assert eigs.min() > -1e-9, f"frame {fid}: non-PSD covariance"
         if fid % 500 == 499:

@@ -217,23 +217,6 @@ def test_run_deterministic_output_bytes(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_run_pipeline_split_matches_serial(tmp_path):
-    spec = _write_spec(tmp_path)
-    frames, _ = _synth(tmp_path, spec)
-    cfg_serial = _write_config(tmp_path, spec)
-    out_serial = tmp_path / "serial.json"
-    assert main(["run", "--input", frames, "--config", cfg_serial,
-                 "--output", str(out_serial)]) == 0
-    cfg_split = tmp_path / "cfg_split.json"
-    base = json.loads(open(cfg_serial).read())
-    base["pipeline_split"] = True
-    cfg_split.write_text(json.dumps(base))
-    out_split = tmp_path / "split.json"
-    assert main(["run", "--input", frames, "--config", str(cfg_split),
-                 "--output", str(out_split)]) == 0
-    assert out_serial.read_bytes() == out_split.read_bytes()
-
-
 def _duplicate_heavy_stream(path, n_frames):
     """Same three detections in every frame, fixed pose; nodes must not grow."""
     cam = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)

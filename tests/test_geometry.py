@@ -22,7 +22,6 @@ from scenefuse.geometry import (
     backproject_covariance,
     backproject_mean,
     bbox_to_gaussian2d,
-    ensure_psd,
     jacobian_pseudoinverse,
     lift_detection,
     projection_jacobian,
@@ -349,11 +348,3 @@ def test_intrinsics_validation():
     with pytest.raises(ValueError):
         CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=0, height=480).validate()
     _cam(fx=500.0).validate()
-
-
-def test_ensure_psd_clamps_noise_and_rejects_indefinite():
-    noisy = np.diag([1.0, 1.0, -1e-13])
-    fixed = ensure_psd(noisy)
-    assert np.linalg.eigvalsh(fixed).min() >= 0.0
-    with pytest.raises(ValueError):
-        ensure_psd(np.diag([1.0, 1.0, -1e-6]))

@@ -129,9 +129,7 @@ def test_add_node_assigns_dense_ids_and_class_index():
     g = _populated_graph()
     assert sorted(g.nodes) == [0, 1, 2]
     assert g.next_id == 3
-    assert g.candidate_ids(0) == [0, 2]
-    assert g.candidate_ids(1) == [1]
-    assert g.candidate_ids(9) == []
+    assert g.class_index == {0: [0, 2], 1: [1]}
 
 
 def test_add_node_rejects_duplicate_id():
@@ -144,25 +142,35 @@ def test_add_node_rejects_duplicate_id():
     assert n.id == 5
 
 
-def test_set_gaussian_updates_mirror():
+def test_set_gaussian_updates_rows():
     g = _populated_graph()
     new = _gauss([9, 9, 9], 3.0)
     g.set_gaussian(1, new)
-    means, covs, logdets = g.mirror()
-    np.testing.assert_array_equal(means[1], new.mean)
-    np.testing.assert_array_equal(covs[1], new.cov)
-    assert logdets[1] == pytest.approx(math.log(27.0))
+    assert g.row_means[1] == [9.0, 9.0, 9.0]
+    assert g.row_covs[1] == new.cov.reshape(9).tolist()
+    assert g.row_logdets[1] == pytest.approx(math.log(27.0))
+    assert g.row_traces[1] == 9.0
+    assert g.nodes[1].gaussian is new
+    g.set_row(1, [1.0, 2.0, 3.0], (np.eye(3) * 2.0).reshape(9).tolist(), math.log(8.0))
+    np.testing.assert_array_equal(g.nodes[1].gaussian.mean, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(g.nodes[1].gaussian.cov, np.eye(3) * 2.0)
     g.validate()
 
 
-def test_mirror_survives_capacity_growth():
+def test_rows_follow_many_nodes_and_explicit_ids():
     g = GlobalSSG()
     rng = np.random.default_rng(11)
+    added = {}
     for i in range(200):
-        g.add_node(class_id=i % 3, gaussian=_gauss(rng.normal(size=3), 1.0 + rng.random()))
+        node = g.add_node(class_id=i % 3, gaussian=_gauss(rng.normal(size=3), 1.0 + rng.random()))
+        added[node.id] = node.gaussian
+    node = g.add_node(class_id=1, gaussian=_gauss([4, 5, 6]), node_id=300)  # leaves a gap of ids
+    added[300] = node.gaussian
     g.validate()
-    means, _, _ = g.mirror()
-    assert means.shape[0] >= 200
+    for nid, gaussian in added.items():
+        assert g.row_means[nid] == gaussian.mean.tolist()
+        assert g.row_covs[nid] == gaussian.cov.reshape(9).tolist()
+        np.testing.assert_array_equal(g.nodes[nid].gaussian.mean, gaussian.mean)
 
 
 def test_accumulate_edge_rejects_self_loop_and_dangling():
@@ -183,11 +191,26 @@ def test_total_weight():
     assert _populated_graph().total_weight() == 6
 
 
-def test_validate_detects_mirror_corruption():
-    g = _populated_graph()
-    g._means[1, 0] += 1.0
-    with pytest.raises(AssertionError):
+def test_validate_detects_row_corruption():
+    def corrupt_logdet(g):
+        g.row_logdets[1] += 1e-9
+
+    def corrupt_x_order(g):
+        g.row_means[0] = [5.0, 0.0, 0.0]  # class 0: node 2 (x = 0) now sorts first
+
+    def lower_trace_bound(g):
+        g._trace_bound[0] = 2.9  # both class-0 covariances have trace 3
+
+    for corrupt, message in (
+        (corrupt_logdet, "log-determinant out of sync"),
+        (corrupt_x_order, "x order broken"),
+        (lower_trace_bound, "trace bound"),
+    ):
+        g = _populated_graph()
         g.validate()
+        corrupt(g)
+        with pytest.raises(AssertionError, match=message):
+            g.validate()
 
 
 def test_validate_detects_injected_self_loop():
@@ -202,16 +225,6 @@ def test_validate_checks_eval_point_cap():
     g.validate(eval_point_cap=2)
     with pytest.raises(AssertionError):
         g.validate(eval_point_cap=1)
-
-
-def test_snapshot_is_independent():
-    g = _populated_graph()
-    s = g.snapshot()
-    g.nodes[0].weight = 99
-    g.set_gaussian(0, _gauss([5, 5, 5]))
-    assert s.nodes[0].weight == 2
-    np.testing.assert_array_equal(s.nodes[0].gaussian.mean, [0, 0, 0])
-    s.validate()
 
 
 # -- point reservoirs --------------------------------------------------------

@@ -3,10 +3,12 @@
 import json
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
+from scenefuse import streams
 from scenefuse.errors import (
     ConfigError,
     FrameParseError,
@@ -298,6 +300,30 @@ def test_depth_cache_resolves_and_caches(tmp_path):
     assert d1.values[0, 0] == 1.0
 
 
+def test_depth_cache_keeps_one_map(tmp_path, monkeypatch):
+    # a long stream with a new depth map per frame must not pile maps up
+    reads = []
+    maps = []  # weak references to every map read
+    real_read = streams.read_depth_map
+
+    def counting_read(path):
+        dm = real_read(path)
+        reads.append(path)
+        maps.append(weakref.ref(dm))
+        return dm
+
+    monkeypatch.setattr(streams, "read_depth_map", counting_read)
+    n = 250
+    for i in range(n):
+        write_depth_map(tmp_path / f"{i}.frdp", np.full((2, 2), float(i + 1), dtype=np.float32))
+    cache = DepthCache(tmp_path)
+    for i in range(n):
+        for _ in range(3):  # the frame's detections share its map
+            assert cache(f"{i}.frdp").values[0, 0] == i + 1
+        assert sum(ref() is not None for ref in maps) == 1
+    assert len(reads) == n
+
+
 # -- run config --------------------------------------------------------------
 
 
@@ -326,11 +352,11 @@ def test_config_fusion_fields_and_ranges():
 
 def test_config_flags_and_paths():
     cfg = run_config_from_obj(
-        {"seed": 9, "bench": True, "record_eval_points": True, "pipeline_split": True,
+        {"seed": 9, "bench": True, "record_eval_points": True,
          "input": "in.jsonl", "output": "out.json", "export_dot": "g.dot",
          "vocab": {"objects": ["chair"], "predicates": ["on"]}}
     )
-    assert cfg.seed == 9 and cfg.bench and cfg.record_eval_points and cfg.pipeline_split
+    assert cfg.seed == 9 and cfg.bench and cfg.record_eval_points
     assert cfg.input == "in.jsonl" and cfg.output == "out.json" and cfg.export_dot == "g.dot"
     assert cfg.vocab_objects == ["chair"] and cfg.vocab_predicates == ["on"]
     with pytest.raises(ConfigError):
