@@ -44,6 +44,7 @@ from .graph import (
     det9,
     log_det9,
     merge_point_reservoirs,
+    top_keys,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -171,11 +172,13 @@ def merge_gaussians(
         raise MergeContractError(f"cannot merge class {a.class_id} with class {b.class_id}")
     if a.weight < 1 or b.weight < 1:
         raise MergeContractError("node weights must be >= 1")
+    if rng is None:
+        rng = np.random.default_rng(0)
     mean, cov = merge_moments(
         float(a.weight), a.gaussian.mean, a.gaussian.cov, float(b.weight), b.gaussian.mean, b.gaussian.cov
     )
-    points, seen = merge_point_reservoirs(
-        a.eval_points, a.eval_seen, b.eval_points, b.eval_seen, eval_point_cap, rng
+    points, keys, seen = merge_point_reservoirs(
+        a.eval_points, a.eval_keys, a.eval_seen, b.eval_points, b.eval_keys, b.eval_seen, eval_point_cap, rng
     )
     return ObjectNode(
         id=a.id,
@@ -185,49 +188,99 @@ def merge_gaussians(
         score_sum=a.score_sum + b.score_sum,
         eval_points=points,
         eval_seen=seen,
+        eval_keys=keys,
     )
 
 
-def _eval_region_points(
-    det,
-    depth: "DepthMap",
+def _frame_eval_points(
+    boxes: np.ndarray,
+    maps: "list[DepthMap | None]",
+    means: np.ndarray,
     cam: CameraIntrinsics,
     pose: CameraPose,
     cap: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray | None, int]:
-    """Back-project the valid pixels of the central half-size sub-window.
+) -> tuple[list[np.ndarray], list[np.ndarray], list[int]]:
+    """Evaluation points of a frame's detections, in one pass over their windows.
 
-    The sub-window spans the half-open pixel ranges
-    [ceil(c - extent/4), ceil(c + extent/4)) in each axis, intersected with
-    the image. Pixels with non-finite or non-positive depth are skipped. At
-    most cap points are kept (uniform subsample); the count seen is returned
-    alongside so reservoir merging stays unbiased.
+    boxes is (n, 4): pixel center cx, cy and extents w, h; maps[k] is the
+    depth map of detection k or None; means[k] is its lifted mean. Returns,
+    per detection, its points (k_i, 3), one sampling key per point and the
+    number of points it offered.
+
+    A detection's window is its central half-size sub-window: the half-open
+    pixel ranges [ceil(c - extent/4), ceil(c + extent/4)) in each axis,
+    intersected with the image. Its valid pixels (finite, positive depth)
+    are back-projected to the world frame, and each gets a key drawn
+    uniformly from rng: one draw per pixel, in detection order and row-major
+    pixel order within a window. A detection keeps the points of its `cap`
+    largest keys (ties to the earlier pixel), in pixel order; all its valid
+    pixels count as offered. A detection with no map or no valid pixel
+    offers its mean as its one point; those keys are drawn after the
+    pixels'. The world transform is written out per coordinate so that a
+    point rounds the same however many points share the pass.
     """
-    u0 = max(math.ceil(det.cx - det.w / 4.0), 0)
-    u1 = min(math.ceil(det.cx + det.w / 4.0), depth.width)
-    v0 = max(math.ceil(det.cy - det.h / 4.0), 0)
-    v1 = min(math.ceil(det.cy + det.h / 4.0), depth.height)
-    if u1 <= u0 or v1 <= v0:
-        return None, 0
-    window = depth.values[v0:v1, u0:u1]
-    vs, us = np.nonzero(np.isfinite(window) & (window > 0.0))
-    if len(us) == 0:
-        return None, 0
-    d = window[vs, us].astype(np.float64)
-    u = (us + u0).astype(np.float64)
-    v = (vs + v0).astype(np.float64)
-    pts_cam = np.empty((len(d), 3))
-    pts_cam[:, 0] = (u - cam.cx) / cam.fx * d
-    pts_cam[:, 1] = (v - cam.cy) / cam.fy * d
-    pts_cam[:, 2] = d
-    pts_world = pts_cam @ pose.rotation.T + pose.translation
-    seen = len(pts_world)
-    if seen > cap:
-        keep = rng.choice(seen, size=cap, replace=False)
-        keep.sort()
-        pts_world = pts_world[keep]
-    return pts_world, seen
+    n = len(boxes)
+    groups = list({id(m): m for m in maps if m is not None}.values())  # distinct maps
+    limits = np.array([(0, 0) if m is None else (m.width, m.height) for m in maps], dtype=np.float64)
+    limits = limits.reshape(n, 2)
+    quarter = boxes[:, 2:] / 4.0
+    lo = np.clip(np.ceil(boxes[:, :2] - quarter), 0.0, limits).astype(np.int64)
+    hi = np.clip(np.ceil(boxes[:, :2] + quarter), 0.0, limits).astype(np.int64)
+    extent = np.maximum(hi - lo, 0)
+    cols = extent[:, 0]
+    area = cols * extent[:, 1]
+    # every window pixel, in detection order and row-major within a window
+    det = np.repeat(np.arange(n), area)
+    row, col = np.divmod(np.arange(len(det)) - (np.cumsum(area) - area)[det], cols[det])
+    v = lo[det, 1] + row
+    u = lo[det, 0] + col
+    if len(groups) == 1:
+        d = groups[0].values[v, u].astype(np.float64, copy=False)
+    else:
+        slot = {id(m): g for g, m in enumerate(groups)}
+        pixel_group = np.array([-1 if m is None else slot[id(m)] for m in maps], dtype=np.int64)[det]
+        d = np.empty(len(det))
+        for g, m in enumerate(groups):
+            sel = pixel_group == g
+            d[sel] = m.values[v[sel], u[sel]]
+    valid = (np.isfinite(d) & (d > 0.0)).nonzero()[0]
+    det = det[valid]
+    offered = np.bincount(det, minlength=n).tolist()
+    keys = rng.random(len(det) + offered.count(0))
+    fallback_keys = keys[len(det):]
+    keys = keys[: len(det)]
+    if max(offered, default=0) > cap:
+        keep = np.ones(len(det), dtype=bool)
+        start = 0
+        for m in offered:
+            if m > cap:
+                keep[start:start + m] = False
+                keep[start + top_keys(keys[start:start + m], cap)] = True
+            start += m
+        kept = keep.nonzero()[0]
+        valid, keys = valid[kept], keys[kept]
+    d = d[valid]
+    x = (u[valid].astype(np.float64) - cam.cx) / cam.fx * d
+    y = (v[valid].astype(np.float64) - cam.cy) / cam.fy * d
+    r, t = pose.rotation, pose.translation
+    pts = np.empty((len(d), 3))
+    for i in range(3):
+        pts[:, i] = x * r[i, 0] + y * r[i, 1] + d * r[i, 2] + t[i]
+    points: list[np.ndarray] = []
+    point_keys: list[np.ndarray] = []
+    start = f = 0
+    for k, m in enumerate(offered):
+        if m:
+            stop = start + min(m, cap)
+            points.append(pts[start:stop].copy())
+            point_keys.append(keys[start:stop].copy())
+            start = stop
+        else:
+            points.append(means[k].reshape(1, 3).copy())
+            point_keys.append(fallback_keys[f:f + 1].copy())
+            f += 1
+    return points, point_keys, [max(m, 1) for m in offered]
 
 
 def build_local_graph(
@@ -277,37 +330,44 @@ def build_local_graph(
         depths.append(z)
     nodes: list[ObjectNode] = []
     index_map: dict[int, int] = {}
+    kept: list[int] = []
     if lifts:
         boxes = np.array([(det.cx, det.cy, det.w, det.h) for _, det, _ in lifts])
         means, covs, errors = lift_detections(boxes, np.array(depths), cam, pose, jacobian_mode=cfg.jacobian_mode)
-    for k, (det_idx, det, depth_map) in enumerate(lifts):
-        if errors[k] is not None:
-            log.debug("frame %d det %d: lift failed (%s), dropped", frame.frame_id, det_idx, errors[k])
-            continue
-        gaussian = Gaussian3D(mean=means[k], cov=covs[k])
-        points: np.ndarray | None = None
-        seen = 0
-        if record_eval_points:
+        for k, (det_idx, _, _) in enumerate(lifts):
+            if errors[k] is None:
+                kept.append(k)
+            else:
+                log.debug("frame %d det %d: lift failed (%s), dropped", frame.frame_id, det_idx, errors[k])
+    points: list[np.ndarray | None] = [None] * len(kept)
+    keys: list[np.ndarray | None] = [None] * len(kept)
+    seen = [0] * len(kept)
+    if record_eval_points and kept:
+        maps: list["DepthMap | None"] = []
+        for k in kept:
+            _, det, depth_map = lifts[k]
             if depth_map is None and depth_provider is not None and det.depth_ref is not None:
                 try:
                     depth_map = depth_provider(det.depth_ref)
                 except (SceneFuseError, OSError):
                     depth_map = None
-            if depth_map is not None:
-                points, seen = _eval_region_points(det, depth_map, cam, pose, cfg.eval_point_cap, rng)
-            if points is None:
-                points = gaussian.mean.reshape(1, 3).copy()
-                seen = 1
+            maps.append(depth_map)
+        points, keys, seen = _frame_eval_points(
+            boxes[kept], maps, means[kept], cam, pose, cfg.eval_point_cap, rng
+        )
+    for i, k in enumerate(kept):
+        det_idx, det, _ = lifts[k]
         node_id = len(nodes)
         nodes.append(
             ObjectNode(
                 id=node_id,
                 class_id=det.class_id,
-                gaussian=gaussian,
+                gaussian=Gaussian3D(mean=means[k], cov=covs[k]),
                 weight=1,
                 score_sum=det.score,
-                eval_points=points,
-                eval_seen=seen,
+                eval_points=points[i],
+                eval_seen=seen[i],
+                eval_keys=keys[i],
             )
         )
         index_map[det_idx] = node_id
@@ -396,13 +456,15 @@ def integrate(
         return global_graph, events
 
     # working state of the queue, per local node: class, weight, score sum,
-    # eval-point reservoir, the local ids merged into it, and its Gaussian as
-    # Python floats (3-float mean, 9-float row-major covariance, log det, trace)
+    # eval-point reservoir (points, keys, count seen), the local ids merged
+    # into it, and its Gaussian as Python floats (3-float mean, 9-float
+    # row-major covariance, log det, trace)
     nodes = local.nodes
     cls = [node.class_id for node in nodes]
     weight = [node.weight for node in nodes]
     score = [node.score_sum for node in nodes]
     points = [node.eval_points for node in nodes]
+    keys = [node.eval_keys for node in nodes]
     seen = [node.eval_seen for node in nodes]
     carried = [[node.id] for node in nodes]
     qm = [node.gaussian.mean.tolist() for node in nodes]
@@ -428,6 +490,7 @@ def integrate(
             score_sum=score[i],
             eval_points=points[i],
             eval_seen=seen[i],
+            eval_keys=keys[i],
         ).id
         for orig in carried[i]:
             remap[orig] = gid
@@ -483,8 +546,9 @@ def integrate(
                 if gnode.eval_points is None and points[i] is None:
                     gnode.eval_seen += seen[i]
                 else:
-                    gnode.eval_points, gnode.eval_seen = merge_point_reservoirs(
-                        gnode.eval_points, gnode.eval_seen, points[i], seen[i], cfg.eval_point_cap, rng,
+                    gnode.eval_points, gnode.eval_keys, gnode.eval_seen = merge_point_reservoirs(
+                        gnode.eval_points, gnode.eval_keys, gnode.eval_seen,
+                        points[i], keys[i], seen[i], cfg.eval_point_cap, rng,
                     )
                 gnode.weight += weight[i]
                 gnode.score_sum += score[i]
@@ -503,8 +567,8 @@ def integrate(
             if points[i] is None and points[j] is None:
                 seen[i] += seen[j]
             else:
-                points[i], seen[i] = merge_point_reservoirs(
-                    points[i], seen[i], points[j], seen[j], cfg.eval_point_cap, rng,
+                points[i], keys[i], seen[i] = merge_point_reservoirs(
+                    points[i], keys[i], seen[i], points[j], keys[j], seen[j], cfg.eval_point_cap, rng,
                 )
             qm[i], qc[i], qld[i], qtr[i] = mean, cov, log_det9(cov), cov[0] + cov[4] + cov[8]
             weight[i] += weight[j]

@@ -81,7 +81,10 @@ class ObjectNode:
 
     eval_points is an optional (k, 3) array of back-projected points kept for
     evaluation, reservoir-capped; eval_seen counts every point ever offered
-    to the reservoir (needed for unbiased reservoir merging).
+    to the reservoir. eval_keys holds one sampling key in [0, 1] per row of
+    eval_points (see merge_point_reservoirs); it is None for points that
+    came without keys, such as a graph read back from its document, which
+    does not carry them.
     """
 
     id: int
@@ -91,6 +94,7 @@ class ObjectNode:
     score_sum: float = 0.0
     eval_points: np.ndarray | None = None
     eval_seen: int = 0
+    eval_keys: np.ndarray | None = None
 
 
 @dataclass
@@ -134,13 +138,15 @@ class _GraphNode(ObjectNode):
     it until the row changes. Write it through GlobalSSG.set_gaussian."""
 
     def __init__(self, graph: "GlobalSSG", node_id: int, class_id: int, weight: int, score_sum: float,
-                 eval_points: np.ndarray | None, eval_seen: int, gaussian: Gaussian3D | None):
+                 eval_points: np.ndarray | None, eval_seen: int, eval_keys: np.ndarray | None,
+                 gaussian: Gaussian3D | None):
         self.id = node_id
         self.class_id = class_id
         self.weight = weight
         self.score_sum = score_sum
         self.eval_points = eval_points
         self.eval_seen = eval_seen
+        self.eval_keys = eval_keys
         self._graph = graph
         self._gaussian = gaussian
 
@@ -222,6 +228,7 @@ class GlobalSSG:
         eval_seen: int = 0,
         node_id: int | None = None,
         logdet: float | None = None,
+        eval_keys: np.ndarray | None = None,
     ) -> ObjectNode:
         nid = self.next_id if node_id is None else node_id
         if nid in self.nodes:
@@ -232,7 +239,7 @@ class GlobalSSG:
             self.row_covs += [None] * grow
             self.row_logdets += [-math.inf] * grow
             self.row_traces += [0.0] * grow
-        node = _GraphNode(self, nid, class_id, weight, score_sum, eval_points, eval_seen, gaussian)
+        node = _GraphNode(self, nid, class_id, weight, score_sum, eval_points, eval_seen, eval_keys, gaussian)
         self.nodes[nid] = node
         ids = self.class_index.setdefault(class_id, [])
         if ids and nid < ids[-1]:
@@ -323,36 +330,78 @@ class GlobalSSG:
             np.testing.assert_array_equal(node.gaussian.cov.reshape(9), cov)
             if eval_point_cap is not None and node.eval_points is not None:
                 assert len(node.eval_points) <= eval_point_cap, "eval point cap exceeded"
+            keys = node.eval_keys
+            if keys is not None:
+                assert node.eval_points is not None and keys.shape == (len(node.eval_points),), \
+                    "eval keys do not match eval points"
+                assert bool(np.all((keys >= 0.0) & (keys <= 1.0))), "eval key outside [0, 1]"
 
 
 def merge_point_reservoirs(
     points_a: np.ndarray | None,
+    keys_a: np.ndarray | None,
     seen_a: int,
     points_b: np.ndarray | None,
+    keys_b: np.ndarray | None,
     seen_b: int,
     cap: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray | None, int]:
+) -> tuple[np.ndarray | None, np.ndarray | None, int]:
     """Combine two capped point reservoirs into one of at most `cap` points.
 
-    Each retained point stands for seen/len originals of its source, so when
-    the union overflows the cap we subsample without replacement with
-    probabilities proportional to those multiplicities.
+    Returns the points, their keys and the count seen. A reservoir is a
+    sample by keys: each original point gets a key drawn uniformly from
+    [0, 1) when it is first offered, and a reservoir holds the points with
+    the `cap` largest keys of all it has seen, each with its key. The merge
+    keeps the `cap` largest keys of the two sides, in concatenation order
+    (a's points first; equal keys at the cut go to the earlier point), which
+    is exactly the reservoir the union of their originals would hold. So it
+    draws nothing, is associative, and leaves a uniform sample without
+    replacement of every point either side has seen (Efraimidis and
+    Spirakis, "Weighted random sampling with a reservoir", IPL 2006).
+
+    A side with points but no keys first gets A-ES keys u ** (1 / w) from
+    rng, u uniform, with each of its points standing for
+    w = seen / len >= 1 originals; that is the only use of rng. Either side
+    may be None or empty, and is then no more than a count.
     """
     if points_a is None or len(points_a) == 0:
-        return (None if points_b is None else points_b.copy()), seen_a + seen_b
+        return (
+            None if points_b is None else points_b.copy(),
+            None if keys_b is None else keys_b.copy(),
+            seen_a + seen_b,
+        )
     if points_b is None or len(points_b) == 0:
-        return points_a.copy(), seen_a + seen_b
-    merged = np.concatenate([points_a, points_b], axis=0)
-    total_seen = seen_a + seen_b
-    if len(merged) <= cap:
-        return merged, total_seen
-    w = np.empty(len(merged))
-    w[: len(points_a)] = seen_a / len(points_a)
-    w[len(points_a):] = seen_b / len(points_b)
-    keep = rng.choice(len(merged), size=cap, replace=False, p=w / w.sum())
-    keep.sort()
-    return merged[keep], total_seen
+        return points_a.copy(), None if keys_a is None else keys_a.copy(), seen_a + seen_b
+    if keys_a is None:
+        keys_a = _aes_keys(len(points_a), seen_a, rng)
+    if keys_b is None:
+        keys_b = _aes_keys(len(points_b), seen_b, rng)
+    points = np.concatenate((points_a, points_b))
+    keys = np.concatenate((keys_a, keys_b))
+    if len(keys) > cap:
+        keep = top_keys(keys, cap)
+        points, keys = points.take(keep, axis=0), keys.take(keep)
+    return points, keys, seen_a + seen_b
+
+
+def top_keys(keys: np.ndarray, cap: int) -> np.ndarray:
+    """Ascending indices of the `cap` largest of more than `cap` keys; of
+    keys equal to the smallest one kept, the earlier ones are kept."""
+    n = len(keys)
+    cut = np.partition(keys, n - cap)[n - cap]
+    keep = (keys >= cut).nonzero()[0]
+    if len(keep) > cap:
+        above = keys.take(keep) > cut
+        tied = (~above).nonzero()[0]
+        above[tied[: cap - (len(keep) - len(tied))]] = True
+        keep = keep[above]
+    return keep
+
+
+def _aes_keys(k: int, seen: int, rng: np.random.Generator) -> np.ndarray:
+    """A-ES keys for k points that each stand for max(seen, k) / k originals."""
+    return rng.random(k) ** (k / max(seen, k))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 `integrate` here is the plain per-query form of the engine's algorithm:
 every query scans every live same-class candidate with the vectorized numpy
-Hellinger kernel, and merges go through the numpy moment merge. The engine,
-which culls candidates first and scores and merges in scalar Python, must
-reproduce its decisions, merge events, distances and rng draws exactly;
-tests/test_oracle.py checks that on random streams.
+Hellinger kernel, merges go through the numpy moment merge, and point
+reservoirs merge by a full sort of their keys. The engine, which culls
+candidates first, scores and merges in scalar Python and partitions keys,
+must reproduce its decisions, merge events, distances, reservoirs and rng
+draws exactly; tests/test_oracle.py checks that on random streams.
+
+`frame_eval_points` back-projects evaluation points one detection at a time
+(`eval_region_points`); the engine's one pass over a frame must equal it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -19,16 +24,92 @@ import numpy as np
 
 from scenefuse.errors import MergeContractError
 from scenefuse.fusion import FusionConfig, MergeEvent
-from scenefuse.geometry import Gaussian3D
+from scenefuse.geometry import CameraIntrinsics, CameraPose, Gaussian3D
 from scenefuse.graph import (
     DET_MIN,
     GlobalSSG,
     LocalSSG,
     log_det3x3,
-    merge_point_reservoirs,
 )
 
 log = logging.getLogger("scenefuse")
+
+
+def merge_point_reservoirs(points_a, keys_a, seen_a, points_b, keys_b, seen_b, cap, rng):
+    """graph.merge_point_reservoirs by a stable sort of all keys, largest first."""
+    if points_a is None or len(points_a) == 0:
+        return (
+            None if points_b is None else points_b.copy(),
+            None if keys_b is None else keys_b.copy(),
+            seen_a + seen_b,
+        )
+    if points_b is None or len(points_b) == 0:
+        return points_a.copy(), None if keys_a is None else keys_a.copy(), seen_a + seen_b
+    if keys_a is None:
+        keys_a = rng.random(len(points_a)) ** (len(points_a) / max(seen_a, len(points_a)))
+    if keys_b is None:
+        keys_b = rng.random(len(points_b)) ** (len(points_b) / max(seen_b, len(points_b)))
+    points = np.concatenate((points_a, points_b))
+    keys = np.concatenate((keys_a, keys_b))
+    keep = np.sort(np.argsort(-keys, kind="stable")[:cap])
+    return points[keep], keys[keep], seen_a + seen_b
+
+
+def eval_region_points(det, depth, cam: CameraIntrinsics, pose: CameraPose, cap: int, rng: np.random.Generator):
+    """Back-project the valid pixels of one detection's central half-size sub-window.
+
+    The sub-window spans the half-open pixel ranges
+    [ceil(c - extent/4), ceil(c + extent/4)) in each axis, intersected with
+    the image. Pixels with non-finite or non-positive depth are skipped. Each
+    valid pixel gets a key from rng.random; at most cap points are kept, those
+    of the largest keys, in pixel order. Returns (points, keys, seen), or
+    (None, None, 0) when no pixel is valid. The world transform is written out
+    per coordinate: a BLAS matrix product rounds a one-row product differently
+    from a many-row one.
+    """
+    u0 = max(math.ceil(det.cx - det.w / 4.0), 0)
+    u1 = min(math.ceil(det.cx + det.w / 4.0), depth.width)
+    v0 = max(math.ceil(det.cy - det.h / 4.0), 0)
+    v1 = min(math.ceil(det.cy + det.h / 4.0), depth.height)
+    if u1 <= u0 or v1 <= v0:
+        return None, None, 0
+    window = depth.values[v0:v1, u0:u1]
+    vs, us = np.nonzero(np.isfinite(window) & (window > 0.0))
+    if len(us) == 0:
+        return None, None, 0
+    d = window[vs, us].astype(np.float64)
+    u = (us + u0).astype(np.float64)
+    v = (vs + v0).astype(np.float64)
+    x = (u - cam.cx) / cam.fx * d
+    y = (v - cam.cy) / cam.fy * d
+    r, t = pose.rotation, pose.translation
+    pts_world = np.empty((len(d), 3))
+    for i in range(3):
+        pts_world[:, i] = x * r[i, 0] + y * r[i, 1] + d * r[i, 2] + t[i]
+    seen = len(pts_world)
+    keys = rng.random(seen)
+    if seen > cap:
+        keep = np.sort(np.argsort(-keys, kind="stable")[:cap])
+        pts_world, keys = pts_world[keep], keys[keep]
+    return pts_world, keys, seen
+
+
+def frame_eval_points(dets, maps, means, cam, pose, cap, rng):
+    """fusion._frame_eval_points one detection at a time: eval_region_points for
+    each detection with a map, then one key per detection that offers its mean."""
+    points, keys, seen = [], [], []
+    fallback = []
+    for k, (det, depth) in enumerate(zip(dets, maps)):
+        pts, ks, n = (None, None, 0) if depth is None else eval_region_points(det, depth, cam, pose, cap, rng)
+        if pts is None:
+            fallback.append(k)
+            pts, n = np.asarray(means[k], dtype=np.float64).reshape(1, 3).copy(), 1
+        points.append(pts)
+        keys.append(ks)
+        seen.append(n)
+    for k, key in zip(fallback, rng.random(len(fallback))):
+        keys[k] = np.array([key])
+    return points, keys, seen
 
 
 def log_det3x3_batch(a: np.ndarray) -> np.ndarray:
@@ -135,6 +216,7 @@ class _Slot:
     weight: int
     score_sum: float
     eval_points: np.ndarray | None
+    eval_keys: np.ndarray | None
     eval_seen: int
     carried: list[int]
 
@@ -174,6 +256,7 @@ def integrate(
                 weight=node.weight,
                 score_sum=node.score_sum,
                 eval_points=node.eval_points,
+                eval_keys=node.eval_keys,
                 eval_seen=node.eval_seen,
                 carried=[node.id],
             )
@@ -206,6 +289,7 @@ def integrate(
                 score_sum=slot.score_sum,
                 eval_points=slot.eval_points,
                 eval_seen=slot.eval_seen,
+                eval_keys=slot.eval_keys,
             )
             for orig in slot.carried:
                 remap[orig] = node.id
@@ -235,15 +319,17 @@ def integrate(
                     float(slot.weight), q_means[i], q_covs[i], mean, cov,
                 )
                 if gnode.eval_points is None and slot.eval_points is None:
-                    points, seen = None, gnode.eval_seen + slot.eval_seen
+                    points, keys, seen = None, None, gnode.eval_seen + slot.eval_seen
                 else:
-                    points, seen = merge_point_reservoirs(
-                        gnode.eval_points, gnode.eval_seen, slot.eval_points, slot.eval_seen,
+                    points, keys, seen = merge_point_reservoirs(
+                        gnode.eval_points, gnode.eval_keys, gnode.eval_seen,
+                        slot.eval_points, slot.eval_keys, slot.eval_seen,
                         cfg.eval_point_cap, rng,
                     )
                 gnode.weight += slot.weight
                 gnode.score_sum += slot.score_sum
                 gnode.eval_points = points
+                gnode.eval_keys = keys
                 gnode.eval_seen = seen
                 global_graph.set_gaussian(gid, Gaussian3D(mean=mean, cov=cov))
                 events.append(MergeEvent(kept_id=gid, absorbed_id=-(i + 1), distance=float(dg), frame_id=local.frame_id))
@@ -260,16 +346,18 @@ def integrate(
                 float(other.weight), q_means[j], q_covs[j], q_means[i], q_covs[i],
             )
             if slot.eval_points is None and other.eval_points is None:
-                points, seen = None, slot.eval_seen + other.eval_seen
+                points, keys, seen = None, None, slot.eval_seen + other.eval_seen
             else:
-                points, seen = merge_point_reservoirs(
-                    slot.eval_points, slot.eval_seen, other.eval_points, other.eval_seen,
+                points, keys, seen = merge_point_reservoirs(
+                    slot.eval_points, slot.eval_keys, slot.eval_seen,
+                    other.eval_points, other.eval_keys, other.eval_seen,
                     cfg.eval_point_cap, rng,
                 )
             q_logdets[i] = log_det3x3(q_covs[i])
             slot.weight += other.weight
             slot.score_sum += other.score_sum
             slot.eval_points = points
+            slot.eval_keys = keys
             slot.eval_seen = seen
             slot.carried.extend(other.carried)
             events.append(MergeEvent(kept_id=-(i + 1), absorbed_id=-(j + 1), distance=float(dq), frame_id=local.frame_id))
@@ -284,6 +372,7 @@ def integrate(
                 score_sum=slot.score_sum,
                 eval_points=slot.eval_points,
                 eval_seen=slot.eval_seen,
+                eval_keys=slot.eval_keys,
             )
             for orig in slot.carried:
                 remap[orig] = node.id

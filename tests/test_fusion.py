@@ -17,7 +17,7 @@ from scenefuse.fusion import (
     process_frame,
 )
 from scenefuse.geometry import CameraIntrinsics, CameraPose, Gaussian3D
-from scenefuse.graph import GlobalSSG, LocalSSG, ObjectNode, RelationEdge
+from scenefuse.graph import ClassVocabulary, GlobalSSG, LocalSSG, ObjectNode, RelationEdge, load_graph, save_graph
 from scenefuse.streams import DepthMap, Detection, FrameRecord, Relation2D
 
 from reference_fusion import best_match_np, merge_moments_np
@@ -649,6 +649,42 @@ def test_process_frame_counts_dropped():
     frame = _frame([_det(score=0.9), _det(score=0.2), _det(score=0.8, depth=None)])
     result = process_frame(frame, g, FusionConfig())
     assert result.lifted == 1 and result.dropped == 2
+
+
+def test_fusing_into_a_loaded_graph_keeps_reservoirs_valid(tmp_path):
+    # a recorded graph read back has no keys; fusing more frames into it merges
+    # keyless reservoirs with keyed ones
+    rng = np.random.default_rng(4)
+    depth = DepthMap(width=20, height=20, values=(2.0 + 0.05 * rng.random((20, 20))).astype(np.float32))
+    cfg = FusionConfig(eval_point_cap=5)
+
+    def frames(first):
+        for fid in range(first, first + 6):
+            jitter = 0.2 * rng.standard_normal(2)
+            dets = [_det(cid=c, cx=cx + jitter[0], cy=cy + jitter[1], w=8.0, h=6.0, depth=None, ref="d")
+                    for c, (cx, cy) in enumerate([(5.0, 5.0), (14.0, 6.0), (9.0, 15.0)])]
+            yield _frame(dets, [Relation2D(0, 1, 0, 0.9)], frame_id=fid)
+
+    def fuse(g, first):
+        lifted = 0
+        for frame in frames(first):
+            result = process_frame(frame, g, cfg, rng=rng, depth_provider=lambda ref: depth,
+                                   record_eval_points=True)
+            lifted += result.lifted
+        return lifted
+
+    g = GlobalSSG()
+    lifted = fuse(g, 0)
+    g.validate(eval_point_cap=cfg.eval_point_cap)
+    vocab = ClassVocabulary(("a", "b", "c"), ("near",))
+    save_graph(tmp_path / "g.json", g, vocab)
+    loaded, _ = load_graph(tmp_path / "g.json")
+    assert all(n.eval_keys is None and len(n.eval_points) == 5 for n in loaded.nodes.values())
+    lifted += fuse(loaded, 6)
+    loaded.validate(eval_point_cap=cfg.eval_point_cap)
+    assert loaded.total_weight() == lifted == 36
+    assert all(n.eval_keys is not None and len(n.eval_points) == 5 for n in loaded.nodes.values())
+    assert sum(n.eval_seen for n in loaded.nodes.values()) == sum(n.eval_seen for n in g.nodes.values()) * 2
 
 
 def test_merge_event_fields():

@@ -213,6 +213,33 @@ def test_validate_detects_row_corruption():
             g.validate()
 
 
+def test_validate_detects_eval_key_corruption():
+    def key_out_of_range(g):
+        g.nodes[2].eval_keys[1] = 1.5
+
+    def key_is_nan(g):
+        g.nodes[2].eval_keys[0] = math.nan
+
+    def key_missing(g):
+        g.nodes[2].eval_keys = g.nodes[2].eval_keys[:1]
+
+    def keys_without_points(g):
+        g.nodes[0].eval_keys = np.array([0.5])
+
+    for corrupt, message in (
+        (key_out_of_range, r"eval key outside \[0, 1\]"),
+        (key_is_nan, r"eval key outside \[0, 1\]"),
+        (key_missing, "eval keys do not match eval points"),
+        (keys_without_points, "eval keys do not match eval points"),
+    ):
+        g = _populated_graph()
+        g.nodes[2].eval_keys = np.array([0.25, 0.75])
+        g.validate(eval_point_cap=2)
+        corrupt(g)
+        with pytest.raises(AssertionError, match=message):
+            g.validate(eval_point_cap=2)
+
+
 def test_validate_detects_injected_self_loop():
     g = _populated_graph()
     g.edges[(1, 1)] = RelationEdge(1, 1, {0: [1, 0.5]})
@@ -234,38 +261,162 @@ def test_reservoir_merge_under_cap_concatenates():
     rng = np.random.default_rng(0)
     a = np.arange(9.0).reshape(3, 3)
     b = np.arange(6.0).reshape(2, 3) + 100
-    merged, seen = merge_point_reservoirs(a, 3, b, 2, 10, rng)
+    ka, kb = rng.random(3), rng.random(2)
+    merged, keys, seen = merge_point_reservoirs(a, ka, 3, b, kb, 2, 10, rng)
     np.testing.assert_array_equal(merged, np.vstack([a, b]))
+    np.testing.assert_array_equal(keys, np.concatenate([ka, kb]))
     assert seen == 5
 
 
 def test_reservoir_merge_handles_empty_sides():
     rng = np.random.default_rng(0)
     b = np.ones((2, 3))
-    merged, seen = merge_point_reservoirs(None, 0, b, 7, 4, rng)
+    kb = np.array([0.3, 0.6])
+    merged, keys, seen = merge_point_reservoirs(None, None, 0, b, kb, 7, 4, rng)
     np.testing.assert_array_equal(merged, b)
+    np.testing.assert_array_equal(keys, kb)
     assert seen == 7
-    merged, seen = merge_point_reservoirs(None, 0, None, 0, 4, rng)
-    assert merged is None and seen == 0
+    merged, keys, seen = merge_point_reservoirs(None, None, 0, None, None, 0, 4, rng)
+    assert merged is None and keys is None and seen == 0
 
 
 def test_reservoir_merge_caps_overflow_with_subset():
     rng = np.random.default_rng(5)
     a = np.arange(30.0).reshape(10, 3)
     b = np.arange(30.0).reshape(10, 3) + 1000
-    merged, seen = merge_point_reservoirs(a, 50, b, 10, 12, rng)
+    ka, kb = rng.random(10), rng.random(10)
+    merged, keys, seen = merge_point_reservoirs(a, ka, 50, b, kb, 10, 12, rng)
     assert merged.shape == (12, 3)
     assert seen == 60
     union = {tuple(p) for p in np.vstack([a, b])}
     assert all(tuple(p) in union for p in merged)
+    np.testing.assert_array_equal(np.sort(keys), np.sort(np.concatenate([ka, kb]))[-12:])
 
 
-def test_reservoir_merge_deterministic_for_seed():
+def test_reservoir_merge_with_keys_is_deterministic():
     a = np.arange(30.0).reshape(10, 3)
     b = a + 50
-    m1, _ = merge_point_reservoirs(a, 10, b, 10, 8, np.random.default_rng(42))
-    m2, _ = merge_point_reservoirs(a, 10, b, 10, 8, np.random.default_rng(42))
+    keys = np.random.default_rng(1).random(20)
+    rng_1, rng_2 = np.random.default_rng(42), np.random.default_rng(43)
+    m1, k1, _ = merge_point_reservoirs(a, keys[:10], 10, b, keys[10:], 10, 8, rng_1)
+    m2, k2, _ = merge_point_reservoirs(a, keys[:10], 10, b, keys[10:], 10, 8, rng_2)
     np.testing.assert_array_equal(m1, m2)
+    np.testing.assert_array_equal(k1, k2)
+    assert rng_1.bit_generator.state == np.random.default_rng(42).bit_generator.state
+
+
+def test_reservoir_merge_keeps_earlier_points_on_equal_keys():
+    a = np.arange(12.0).reshape(4, 3)
+    merged, keys, _ = merge_point_reservoirs(
+        a[:2], np.array([0.5, 0.9]), 2, a[2:], np.array([0.5, 0.5]), 2, 2, np.random.default_rng(0))
+    np.testing.assert_array_equal(merged, a[:2])
+    np.testing.assert_array_equal(keys, [0.5, 0.9])
+
+
+def _leaf(rng, first_id: int, offered: int, cap: int):
+    """A reservoir of `offered` original points (ids in column 0), as a lift makes one."""
+    pts = np.zeros((offered, 3))
+    pts[:, 0] = np.arange(first_id, first_id + offered)
+    keys = rng.random(offered)
+    keep = np.sort(np.argsort(-keys)[:cap])
+    return pts[keep], keys[keep], offered
+
+
+def _fold(rng, leaves, cap):
+    """Merge the reservoirs pairwise in a random tree."""
+    pool = list(leaves)
+    while len(pool) > 1:
+        i, j = sorted(rng.choice(len(pool), size=2, replace=False).tolist())
+        a, b = pool[i], pool.pop(j)
+        pool[i] = merge_point_reservoirs(a[0], a[1], a[2], b[0], b[1], b[2], cap, rng)
+    return pool[0]
+
+
+def test_reservoir_merge_trees_sample_every_point_uniformly():
+    rng = np.random.default_rng(2006)
+    cap, sizes, trials = 6, [1, 3, 8, 2, 12, 5, 1, 9], 3000
+    total = sum(sizes)
+    firsts = np.cumsum([0] + sizes[:-1]).tolist()
+    counts = np.zeros(total)
+    for _ in range(trials):
+        leaves = [_leaf(rng, f, n, cap) for f, n in zip(firsts, sizes)]
+        points, keys, seen = _fold(rng, leaves, cap)
+        assert seen == total and len(points) == cap and keys.shape == (cap,)
+        counts[points[:, 0].astype(int)] += 1
+    p = cap / total
+    sigma = math.sqrt(trials * p * (1.0 - p))
+    assert np.all(np.abs(counts - trials * p) <= 4.0 * sigma), counts / trials
+
+
+def test_reservoir_merge_is_associative_with_keys():
+    rng = np.random.default_rng(9)
+    for cap in (1, 3, 7):
+        for _ in range(50):
+            a, b, c = (_leaf(rng, 100 * i, int(rng.integers(1, 12)), cap) for i in range(3))
+            ab = merge_point_reservoirs(*a, *b, cap, rng)
+            left = merge_point_reservoirs(*ab, *c, cap, rng)
+            bc = merge_point_reservoirs(*b, *c, cap, rng)
+            right = merge_point_reservoirs(*a, *bc, cap, rng)
+            assert left[0].tobytes() == right[0].tobytes()
+            assert left[1].tobytes() == right[1].tobytes()
+            assert left[2] == right[2]
+
+
+def test_reservoir_merge_keyless_side_weighs_by_seen():
+    # one point kept of a keyless side whose 3 points stand for 4 originals each
+    # and a keyed side of 6 points seen once: with cap 1, A-ES keeps each point
+    # with probability proportional to its weight
+    rng = np.random.default_rng(17)
+    a = np.zeros((3, 3))
+    a[:, 0] = [0, 1, 2]
+    b = np.zeros((6, 3))
+    b[:, 0] = np.arange(3, 9)
+    trials = 20000
+    counts = np.zeros(9)
+    for _ in range(trials):
+        points, keys, seen = merge_point_reservoirs(a, None, 12, b, rng.random(6), 6, 1, rng)
+        assert seen == 18 and keys.shape == (1,)
+        counts[int(points[0, 0])] += 1
+    p = np.array([4.0] * 3 + [1.0] * 6) / 18.0
+    sigma = np.sqrt(trials * p * (1.0 - p))
+    assert np.all(np.abs(counts - trials * p) <= 4.0 * sigma), counts / trials
+
+
+def _successive_inclusion(w: np.ndarray, cap: int) -> np.ndarray:
+    """Exact inclusion probabilities of `cap` successive draws without
+    replacement, each in proportion to the weights left."""
+    incl = np.zeros(len(w))
+
+    def walk(taken: tuple, prob: float) -> None:
+        if len(taken) == cap:
+            incl[list(taken)] += prob
+            return
+        left = w.sum() - w[list(taken)].sum()
+        for i in range(len(w)):
+            if i not in taken:
+                walk(taken + (i,), prob * w[i] / left)
+
+    walk((), 1.0)
+    return incl
+
+
+def test_reservoir_merge_keyless_sides_match_successive_sampling():
+    # with a larger cap, the A-ES keys of two keyless sides select as successive
+    # weighted draws without replacement do, in proportion to seen/len
+    rng = np.random.default_rng(23)
+    a = np.zeros((4, 3))
+    a[:, 0] = np.arange(4)
+    b = np.zeros((5, 3))
+    b[:, 0] = np.arange(4, 9)
+    trials, cap = 20000, 4
+    counts = np.zeros(9)
+    for _ in range(trials):
+        points, _, _ = merge_point_reservoirs(a, None, 10, b, None, 5, cap, rng)
+        counts[points[:, 0].astype(int)] += 1
+    p = _successive_inclusion(np.array([10 / 4] * 4 + [5 / 5] * 5), cap)
+    assert p.sum() == pytest.approx(cap)
+    sigma = np.sqrt(trials * p * (1.0 - p))
+    assert np.all(np.abs(counts - trials * p) <= 4.0 * sigma), (counts / trials, p)
 
 
 # -- serialization -----------------------------------------------------------

@@ -5,7 +5,8 @@ scalar kernels; tests/reference_fusion.py keeps the per-query algorithm that
 scans every live candidate with the vectorized numpy kernel. Both must make
 the same decisions in the same order, consume the random generator the same
 way and leave byte-identical graphs. The batched lift must likewise equal the
-per-detection lift bit for bit and drop the same detections.
+per-detection lift bit for bit and drop the same detections, and the
+per-frame evaluation-point pass must equal the per-detection one bit for bit.
 """
 
 import json
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from scenefuse.errors import InvalidDepthError, InvalidDetectionError, SingularJacobianError
-from scenefuse.fusion import FusionConfig, integrate
+from scenefuse.fusion import FusionConfig, _frame_eval_points, integrate
 from scenefuse.geometry import (
     BoundingBox2D,
     CameraIntrinsics,
@@ -26,6 +27,7 @@ from scenefuse.geometry import (
     lift_detections,
 )
 from scenefuse.graph import ClassVocabulary, GlobalSSG, LocalSSG, ObjectNode, RelationEdge, export_graph
+from scenefuse.streams import DepthMap, Detection
 
 import reference_fusion
 
@@ -90,7 +92,9 @@ def probe_shapes(draw):
 @st.composite
 def streams(draw):
     """(config, frames): each frame is a list of [class, mean, cov, score,
-    eval points, seen] and a list of (subject, object, predicate, score)."""
+    eval points, seen, eval keys] and a list of (subject, object, predicate,
+    score). Keys are absent (as in a graph read back from its document) or
+    drawn from a few values, so that merges meet equal keys at the cut."""
     threshold = draw(st.sampled_from([0.5, 0.85, 0.95]))
     b_gate = -math.log1p(-threshold * threshold)
     cfg = FusionConfig(hellinger_threshold=threshold, eval_point_cap=draw(st.integers(1, 3)))
@@ -147,9 +151,11 @@ def streams(draw):
             if draw(st.booleans()):
                 k = draw(st.integers(1, cfg.eval_point_cap))  # a lifted node holds at most cap
                 pts = node[1] + np.array(draw(st.lists(unit, min_size=3 * k, max_size=3 * k))).reshape(k, 3)
-                node += [pts, k + draw(st.integers(0, 6))]
+                keys = draw(st.one_of(st.none(), st.lists(
+                    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=k, max_size=k)))
+                node += [pts, k + draw(st.integers(0, 6)), None if keys is None else np.array(keys)]
             else:
-                node += [None, 0]
+                node += [None, 0, None]
         relations = []
         if len(nodes) >= 2:
             for _ in range(draw(st.integers(0, 3))):
@@ -165,8 +171,8 @@ def _local(fid, nodes, relations) -> LocalSSG:
         frame_id=fid,
         nodes=[
             ObjectNode(id=i, class_id=cid, gaussian=Gaussian3D(mean=mean, cov=cov), weight=1,
-                       score_sum=score, eval_points=pts, eval_seen=seen)
-            for i, (cid, mean, cov, score, pts, seen) in enumerate(nodes)
+                       score_sum=score, eval_points=pts, eval_seen=seen, eval_keys=keys)
+            for i, (cid, mean, cov, score, pts, seen, keys) in enumerate(nodes)
         ],
         edges=[RelationEdge(s, o, {p: [1, sc]}) for s, o, p, sc in relations],
     )
@@ -189,6 +195,58 @@ def test_integrate_matches_reference_on_random_streams(stream):
     g_new.validate(eval_point_cap=cfg.eval_point_cap)
     vocab = ClassVocabulary(tuple(f"c{i}" for i in range(n_classes)), ("p0", "p1", "p2"))
     assert json.dumps(export_graph(g_new, vocab)) == json.dumps(export_graph(g_ref, vocab))
+    for nid, node in g_new.nodes.items():
+        ref = g_ref.nodes[nid].eval_keys
+        assert (node.eval_keys is None) == (ref is None)
+        if ref is not None:
+            assert node.eval_keys.tobytes() == ref.tobytes()
+
+
+@st.composite
+def eval_frames(draw):
+    """(detections, maps, means, camera, pose, cap) for one frame: small images
+    with invalid depths, windows clipped at the edges, over the cap, empty or
+    zero-area, and detections on none, one or two depth maps."""
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cam = CameraIntrinsics(fx=draw(st.floats(5.0, 50.0)), fy=draw(st.floats(5.0, 50.0)),
+                           cx=draw(st.floats(0.0, width)), cy=draw(st.floats(0.0, height)),
+                           width=width, height=height)
+    pose = CameraPose(rotation=_rotation(draw(quaternions)),
+                      translation=np.array(draw(st.tuples(unit, unit, unit))) * 10.0)
+    depth = st.one_of(st.floats(0.0625, 20.0, width=32),
+                      st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]))
+    maps = [
+        DepthMap(width=width, height=height,
+                 values=np.array(draw(st.lists(depth, min_size=width * height, max_size=width * height)),
+                                 dtype=draw(st.sampled_from([np.float32, np.float64]))).reshape(height, width))
+        for _ in range(2)
+    ]
+    extent = st.one_of(st.floats(0.0, 3.0 * max(width, height)), st.sampled_from([0.0, 1e-9, 2.0, 4.0]))
+    n = draw(st.integers(0, 8))
+    dets = [
+        Detection(class_id=0, score=1.0, cx=draw(st.floats(-4.0, width + 4.0)),
+                  cy=draw(st.floats(-4.0, height + 4.0)), w=draw(extent), h=draw(extent))
+        for _ in range(n)
+    ]
+    which = [draw(st.sampled_from([None, 0, 0, 1])) for _ in range(n)]
+    means = np.array(draw(st.lists(unit, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+    return dets, [None if k is None else maps[k] for k in which], means, cam, pose, draw(st.integers(1, 6))
+
+
+@SETTINGS
+@given(eval_frames())
+def test_frame_eval_points_match_per_detection_reference(frame):
+    dets, maps, means, cam, pose, cap = frame
+    boxes = np.array([(d.cx, d.cy, d.w, d.h) for d in dets], dtype=np.float64).reshape(len(dets), 4)
+    rng_new, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+    points, keys, seen = _frame_eval_points(boxes, maps, means, cam, pose, cap, rng_new)
+    ref_points, ref_keys, ref_seen = reference_fusion.frame_eval_points(dets, maps, means, cam, pose, cap, rng_ref)
+    assert seen == ref_seen
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    for p, k, rp, rk in zip(points, keys, ref_points, ref_keys):
+        assert p.shape == rp.shape and p.tobytes() == rp.tobytes()
+        assert k.shape == rk.shape == (len(p),) and k.tobytes() == rk.tobytes()
+    assert len(points) == len(keys) == len(dets)
 
 
 @st.composite
