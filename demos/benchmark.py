@@ -3,8 +3,9 @@
     python3 demos/benchmark.py [n_frames]
 
 Builds a noise-free stream (18 detections/frame from a jittered floor
-grid), runs it through the engine twice (first pass warms the jitted
-kernels), and prints per-stage latency plus end-to-end throughput.
+grid), runs it through the engine twice (a short first pass keeps
+first-call costs such as imports and caches out of the timed pass), and
+prints per-stage latency plus end-to-end throughput.
 """
 
 import math
@@ -84,7 +85,7 @@ n_frames = int(sys.argv[1]) if len(sys.argv) > 1 else 1800
 print(f"building {n_frames}-frame stream ...")
 frames = build_stream(n_frames)
 
-run(frames[:20])  # warm the jitted kernels outside the timed pass
+run(frames[:20])  # first-call costs stay out of the timed pass
 graph, wall, lift_ms, merge_ms = run(frames)
 
 print(f"fused {n_frames} frames into {len(graph.nodes)} nodes in {wall:.2f}s "

@@ -41,6 +41,7 @@ from .graph import (
     LocalSSG,
     ObjectNode,
     RelationEdge,
+    _GraphNode,
     det9,
     log_det9,
     merge_point_reservoirs,
@@ -123,8 +124,7 @@ def bhattacharyya(a: Gaussian3D, b: Gaussian3D) -> float:
     """
     cov_a = a.cov.reshape(9).tolist()
     cov_b = b.cov.reshape(9).tolist()
-    ld_a = _queue_log_det(cov_a)
-    ld_b = _queue_log_det(cov_b)
+    ld_a, ld_b = _queue_log_dets([cov_a, cov_b])
     for ld, who in ((ld_a, "first"), (ld_b, "second")):
         if ld == _NEG_INF:
             raise DegenerateCovarianceError(f"{who} covariance has determinant <= {DET_MIN:g}")
@@ -328,9 +328,10 @@ def build_local_graph(
             continue
         lifts.append((det_idx, det, depth_map))
         depths.append(z)
-    nodes: list[ObjectNode] = []
     index_map: dict[int, int] = {}
     kept: list[int] = []
+    row_means: list[list[float]] = []
+    row_covs: list[list[float]] = []
     if lifts:
         boxes = np.array([(det.cx, det.cy, det.w, det.h) for _, det, _ in lifts])
         means, covs, errors = lift_detections(boxes, np.array(depths), cam, pose, jacobian_mode=cfg.jacobian_mode)
@@ -339,6 +340,9 @@ def build_local_graph(
                 kept.append(k)
             else:
                 log.debug("frame %d det %d: lift failed (%s), dropped", frame.frame_id, det_idx, errors[k])
+        mean_rows, cov_rows = means.tolist(), covs.reshape(-1, 9).tolist()
+        row_means = [mean_rows[k] for k in kept]
+        row_covs = [cov_rows[k] for k in kept]
     points: list[np.ndarray | None] = [None] * len(kept)
     keys: list[np.ndarray | None] = [None] * len(kept)
     seen = [0] * len(kept)
@@ -355,22 +359,11 @@ def build_local_graph(
         points, keys, seen = _frame_eval_points(
             boxes[kept], maps, means[kept], cam, pose, cfg.eval_point_cap, rng
         )
+    nodes = []
     for i, k in enumerate(kept):
         det_idx, det, _ = lifts[k]
-        node_id = len(nodes)
-        nodes.append(
-            ObjectNode(
-                id=node_id,
-                class_id=det.class_id,
-                gaussian=Gaussian3D(mean=means[k], cov=covs[k]),
-                weight=1,
-                score_sum=det.score,
-                eval_points=points[i],
-                eval_seen=seen[i],
-                eval_keys=keys[i],
-            )
-        )
-        index_map[det_idx] = node_id
+        nodes.append(_GraphNode(row_means, row_covs, i, det.class_id, 1, det.score, points[i], seen[i], keys[i], None))
+        index_map[det_idx] = i
     best: dict[tuple[int, int], tuple[int, float]] = {}
     for rel in frame.relations:
         s = index_map.get(rel.subject)
@@ -385,7 +378,7 @@ def build_local_graph(
         RelationEdge(subject_id=s, object_id=o, votes={pid: [1, score]})
         for (s, o), (pid, score) in ranked
     ]
-    return LocalSSG(frame_id=frame.frame_id, nodes=nodes, edges=edges)
+    return LocalSSG(frame_id=frame.frame_id, nodes=nodes, edges=edges, row_means=row_means, row_covs=row_covs)
 
 
 # Relative slack on the cull bound, for rounding in the computed distance. The
@@ -406,17 +399,19 @@ def _cull_reach(threshold: float) -> float:
     return 4.0 * -math.log1p(-threshold * threshold) * (1.0 + _CULL_MARGIN)
 
 
-def _queue_log_det(c: list[float]) -> float:
-    """log det of a queued local node's 9-float covariance, -inf if degenerate.
+def _queue_log_dets(covs: list[list[float]]) -> list[float]:
+    """log dets of queued local nodes' 9-float covariances, -inf if degenerate.
 
-    Queued nodes take numpy's log and graph rows math.log (graph.log_det9). The
-    two differ in the last bit on a few inputs; each side keeps the one the
-    merge decisions are defined with (tests/reference_fusion.py). The public
-    bhattacharyya takes numpy's log too, the same log the kernel applies to
-    det S, so that a Gaussian's distance to itself is exactly 0.0.
+    Queued nodes take numpy's log, in one call over the frame, and graph rows
+    math.log (graph.log_det9). The two differ in the last bit on a few
+    inputs; each side keeps the one the merge decisions are defined with
+    (tests/reference_fusion.py). The public bhattacharyya takes numpy's log
+    too, the same log the kernel applies to det S, so that a Gaussian's
+    distance to itself is exactly 0.0.
     """
-    d = det9(c)
-    return float(np.log(d)) if d > DET_MIN and d != math.inf else -math.inf
+    dets = [det9(c) for c in covs]
+    logs = np.log([d if DET_MIN < d < math.inf else 1.0 for d in dets]).tolist()
+    return [ld if DET_MIN < d < math.inf else _NEG_INF for d, ld in zip(dets, logs)]
 
 
 # Padding of the x slab searched for global candidates: relative, for the
@@ -467,9 +462,9 @@ def integrate(
     keys = [node.eval_keys for node in nodes]
     seen = [node.eval_seen for node in nodes]
     carried = [[node.id] for node in nodes]
-    qm = [node.gaussian.mean.tolist() for node in nodes]
-    qc = [node.gaussian.cov.ravel().tolist() for node in nodes]
-    qld = [_queue_log_det(c) for c in qc]
+    qm = list(local.row_means)
+    qc = list(local.row_covs)
+    qld = _queue_log_dets(qc)
     qtr = [c[0] + c[4] + c[8] for c in qc]
     peers_of: dict[int, list[int]] = {}
     for i, cid in enumerate(cls):

@@ -52,7 +52,8 @@ class CameraIntrinsics:
 
     def validate(self) -> None:
         vals = (self.fx, self.fy, self.cx, self.cy, self.width, self.height)
-        if not all(math.isfinite(v) for v in vals):
+        # an int is finite, and math.isfinite would overflow on one beyond the float range
+        if not all(isinstance(v, int) or math.isfinite(v) for v in vals):
             raise ValueError(f"non-finite intrinsics: {self}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
@@ -72,6 +73,32 @@ class CameraPose:
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64).reshape(3))
 
     def validate(self, tol: float = 1e-9) -> None:
+        """Raise ValueError unless the pose is finite and its rotation proper
+        and orthonormal: max |R'R - I| <= tol and |det R - 1| <= tol.
+
+        A scalar check on the 12 floats accepts a valid pose. A pose it does
+        not accept goes to the numpy check (_validate_numpy), which decides
+        and words the error; the two compute R'R and det R in different
+        orders, so their verdicts can differ only within rounding of tol.
+        """
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = self.rotation.reshape(9).tolist()
+        t0, t1, t2 = self.translation.tolist()
+        det = r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20)
+        # a non-finite entry makes one of these sums non-finite, and then a comparison fails
+        if not (
+            -tol <= r00 * r00 + r10 * r10 + r20 * r20 - 1.0 <= tol
+            and -tol <= r01 * r01 + r11 * r11 + r21 * r21 - 1.0 <= tol
+            and -tol <= r02 * r02 + r12 * r12 + r22 * r22 - 1.0 <= tol
+            and -tol <= r00 * r01 + r10 * r11 + r20 * r21 <= tol
+            and -tol <= r00 * r02 + r10 * r12 + r20 * r22 <= tol
+            and -tol <= r01 * r02 + r11 * r12 + r21 * r22 <= tol
+            and -tol <= det - 1.0 <= tol
+            and math.isfinite(t0 + t1 + t2)
+        ):
+            self._validate_numpy(tol)
+
+    def _validate_numpy(self, tol: float) -> None:
+        """validate with numpy's R.T @ R and det: the check that words errors."""
         R = self.rotation
         if not np.all(np.isfinite(R)) or not np.all(np.isfinite(self.translation)):
             raise ValueError("non-finite pose")

@@ -116,11 +116,26 @@ class RelationEdge:
 
 @dataclass
 class LocalSSG:
-    """Per-frame lifted graph; node ids are dense 0-based local indices."""
+    """Per-frame lifted graph; node ids are dense 0-based local indices.
+
+    Like GlobalSSG, it keeps its nodes' Gaussians as rows of Python floats:
+    row_means[i] (3 floats) and row_covs[i] (9 floats, row-major) belong to
+    nodes[i], and integrate reads only these. build_local_graph passes the
+    rows of its stacked lift, and its nodes build their Gaussian3D from
+    their row when read; a LocalSSG given nodes and no rows takes the rows
+    from the nodes' Gaussians.
+    """
 
     frame_id: int
     nodes: list[ObjectNode]
     edges: list[RelationEdge]
+    row_means: list[list[float]] | None = None
+    row_covs: list[list[float]] | None = None
+
+    def __post_init__(self):
+        if self.row_means is None:
+            self.row_means = [node.gaussian.mean.tolist() for node in self.nodes]
+            self.row_covs = [node.gaussian.cov.reshape(9).tolist() for node in self.nodes]
 
 
 def resolve_predicate(edge: RelationEdge) -> int:
@@ -133,13 +148,19 @@ def resolve_predicate(edge: RelationEdge) -> int:
 
 
 class _GraphNode(ObjectNode):
-    """An ObjectNode of a GlobalSSG. Its Gaussian is the graph's row for its
-    id; `gaussian` builds a Gaussian3D from that row on first read and keeps
-    it until the row changes. Write it through GlobalSSG.set_gaussian."""
+    """An ObjectNode of a GlobalSSG or LocalSSG. Its Gaussian is its row in
+    the graph's row lists; `gaussian` builds a Gaussian3D from that row on
+    first read and keeps it until the row changes. Write it through
+    GlobalSSG.set_gaussian.
 
-    def __init__(self, graph: "GlobalSSG", node_id: int, class_id: int, weight: int, score_sum: float,
-                 eval_points: np.ndarray | None, eval_seen: int, eval_keys: np.ndarray | None,
-                 gaussian: Gaussian3D | None):
+    The node holds the graph's row lists, not the graph: a graph that its
+    nodes pointed back to would be a reference cycle, and every frame's
+    LocalSSG would be left for the cyclic garbage collector, whose passes
+    then stall frames."""
+
+    def __init__(self, row_means: list, row_covs: list, node_id: int, class_id: int, weight: int,
+                 score_sum: float, eval_points: np.ndarray | None, eval_seen: int,
+                 eval_keys: np.ndarray | None, gaussian: Gaussian3D | None):
         self.id = node_id
         self.class_id = class_id
         self.weight = weight
@@ -147,7 +168,8 @@ class _GraphNode(ObjectNode):
         self.eval_points = eval_points
         self.eval_seen = eval_seen
         self.eval_keys = eval_keys
-        self._graph = graph
+        self._row_means = row_means
+        self._row_covs = row_covs
         self._gaussian = gaussian
 
     @property
@@ -155,8 +177,8 @@ class _GraphNode(ObjectNode):
         g = self._gaussian
         if g is None:
             g = self._gaussian = Gaussian3D(
-                mean=np.array(self._graph.row_means[self.id]),
-                cov=np.array(self._graph.row_covs[self.id]),
+                mean=np.array(self._row_means[self.id]),
+                cov=np.array(self._row_covs[self.id]),
             )
         return g
 
@@ -235,11 +257,13 @@ class GlobalSSG:
             raise ValueError(f"node id {nid} already present")
         if nid >= len(self.row_means):
             grow = nid + 1 - len(self.row_means)
+            # extended in place, never replaced: the nodes hold these lists
             self.row_means += [None] * grow
             self.row_covs += [None] * grow
             self.row_logdets += [-math.inf] * grow
             self.row_traces += [0.0] * grow
-        node = _GraphNode(self, nid, class_id, weight, score_sum, eval_points, eval_seen, eval_keys, gaussian)
+        node = _GraphNode(self.row_means, self.row_covs, nid, class_id, weight, score_sum,
+                          eval_points, eval_seen, eval_keys, gaussian)
         self.nodes[nid] = node
         ids = self.class_index.setdefault(class_id, [])
         if ids and nid < ids[-1]:

@@ -97,7 +97,19 @@ class DepthMap:
 # ---------------------------------------------------------------------------
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+# the key set of each level of a frame object
+_FRAME_KEYS = frozenset({"frame_id", "camera", "pose", "detections", "relations"})
+_CAMERA_KEYS = frozenset({"fx", "fy", "cx", "cy", "width", "height"})
+_POSE_KEYS = frozenset({"rotation", "translation"})
+_DETECTION_KEYS = frozenset({"class_id", "score", "bbox", "centroid_depth", "depth_ref"})
+_DETECTION_REQUIRED = frozenset({"class_id", "score", "bbox"})
+_BBOX_KEYS = frozenset({"cx", "cy", "w", "h"})
+_RELATION_KEYS = frozenset({"subject", "object", "predicate", "score"})
+
+
+def _require_keys(obj, allowed: frozenset[str], required: frozenset[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise ValueError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -109,7 +121,10 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
 def _as_float(v, where: str, lo: float | None = None, hi: float | None = None) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{where} must be a number, got {v!r}")
-    f = float(v)
+    try:
+        f = float(v)
+    except OverflowError:
+        raise ValueError(f"{where} is an integer too large for a float") from None
     if not math.isfinite(f):
         raise ValueError(f"{where} must be finite, got {f}")
     if lo is not None and f < lo:
@@ -127,20 +142,105 @@ def _as_int(v, where: str, lo: int | None = None) -> int:
     return v
 
 
-def _frame_from_obj(obj: dict) -> FrameRecord:
+def _frame_from_obj(obj) -> FrameRecord:
+    """The FrameRecord of one decoded frame line; ValueError says what is wrong.
+
+    A valid frame is read in one pass (_read_frame). Whatever that pass
+    doubts goes to the per-field walk (_walk_frame), which decides and is
+    the only code that words an error; the one pass accepts only frames the
+    walk accepts, with equal records, so the walk defines the grammar.
+    """
+    frame = _read_frame(obj)
+    return _walk_frame(obj) if frame is None else frame
+
+
+def _real(v) -> float:
+    """float(v) for an int or a float; TypeError for anything else, bool included."""
+    t = type(v)
+    if t is float:
+        return v
+    if t is int:
+        return float(v)  # OverflowError beyond the float range
+    raise TypeError(t)
+
+
+def _read_frame(obj) -> FrameRecord | None:
+    """The FrameRecord of a valid frame object, checked in one pass; None on any doubt.
+
+    Key sets are compared whole, numbers are checked by exact type (so bool
+    is refused), ranges by chained comparisons, and the detections' numbers
+    are checked for finiteness once, through their sum: a non-finite number
+    makes the sum non-finite. A sum that overflows on finite numbers is a
+    doubt too, as is any type, key or range mismatch and any error raised
+    on the way; nothing here words an error.
+    """
+    try:
+        if type(obj) is not dict or obj.keys() != _FRAME_KEYS:
+            return None
+        frame_id, cam, pose_obj = obj["frame_id"], obj["camera"], obj["pose"]
+        dets, rels = obj["detections"], obj["relations"]
+        if not (type(frame_id) is int and frame_id >= 0 and type(dets) is list and type(rels) is list
+                and type(cam) is dict and cam.keys() == _CAMERA_KEYS
+                and type(pose_obj) is dict and pose_obj.keys() == _POSE_KEYS
+                and type(cam["width"]) is int and type(cam["height"]) is int):
+            return None
+        camera = CameraIntrinsics(_real(cam["fx"]), _real(cam["fy"]), _real(cam["cx"]), _real(cam["cy"]),
+                                  cam["width"], cam["height"])
+        camera.validate()  # finite, positive focal lengths and image size
+        rot, tr = pose_obj["rotation"], pose_obj["translation"]
+        if not (type(rot) is list and len(rot) == 9 and type(tr) is list and len(tr) == 3):
+            return None
+        pose = CameraPose(rotation=np.array([_real(v) for v in rot]).reshape(3, 3),
+                          translation=np.array([_real(v) for v in tr]))
+        pose.validate(tol=1e-6)
+        total = 0.0
+        detections = []
+        for d in dets:
+            if type(d) is not dict or not d.keys() <= _DETECTION_KEYS:
+                return None
+            class_id, bbox, ref = d["class_id"], d["bbox"], d.get("depth_ref")
+            if not (type(class_id) is int and class_id >= 0 and (ref is None or type(ref) is str)
+                    and type(bbox) is dict and bbox.keys() == _BBOX_KEYS):
+                return None
+            score = _real(d["score"])
+            cx, cy, w, h = _real(bbox["cx"]), _real(bbox["cy"]), _real(bbox["w"]), _real(bbox["h"])
+            if not (0.0 <= score <= 1.0 and w > 0.0 and h > 0.0):
+                return None
+            total += cx + cy + w + h
+            depth = d.get("centroid_depth")
+            if depth is not None:
+                depth = _real(depth)
+                total += depth
+            detections.append(Detection(class_id, score, cx, cy, w, h, depth, ref))
+        n_det = len(detections)
+        relations = []
+        for r in rels:
+            if type(r) is not dict or r.keys() != _RELATION_KEYS:
+                return None
+            subject, object_, predicate = r["subject"], r["object"], r["predicate"]
+            score = _real(r["score"])
+            if not (type(subject) is int and type(object_) is int and type(predicate) is int
+                    and 0 <= subject < n_det and 0 <= object_ < n_det and predicate >= 0
+                    and 0.0 <= score <= 1.0):
+                return None
+            relations.append(Relation2D(subject, object_, predicate, score))
+        if not math.isfinite(total):
+            return None
+    except (KeyError, TypeError, OverflowError, ValueError):
+        return None
+    return FrameRecord(frame_id, camera, pose, detections, relations)
+
+
+def _walk_frame(obj) -> FrameRecord:
+    """_frame_from_obj field by field: the first field that is wrong raises
+    ValueError with the field's path in its message."""
     if not isinstance(obj, dict):
         raise ValueError("frame line must be a JSON object")
-    _require_keys(
-        obj,
-        {"frame_id", "camera", "pose", "detections", "relations"},
-        {"frame_id", "camera", "pose", "detections", "relations"},
-        "frame",
-    )
+    _require_keys(obj, _FRAME_KEYS, _FRAME_KEYS, "frame")
     frame_id = _as_int(obj["frame_id"], "frame_id", lo=0)
 
     cam_obj = obj["camera"]
-    _require_keys(cam_obj, {"fx", "fy", "cx", "cy", "width", "height"},
-                  {"fx", "fy", "cx", "cy", "width", "height"}, "camera")
+    _require_keys(cam_obj, _CAMERA_KEYS, _CAMERA_KEYS, "camera")
     camera = CameraIntrinsics(
         fx=_as_float(cam_obj["fx"], "camera.fx"),
         fy=_as_float(cam_obj["fy"], "camera.fy"),
@@ -152,7 +252,7 @@ def _frame_from_obj(obj: dict) -> FrameRecord:
     camera.validate()
 
     pose_obj = obj["pose"]
-    _require_keys(pose_obj, {"rotation", "translation"}, {"rotation", "translation"}, "pose")
+    _require_keys(pose_obj, _POSE_KEYS, _POSE_KEYS, "pose")
     rot = pose_obj["rotation"]
     tr = pose_obj["translation"]
     if not (isinstance(rot, list) and len(rot) == 9):
@@ -173,10 +273,9 @@ def _frame_from_obj(obj: dict) -> FrameRecord:
         raise ValueError("detections must be a list")
     for i, d in enumerate(obj["detections"]):
         where = f"detections[{i}]"
-        _require_keys(d, {"class_id", "score", "bbox", "centroid_depth", "depth_ref"},
-                      {"class_id", "score", "bbox"}, where)
+        _require_keys(d, _DETECTION_KEYS, _DETECTION_REQUIRED, where)
         bbox = d["bbox"]
-        _require_keys(bbox, {"cx", "cy", "w", "h"}, {"cx", "cy", "w", "h"}, f"{where}.bbox")
+        _require_keys(bbox, _BBOX_KEYS, _BBOX_KEYS, f"{where}.bbox")
         depth = d.get("centroid_depth")
         if depth is not None:
             depth = _as_float(depth, f"{where}.centroid_depth")
@@ -204,8 +303,7 @@ def _frame_from_obj(obj: dict) -> FrameRecord:
     n_det = len(detections)
     for i, r in enumerate(obj["relations"]):
         where = f"relations[{i}]"
-        _require_keys(r, {"subject", "object", "predicate", "score"},
-                      {"subject", "object", "predicate", "score"}, where)
+        _require_keys(r, _RELATION_KEYS, _RELATION_KEYS, where)
         subj = _as_int(r["subject"], f"{where}.subject", lo=0)
         obj_i = _as_int(r["object"], f"{where}.object", lo=0)
         if subj >= n_det or obj_i >= n_det:
@@ -240,7 +338,7 @@ def parse_frame_stream(
                 continue
             try:
                 frame = _frame_from_obj(json.loads(line))
-            except (json.JSONDecodeError, ValueError) as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
                 err = FrameParseError(line_no, str(exc))
                 if on_error is None:
                     raise err from exc

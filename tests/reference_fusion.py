@@ -11,6 +11,9 @@ draws exactly; tests/test_oracle.py checks that on random streams.
 `frame_eval_points` back-projects evaluation points one detection at a time
 (`eval_region_points`); the engine's one pass over a frame must equal it bit
 for bit.
+
+`validate_pose` is the numpy pose check; CameraPose.validate's scalar check
+must reach its verdicts, and word its errors, except within rounding of tol.
 """
 
 from __future__ import annotations
@@ -33,6 +36,19 @@ from scenefuse.graph import (
 )
 
 log = logging.getLogger("scenefuse")
+
+
+def validate_pose(pose: CameraPose, tol: float = 1e-9) -> None:
+    """CameraPose.validate by numpy's R.T @ R and det alone."""
+    R = pose.rotation
+    if not np.all(np.isfinite(R)) or not np.all(np.isfinite(pose.translation)):
+        raise ValueError("non-finite pose")
+    err = np.abs(R.T @ R - np.eye(3)).max()
+    if err > tol:
+        raise ValueError(f"rotation is not orthonormal (max |R'R - I| = {err:.3e})")
+    det = np.linalg.det(R)
+    if abs(det - 1.0) > tol:
+        raise ValueError(f"rotation must be proper (det {det:.12f} != +1)")
 
 
 def merge_point_reservoirs(points_a, keys_a, seen_a, points_b, keys_b, seen_b, cap, rng):

@@ -145,6 +145,17 @@ def test_run_corrupt_stream_exit_2(tmp_path):
     stream.write_text("this is not json\n")
     rc = main(["run", "--input", str(stream), "--output", str(tmp_path / "g.json")])
     assert rc == 2
+    # a null detection is a malformed line too, not a crash
+    frame = {
+        "frame_id": 0,
+        "camera": {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480},
+        "pose": {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 0]},
+        "detections": [None],
+        "relations": [],
+    }
+    stream.write_text(json.dumps(frame) + "\n")
+    rc = main(["run", "--input", str(stream), "--output", str(tmp_path / "g.json")])
+    assert rc == 2
 
 
 def test_run_missing_config_exit_3(tmp_path):

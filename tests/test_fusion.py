@@ -1,6 +1,8 @@
 """Fusion engine: distances, moment merging, local-graph build, integrate."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -313,6 +315,23 @@ def test_build_filters_by_confidence():
     assert len(local.nodes) == 2
     assert all(n.weight == 1 for n in local.nodes)
     assert [n.score_sum for n in local.nodes] == [0.9, 0.8]
+
+
+def test_local_graph_is_freed_without_the_cycle_collector():
+    # a reference cycle between a local graph and its nodes would leave every
+    # frame's graph to the cyclic garbage collector, whose passes stall frames
+    frame = _frame([_det(score=0.9), _det(score=0.8, cx=5.0)])
+    local = build_local_graph(frame, frame.camera, frame.pose, FusionConfig())
+    refs = [weakref.ref(local)] + [weakref.ref(n) for n in local.nodes]
+    assert len(refs) == 3
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del local
+        assert all(r() is None for r in refs)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_build_truncates_relations_to_top_k():

@@ -7,6 +7,12 @@ the same decisions in the same order, consume the random generator the same
 way and leave byte-identical graphs. The batched lift must likewise equal the
 per-detection lift bit for bit and drop the same detections, and the
 per-frame evaluation-point pass must equal the per-detection one bit for bit.
+
+The per-frame checks around the merge have references too: the one-pass
+frame reader must accept only what the per-field walk accepts, with equal
+records; the scalar pose check must reach the numpy check's verdicts; and a
+local graph handed over as the lift's float rows must integrate exactly as
+one of hand-built nodes.
 """
 
 import json
@@ -15,9 +21,10 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from scenefuse.errors import InvalidDepthError, InvalidDetectionError, SingularJacobianError
-from scenefuse.fusion import FusionConfig, _frame_eval_points, integrate
+from scenefuse.fusion import FusionConfig, _frame_eval_points, _queue_log_dets, build_local_graph, integrate
 from scenefuse.geometry import (
     BoundingBox2D,
     CameraIntrinsics,
@@ -27,7 +34,9 @@ from scenefuse.geometry import (
     lift_detections,
 )
 from scenefuse.graph import ClassVocabulary, GlobalSSG, LocalSSG, ObjectNode, RelationEdge, export_graph
-from scenefuse.streams import DepthMap, Detection
+from scenefuse.streams import (
+    DepthMap, Detection, FrameRecord, Relation2D, _frame_from_obj, _read_frame, _walk_frame,
+)
 
 import reference_fusion
 
@@ -202,6 +211,19 @@ def test_integrate_matches_reference_on_random_streams(stream):
             assert node.eval_keys.tobytes() == ref.tobytes()
 
 
+def test_queue_log_dets_match_reference_bit_for_bit():
+    # numpy's and math's log differ in the last bit on about 0.1% of inputs, so
+    # the queue's one np.log per frame is checked on many covariances at once
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=(20000, 3, 3)) * rng.uniform(1e-5, 10.0, size=(20000, 1, 1))
+    covs = a @ a.transpose(0, 2, 1)
+    covs[::97] = 0.0
+    covs[::89] *= 1e-12  # determinant below the guard
+    covs[::83, 1, 1] = np.nan
+    ours = np.array(_queue_log_dets(covs.reshape(-1, 9).tolist()))
+    assert ours.tobytes() == reference_fusion.log_det3x3_batch(covs).tobytes()
+
+
 @st.composite
 def eval_frames(draw):
     """(detections, maps, means, camera, pose, cap) for one frame: small images
@@ -284,3 +306,329 @@ def test_batched_lift_matches_per_detection_lift(batch, mode):
         assert errors[k] is None
         np.testing.assert_array_equal(means[k], g.mean)
         np.testing.assert_array_equal(covs[k], g.cov)
+
+
+# -- the one-pass frame reader against the per-field walk ----------------------
+
+# sentinel strings replaced by JSON number literals in the line's text
+_LITERALS = {"__NaN__": "NaN", "__Infinity__": "Infinity", "__-Infinity__": "-Infinity", "__1e999__": "1e999"}
+_ODD_VALUES = [None, True, False, 0, -1, 2, 0.0, -0.0, 1.0000000001, -1e-300, 1e308, -1e308, 10 ** 400,
+               -(10 ** 400), "s", [], {}, [1, 2], *_LITERALS]
+numbers = st.one_of(st.floats(-1e4, 1e4), st.integers(-10_000, 10_000))
+positive = st.one_of(st.floats(1e-3, 1e4), st.integers(1, 10_000))
+
+
+@st.composite
+def frame_objects(draw):
+    """A valid frame object, with ints where the grammar allows floats."""
+    n = draw(st.integers(0, 4))
+    dets = []
+    for _ in range(n):
+        det = {"class_id": draw(st.integers(0, 30)),
+               "score": draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))),
+               "bbox": {"cx": draw(numbers), "cy": draw(numbers), "w": draw(positive), "h": draw(positive)}}
+        if draw(st.booleans()):
+            det["centroid_depth"] = draw(st.one_of(st.none(), numbers))
+        if draw(st.booleans()):
+            det["depth_ref"] = draw(st.one_of(st.none(), st.text(max_size=5)))
+        dets.append(det)
+    rels = [
+        {"subject": draw(st.integers(0, n - 1)), "object": draw(st.integers(0, n - 1)),
+         "predicate": draw(st.integers(0, 5)), "score": draw(st.floats(0.0, 1.0))}
+        for _ in range(draw(st.integers(0, 3) if n else st.just(0)))
+    ]
+    rotation = _rotation(draw(quaternions)).reshape(9).tolist()
+    if draw(st.booleans()):
+        rotation = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    return {
+        "frame_id": draw(st.integers(0, 10 ** 6)),
+        "camera": {"fx": draw(positive), "fy": draw(positive), "cx": draw(numbers), "cy": draw(numbers),
+                   "width": draw(st.integers(1, 4000)), "height": draw(st.integers(1, 4000))},
+        "pose": {"rotation": rotation, "translation": [draw(numbers) for _ in range(3)]},
+        "detections": dets,
+        "relations": rels,
+    }
+
+
+def _slots(obj, out):
+    """Every (container, key) of a decoded JSON value, depth first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        out.append((obj, key))
+        _slots(value, out)
+    return out
+
+
+_MUTATIONS = ["leaf", "leaf", "bool", "nonfinite", "node", "drop", "extra", "whole",
+              "two_big", "score", "zero_w", "endpoint"]
+
+
+@st.composite
+def mutated_lines(draw):
+    """(line, mutations): a valid frame line after up to three mutations, each
+    aimed at one kind of slot: a number or string, an object or list, a key."""
+    obj = draw(frame_objects())
+    mutations = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(_MUTATIONS))
+        slots = _slots(obj, [])
+        leaves = [(c, k) for c, k in slots if not isinstance(c[k], (dict, list))]
+        nodes = [(c, k) for c, k in slots if isinstance(c[k], (dict, list))]
+        dicts = ([obj] if isinstance(obj, dict) else []) + [c[k] for c, k in nodes if isinstance(c[k], dict)]
+        dets = obj["detections"] if isinstance(obj, dict) and isinstance(obj.get("detections"), list) else []
+        bboxes = [d["bbox"] for d in dets if isinstance(d, dict) and isinstance(d.get("bbox"), dict)]
+        if kind in ("leaf", "bool", "nonfinite") and leaves:
+            container, key = draw(st.sampled_from(leaves))
+            values = {"leaf": _ODD_VALUES, "bool": [True, False], "nonfinite": list(_LITERALS)}[kind]
+            container[key] = draw(st.sampled_from(values))
+        elif kind == "node" and nodes:
+            container, key = draw(st.sampled_from(nodes))
+            container[key] = draw(st.sampled_from(_ODD_VALUES))
+        elif kind == "drop" and dicts:
+            d = draw(st.sampled_from(dicts))
+            if d:
+                del d[draw(st.sampled_from(sorted(d)))]
+        elif kind == "extra" and dicts:
+            draw(st.sampled_from(dicts))[draw(st.sampled_from(["extra", "depth_ref", "bbox", "score", "w"]))] = 1.0
+        elif kind == "whole":
+            obj = draw(st.sampled_from([None, 3, "frame", [obj]]))
+        elif kind == "two_big":  # finite numbers whose sum overflows
+            if bboxes:
+                bbox = draw(st.sampled_from(bboxes))
+                bbox["cx"] = bbox["cy"] = 1e308
+            elif isinstance(obj, dict) and isinstance(obj.get("pose"), dict):
+                obj["pose"]["translation"] = [1e308, 1e308, 0.0]
+        elif kind == "score" and dets:
+            det = draw(st.sampled_from(dets))
+            if isinstance(det, dict):
+                det["score"] = 1.0000000001
+        elif kind == "zero_w" and bboxes:
+            draw(st.sampled_from(bboxes))["w"] = 0
+        elif kind == "endpoint" and isinstance(obj, dict) and obj.get("relations"):
+            rel = draw(st.sampled_from(obj["relations"]))
+            if isinstance(rel, dict):
+                rel[draw(st.sampled_from(["subject", "object"]))] = len(dets)
+        else:
+            continue
+        mutations.append(kind)
+    line = json.dumps(obj)
+    for sentinel, literal in _LITERALS.items():
+        line = line.replace(json.dumps(sentinel), literal)
+    return line, mutations
+
+
+def _record(frame) -> tuple:
+    """A FrameRecord's every field, with types (repr tells 1 from 1.0)."""
+    return (repr(frame.frame_id), repr(frame.camera), frame.pose.rotation.dtype, frame.pose.rotation.tobytes(),
+            frame.pose.translation.tobytes(), repr(frame.detections), repr(frame.relations))
+
+
+def _walk(obj):
+    try:
+        return _walk_frame(obj), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _assert_reader_agrees(line: str, valid: bool) -> None:
+    """The one pass accepts only what the walk accepts, with an equal record;
+    _frame_from_obj returns the walk's record or raises its message."""
+    obj = json.loads(line)
+    fast = _read_frame(obj)
+    walked, message = _walk(obj)
+    if valid:
+        assert fast is not None  # the one pass reads every valid frame it is given
+    if fast is not None:
+        assert walked is not None and _record(fast) == _record(walked)
+    elif walked is not None:
+        # the one pass declines a frame the walk accepts only when a sum of
+        # the detections' finite numbers overflows
+        big = [abs(v) for d in walked.detections for v in (d.cx, d.cy, d.w, d.h, d.centroid_depth or 0.0)]
+        assert max(big) >= 1e307
+    try:
+        parsed = _frame_from_obj(obj)
+    except ValueError as exc:
+        assert message == str(exc)
+    else:
+        assert message is None and _record(parsed) == _record(walked)
+
+
+@settings(SETTINGS, max_examples=600)
+@given(mutated_lines())
+def test_one_pass_reader_accepts_what_the_walk_accepts(case):
+    line, mutations = case
+    _assert_reader_agrees(line, valid=not mutations)
+
+
+def test_one_pass_reader_on_every_single_mutation():
+    """Each slot of a valid frame given each odd value, each key dropped, and
+    an extra key in each object."""
+    base = {
+        "frame_id": 3,
+        "camera": {"fx": 500.0, "fy": 500, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480},
+        "pose": {"rotation": [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0, 1], "translation": [0.5, -2.0, 3]},
+        "detections": [
+            {"class_id": 2, "score": 0.9, "bbox": {"cx": 100.0, "cy": 120.0, "w": 40.0, "h": 30},
+             "centroid_depth": 2.5, "depth_ref": "d/0.frdp"},
+            {"class_id": 0, "score": 1, "bbox": {"cx": 300.5, "cy": 200.0, "w": 64.0, "h": 64.0}},
+        ],
+        "relations": [{"subject": 0, "object": 1, "predicate": 1, "score": 0.7},
+                      {"subject": 1, "object": 0, "predicate": 0, "score": 0}],
+    }
+    _assert_reader_agrees(json.dumps(base), valid=True)
+    n_slots = len(_slots(base, []))
+    for k in range(n_slots):
+        for value in _ODD_VALUES:
+            obj = json.loads(json.dumps(base))
+            container, key = _slots(obj, [])[k]
+            container[key] = value
+            line = json.dumps(obj)
+            for sentinel, literal in _LITERALS.items():
+                line = line.replace(json.dumps(sentinel), literal)
+            _assert_reader_agrees(line, valid=False)
+    objects = [base] + [c[k] for c, k in _slots(base, []) if isinstance(c[k], dict)]
+    for i in range(len(objects)):
+        for key in list(objects[i]) + ["extra"]:
+            obj = json.loads(json.dumps(base))
+            target = ([obj] + [c[k] for c, k in _slots(obj, []) if isinstance(c[k], dict)])[i]
+            if key in target:
+                del target[key]
+            else:
+                target[key] = 1.0
+            _assert_reader_agrees(json.dumps(obj), valid=False)
+
+
+# -- the scalar pose check against the numpy one ---------------------------------
+
+
+def _verdict(check, pose, tol):
+    try:
+        check(pose, tol)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def near_tolerance_poses(draw):
+    """(pose, tol): a random rotation, perturbed to land near tol, reflected, or
+    given a non-finite entry."""
+    tol = draw(st.sampled_from([1e-6, 1e-9]))
+    rotation = Rotation.random(random_state=draw(st.integers(0, 2 ** 32 - 1))).as_matrix()
+    translation = np.array(draw(st.tuples(unit, unit, unit))) * 10.0
+    kind = draw(st.sampled_from(["exact", "scale", "perturb", "perturb", "reflect", "nonfinite", "huge_t"]))
+    if kind == "scale":  # R'R - I = (2s + s^2) I and det - 1 = 3s + ...: either side of tol
+        rotation = rotation * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * tol * draw(
+            st.sampled_from([0.1, 0.3, 0.332, 0.334, 0.49, 0.51, 0.9, 1.1, 3.0])))
+    elif kind == "perturb":  # a random direction scaled so that max |R'R - I| is near tol
+        e = np.array(draw(st.lists(unit, min_size=9, max_size=9))).reshape(3, 3)
+        first_order = np.abs(rotation.T @ e + e.T @ rotation).max()
+        if first_order > 1e-3:
+            rotation = rotation + e * (tol / first_order) * draw(
+                st.sampled_from([0.5, 0.9, 0.99, 0.999, 1.001, 1.01, 1.1, 2.0]))
+    elif kind == "reflect":  # det -1
+        rotation = rotation @ np.diag(draw(st.sampled_from([[-1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])))
+    elif kind == "nonfinite":
+        where = draw(st.sampled_from(["rotation", "translation"]))
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        if where == "rotation":
+            rotation = rotation.copy()
+            rotation.flat[draw(st.integers(0, 8))] = bad
+        else:
+            translation[draw(st.integers(0, 2))] = bad
+    elif kind == "huge_t":  # finite, but the entries' sum overflows
+        translation = np.array([1e308, 1e308, 0.0])
+    return CameraPose(rotation=rotation, translation=translation), tol
+
+
+@settings(SETTINGS, max_examples=600)
+@given(near_tolerance_poses())
+def test_scalar_pose_check_matches_numpy_check(case):
+    pose, tol = case
+    ours = _verdict(CameraPose.validate, pose, tol)
+    ref = _verdict(reference_fusion.validate_pose, pose, tol)
+    if ours == ref:
+        return
+    # verdicts may differ only where the numpy check's figures lie within 1e-12 of tol
+    r = pose.rotation
+    assert np.all(np.isfinite(r))
+    err = np.abs(r.T @ r - np.eye(3)).max()
+    det_err = abs(np.linalg.det(r) - 1.0)
+    assert min(abs(err - tol), abs(det_err - tol)) <= 1e-12, (ours, ref)
+    assert ours is None or ref is None  # an error the two both raise is worded alike
+
+
+# -- from lift to integrate: float rows against hand-built nodes -----------------
+
+
+@st.composite
+def detection_streams(draw):
+    """(config, frames): frames built in code from a few poses and objects
+    seen again and again, so that their lifts merge, plus detections that are
+    dropped for their score, their depth or their lift."""
+    cfg = FusionConfig(hellinger_threshold=draw(st.sampled_from([0.5, 0.85])),
+                       jacobian_mode=draw(st.sampled_from(["camera-frame", "pixel"])))
+    cam = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+    poses = [CameraPose(rotation=_rotation(draw(quaternions)),
+                        translation=np.array(draw(st.tuples(unit, unit, unit))) * 5.0)
+             for _ in range(draw(st.integers(1, 2)))]
+    objects = [(draw(st.integers(0, 2)), draw(st.floats(0.0, 640.0)), draw(st.floats(0.0, 480.0)),
+                draw(st.floats(5.0, 200.0)), draw(st.floats(5.0, 200.0)), draw(st.floats(0.5, 20.0)))
+               for _ in range(draw(st.integers(1, 4)))]
+    frames = []
+    for fid in range(draw(st.integers(1, 5))):
+        dets = []
+        for _ in range(draw(st.integers(0, 6))):
+            cid, cx, cy, w, h, z = draw(st.sampled_from(objects))
+            jitter = draw(st.sampled_from([0.0, 0.0, 0.5, 3.0]))
+            z = draw(st.sampled_from([z, z, z, None, 0.0, math.nan, math.inf]))
+            w = draw(st.sampled_from([w, w, w, 0.0]))  # a zero extent fails the lift
+            dets.append(Detection(class_id=cid, score=draw(st.sampled_from([0.5, 0.8, 1.0])),
+                                  cx=cx + jitter, cy=cy - jitter, w=w, h=h, centroid_depth=z))
+        rels = [Relation2D(subject=draw(st.integers(0, len(dets) - 1)), object=draw(st.integers(0, len(dets) - 1)),
+                           predicate=draw(st.integers(0, 2)), score=draw(st.floats(0.1, 1.0)))
+                for _ in range(draw(st.integers(0, 3) if dets else st.just(0)))]
+        frames.append(FrameRecord(frame_id=fid, camera=cam, pose=draw(st.sampled_from(poses)),
+                                  detections=dets, relations=rels))
+    return cfg, frames
+
+
+@SETTINGS
+@given(detection_streams())
+def test_lifted_rows_integrate_as_hand_built_nodes(stream):
+    cfg, frames = stream
+    g_rows, g_nodes = GlobalSSG(), GlobalSSG()
+    rng_rows, rng_nodes = np.random.default_rng(5), np.random.default_rng(5)
+    for frame in frames:
+        local = build_local_graph(frame, frame.camera, frame.pose, cfg)
+        lifted = []  # the detections build_local_graph keeps, lifted one by one
+        for det in frame.detections:
+            z = det.centroid_depth
+            if det.score < cfg.confidence_threshold or z is None or not math.isfinite(z) or z < cfg.min_depth:
+                continue
+            box = BoundingBox2D(center=np.array([det.cx, det.cy]), width=det.w, height=det.h,
+                                score=det.score, class_id=det.class_id)
+            try:
+                lifted.append((det, lift_detection(box, z, frame.camera, frame.pose, cfg.jacobian_mode)))
+            except (InvalidDepthError, InvalidDetectionError, SingularJacobianError):
+                continue
+        hand = LocalSSG(
+            frame_id=frame.frame_id,
+            nodes=[ObjectNode(id=i, class_id=det.class_id, gaussian=g, weight=1, score_sum=det.score)
+                   for i, (det, g) in enumerate(lifted)],
+            edges=[RelationEdge(e.subject_id, e.object_id, {p: list(v) for p, v in e.votes.items()})
+                   for e in local.edges],
+        )
+        _, ev_rows = integrate(local, g_rows, cfg, rng=rng_rows)
+        _, ev_nodes = integrate(hand, g_nodes, cfg, rng=rng_nodes)
+        assert ev_rows == ev_nodes
+        # read after integrate: the lift's rows are left as they were
+        assert len(local.nodes) == len(lifted)
+        for node, (det, g) in zip(local.nodes, lifted):
+            assert (node.class_id, node.score_sum, node.weight) == (det.class_id, det.score, 1)
+            assert node.gaussian.mean.tobytes() == g.mean.tobytes()
+            assert node.gaussian.cov.tobytes() == g.cov.tobytes()
+    assert rng_rows.bit_generator.state == rng_nodes.bit_generator.state
+    g_rows.validate()
+    vocab = ClassVocabulary(("c0", "c1", "c2"), ("p0", "p1", "p2"))
+    assert json.dumps(export_graph(g_rows, vocab)) == json.dumps(export_graph(g_nodes, vocab))

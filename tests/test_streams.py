@@ -104,6 +104,22 @@ def test_unknown_keys_rejected_at_every_level(tmp_path):
         p = _write(tmp_path, [obj])
         with pytest.raises(FrameParseError):
             list(parse_frame_stream(p))
+    # a level that is not an object is one bad line, not a crash
+    bbox_keys = _frame_obj(1)
+    bbox_keys["detections"][0]["bbox"] = ["cx", "cy", "w", "h"]
+    _assert_line_rejected(tmp_path, _frame_obj(1, camera=[1, 2]), "camera must be a JSON object")
+    _assert_line_rejected(tmp_path, bbox_keys, "detections[0].bbox must be a JSON object")
+
+
+def _assert_line_rejected(tmp_path, obj, message):
+    """obj on line 2 between two good frames costs that line alone, through on_error."""
+    p = _write(tmp_path, [_frame_obj(0), obj, _frame_obj(2)], name="one_bad.jsonl")
+    errors = []
+    frames = list(parse_frame_stream(p, on_error=errors.append))
+    assert [f.frame_id for f in frames] == [0, 2]
+    (err,) = errors
+    assert err.line_no == 2
+    assert str(err) == f"line 2: {message}"
 
 
 def test_parse_error_carries_line_number_and_recovers(tmp_path):
@@ -130,10 +146,13 @@ def test_parse_error_raises_without_handler(tmp_path):
 
 def test_invalid_json_line_reports_line(tmp_path):
     p = tmp_path / "s.jsonl"
-    p.write_text(json.dumps(_frame_obj(0)) + "\n{oops\n", encoding="utf-8")
+    # line 3 nests too deeply for the decoder: one bad line as well
+    p.write_text(json.dumps(_frame_obj(0)) + "\n{oops\n" + "[" * 100000 + "]" * 100000 + "\n"
+                 + json.dumps(_frame_obj(3)) + "\n", encoding="utf-8")
     errors = []
     frames = list(parse_frame_stream(p, on_error=errors.append))
-    assert len(frames) == 1 and errors[0].line_no == 2
+    assert [f.frame_id for f in frames] == [0, 3]
+    assert [e.line_no for e in errors] == [2, 3]
 
 
 def test_non_monotone_frame_id_always_raises(tmp_path):
@@ -157,6 +176,39 @@ def test_rejects_bad_geometry_fields(tmp_path):
         p = _write(tmp_path, [obj])
         with pytest.raises(FrameParseError):
             list(parse_frame_stream(p))
+    # null or a number where the grammar has an object, and integers beyond the
+    # float range, used to escape on_error as TypeError and OverflowError
+    cases = []
+    for value in (None, 7):
+        det = _frame_obj(1)
+        det["detections"][1] = value
+        bbox = _frame_obj(1)
+        bbox["detections"][0]["bbox"] = value
+        rel = _frame_obj(1)
+        rel["relations"][0] = value
+        cases += [
+            (det, "detections[1] must be a JSON object"),
+            (bbox, "detections[0].bbox must be a JSON object"),
+            (rel, "relations[0] must be a JSON object"),
+            (_frame_obj(1, pose=value), "pose must be a JSON object"),
+        ]
+    huge_w = _frame_obj(1)
+    huge_w["detections"][0]["bbox"]["w"] = 10 ** 400
+    huge_rot = _frame_obj(1, pose={"rotation": [10 ** 400, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 0]})
+    cases += [
+        (huge_w, "detections[0].bbox.w is an integer too large for a float"),
+        (huge_rot, "pose.rotation is an integer too large for a float"),
+    ]
+    for obj, message in cases:
+        _assert_line_rejected(tmp_path, obj, message)
+
+
+def test_huge_integer_width_is_accepted(tmp_path):
+    # an int is finite however large; the camera check must not overflow on it
+    obj = _frame_obj(camera={"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
+                             "width": 10 ** 400, "height": 480})
+    (frame,) = parse_frame_stream(_write(tmp_path, [obj]))
+    assert frame.camera.width == 10 ** 400
 
 
 def test_roundtrip_byte_equality(tmp_path):
