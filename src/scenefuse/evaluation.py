@@ -26,7 +26,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EvaluationError, StreamFormatError
 from .graph import ClassVocabulary, GlobalSSG, ObjectNode, resolve_predicate
@@ -168,6 +167,9 @@ def match_objects(
     owner = np.concatenate(
         [np.full(len(inst.points), k, dtype=np.int64) for k, inst in enumerate(gt.instances)]
     )
+    # Imported here so that fusing a stream (`scenefuse run`) never loads scipy.
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(gt_points)
     n_inst = len(gt.instances)
     candidates: list[tuple[int, int, int]] = []  # (-top_count, node_id, instance_index)

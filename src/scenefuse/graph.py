@@ -452,7 +452,8 @@ def export_graph(g: GlobalSSG, vocab: ClassVocabulary) -> dict:
             "cov": [float(v) for v in n.gaussian.cov.reshape(9)],
         }
         if n.eval_points is not None:
-            rec["eval_points"] = [[float(c) for c in p] for p in n.eval_points]
+            # float64 first, so that an integer array still writes floats
+            rec["eval_points"] = n.eval_points.astype(np.float64, copy=False).tolist()
             rec["eval_points_seen"] = n.eval_seen
         nodes.append(rec)
     edges = []
@@ -503,9 +504,10 @@ def import_graph(doc: dict) -> tuple[GlobalSSG, ClassVocabulary]:
 
 
 def save_graph(path, g: GlobalSSG, vocab: ClassVocabulary) -> None:
+    # json.dumps runs the C encoder; json.dump always runs the pure-Python one.
+    # Both write the same bytes.
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(export_graph(g, vocab), f, separators=(",", ":"))
-        f.write("\n")
+        f.write(json.dumps(export_graph(g, vocab), separators=(",", ":")) + "\n")
 
 
 def load_graph(path) -> tuple[GlobalSSG, ClassVocabulary]:

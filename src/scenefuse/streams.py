@@ -1,6 +1,7 @@
 """Bit-exact file formats: JSON Lines frame streams, raw depth maps, run config.
 
-Frame stream grammar (one JSON object per line, UTF-8):
+Frame stream grammar (one JSON object per line, UTF-8, lines ending in LF or
+CRLF):
 
     {"frame_id": int,
      "camera": {"fx","fy","cx","cy": float, "width","height": int},
@@ -326,18 +327,21 @@ def parse_frame_stream(
 ) -> Iterator[FrameRecord]:
     """Yield FrameRecords from a JSON Lines file.
 
-    A malformed line raises FrameParseError carrying its 1-based line number;
-    pass `on_error` to record the error and keep consuming subsequent lines
-    instead. Non-monotone frame_id always raises StreamOrderError — that is
-    stream corruption, not a line-local problem.
+    A malformed line, one that is not UTF-8 included, raises FrameParseError
+    carrying its 1-based line number; pass `on_error` to record the error and
+    keep consuming subsequent lines instead. Non-monotone frame_id always
+    raises StreamOrderError — that is stream corruption, not a line-local
+    problem.
     """
     last_id = None
-    with open(path, "r", encoding="utf-8") as f:
+    # Bytes, decoded line by line: a line that is not UTF-8 raises
+    # UnicodeDecodeError (a ValueError) here, where it costs only that line.
+    with open(path, "rb") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                frame = _frame_from_obj(json.loads(line))
+                frame = _frame_from_obj(json.loads(line.decode("utf-8")))
             except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
                 err = FrameParseError(line_no, str(exc))
                 if on_error is None:

@@ -14,6 +14,10 @@ for bit.
 
 `validate_pose` is the numpy pose check; CameraPose.validate's scalar check
 must reach its verdicts, and word its errors, except within rounding of tol.
+
+`export_graph` builds the graph document one Python float at a time;
+graph.save_graph must write exactly the bytes that json's pure-Python encoder
+makes of it.
 """
 
 from __future__ import annotations
@@ -30,9 +34,11 @@ from scenefuse.fusion import FusionConfig, MergeEvent
 from scenefuse.geometry import CameraIntrinsics, CameraPose, Gaussian3D
 from scenefuse.graph import (
     DET_MIN,
+    ClassVocabulary,
     GlobalSSG,
     LocalSSG,
     log_det3x3,
+    resolve_predicate,
 )
 
 log = logging.getLogger("scenefuse")
@@ -49,6 +55,41 @@ def validate_pose(pose: CameraPose, tol: float = 1e-9) -> None:
     det = np.linalg.det(R)
     if abs(det - 1.0) > tol:
         raise ValueError(f"rotation must be proper (det {det:.12f} != +1)")
+
+
+def export_graph(g: GlobalSSG, vocab: ClassVocabulary) -> dict:
+    """graph.export_graph with every array entry converted by float()."""
+    nodes = []
+    for nid in sorted(g.nodes):
+        n = g.nodes[nid]
+        rec = {
+            "id": n.id,
+            "class_id": n.class_id,
+            "weight": n.weight,
+            "score_sum": n.score_sum,
+            "mean": [float(v) for v in n.gaussian.mean],
+            "cov": [float(v) for v in n.gaussian.cov.reshape(9)],
+        }
+        if n.eval_points is not None:
+            rec["eval_points"] = [[float(c) for c in p] for p in n.eval_points]
+            rec["eval_points_seen"] = n.eval_seen
+        nodes.append(rec)
+    edges = []
+    for s, o in sorted(g.edges):
+        e = g.edges[(s, o)]
+        edges.append(
+            {
+                "subject": s,
+                "object": o,
+                "predicate": resolve_predicate(e),
+                "votes": {str(pid): [e.votes[pid][0], e.votes[pid][1]] for pid in sorted(e.votes)},
+            }
+        )
+    return {
+        "nodes": nodes,
+        "edges": edges,
+        "vocab": {"objects": list(vocab.object_classes), "predicates": list(vocab.predicates)},
+    }
 
 
 def merge_point_reservoirs(points_a, keys_a, seen_a, points_b, keys_b, seen_b, cap, rng):

@@ -6,6 +6,10 @@ part of the contract.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +160,41 @@ def test_run_corrupt_stream_exit_2(tmp_path):
     stream.write_text(json.dumps(frame) + "\n")
     rc = main(["run", "--input", str(stream), "--output", str(tmp_path / "g.json")])
     assert rc == 2
+    # so is a line that is not UTF-8
+    stream.write_bytes(b'{"a":1}\n\xff\xfe\n')
+    rc = main(["run", "--input", str(stream), "--output", str(tmp_path / "g.json")])
+    assert rc == 2
+
+
+# Runs in a fresh interpreter: fuses a stream through the CLI, checks that
+# scipy was never imported, then scores the graph, which may import it.
+COLD_START_SCRIPT = """
+import sys
+import scenefuse
+from scenefuse.cli import main
+frames, gt_path, cfg, out = sys.argv[1:]
+assert main(["run", "--input", frames, "--config", cfg, "--output", out]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+from scenefuse.evaluation import load_ground_truth, match_objects
+from scenefuse.graph import load_graph
+pred, _ = load_graph(out)
+match = match_objects(pred, load_ground_truth(gt_path))
+assert len(match.assignment) == len(pred.nodes) == 6, match.assignment
+"""
+
+
+def test_fusion_path_does_not_import_scipy(tmp_path):
+    spec = _write_spec(tmp_path)
+    frames, gt = _synth(tmp_path, spec)
+    cfg = _write_config(tmp_path, spec)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START_SCRIPT, frames, gt, cfg, str(tmp_path / "graph.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_run_missing_config_exit_3(tmp_path):

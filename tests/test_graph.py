@@ -24,6 +24,8 @@ from scenefuse.graph import (
     to_dot,
 )
 
+import reference_fusion
+
 
 def _gauss(mean, var=1.0):
     return Gaussian3D(mean=np.asarray(mean, dtype=float), cov=np.eye(3) * var)
@@ -498,6 +500,35 @@ def test_roundtrip_random_graphs_bit_exact(tmp_path):
         path2 = tmp_path / f"g{trial}b.json"
         save_graph(path2, g2, _vocab())
         assert path.read_bytes() == path2.read_bytes()
+
+
+def test_save_graph_bytes_match_pure_python_encoder(tmp_path):
+    odd = [-0.0, 1e-320, 1e308, 2.0, -7.0, 1e16, 0.1]
+    g = GlobalSSG()
+    g.add_node(class_id=0, gaussian=Gaussian3D(mean=np.array(odd[:3]), cov=np.diag(odd[3:6])),
+               weight=4, score_sum=1e308)
+    g.add_node(class_id=2, gaussian=_gauss([3.0, -0.0, 1e-320], 1e308), weight=2, score_sum=-0.0,
+               eval_points=np.array([odd[:3], odd[3:6], odd[4:]]), eval_seen=9,
+               eval_keys=np.array([0.5, 0.25, 0.125]))
+    g.add_node(class_id=1, gaussian=_gauss([0.1, 0.2, 0.3]), score_sum=2.0,
+               eval_points=np.empty((0, 3)), eval_seen=0, eval_keys=np.empty(0))
+    # arrays that are not float64 still write floats
+    g.add_node(class_id=1, gaussian=_gauss([1, 2, 3]), eval_points=np.array([[1, -2, 3]]), eval_seen=1)
+    g.add_node(class_id=0, gaussian=_gauss([1, 2, 3]), eval_points=np.array([[0.1, 1e-40, -0.0]], np.float32),
+               eval_seen=4)
+    g.accumulate_edge(0, 1, {0: [2, 1e-320], 2: [2, 1e308]})
+    g.accumulate_edge(1, 0, {1: [1, -0.0]})
+    g.accumulate_edge(3, 4, {2: [5, 3.0]})
+    vocab = ClassVocabulary(object_classes=("chair", "caf\u00e9", "lamp"), predicates=("on", "near", "\u4e0a"))
+    doc = reference_fusion.export_graph(g, vocab)
+    expected = "".join(json.JSONEncoder(separators=(",", ":")).iterencode(doc)) + "\n"
+    path = tmp_path / "g.json"
+    save_graph(path, g, vocab)
+    assert path.read_bytes() == expected.encode("utf-8")
+    g2, vocab2 = load_graph(path)
+    path2 = tmp_path / "g2.json"
+    save_graph(path2, g2, vocab2)
+    assert path2.read_bytes() == path.read_bytes()
 
 
 def test_import_rejects_malformed():

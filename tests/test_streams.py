@@ -146,13 +146,35 @@ def test_parse_error_raises_without_handler(tmp_path):
 
 def test_invalid_json_line_reports_line(tmp_path):
     p = tmp_path / "s.jsonl"
-    # line 3 nests too deeply for the decoder: one bad line as well
-    p.write_text(json.dumps(_frame_obj(0)) + "\n{oops\n" + "[" * 100000 + "]" * 100000 + "\n"
-                 + json.dumps(_frame_obj(3)) + "\n", encoding="utf-8")
+    # line 3 nests too deeply for the decoder and line 4 is not UTF-8: one bad line each
+    p.write_bytes((json.dumps(_frame_obj(0)) + "\n{oops\n" + "[" * 100000 + "]" * 100000 + "\n").encode()
+                  + b"\xff\xfe\n" + (json.dumps(_frame_obj(4)) + "\n").encode())
     errors = []
     frames = list(parse_frame_stream(p, on_error=errors.append))
-    assert [f.frame_id for f in frames] == [0, 3]
-    assert [e.line_no for e in errors] == [2, 3]
+    assert [f.frame_id for f in frames] == [0, 4]
+    assert [e.line_no for e in errors] == [2, 3, 4]
+    assert "can't decode byte 0xff" in str(errors[2])
+    p.write_bytes(b"\n\xff\xfe\n")
+    with pytest.raises(FrameParseError) as ei:
+        list(parse_frame_stream(p))
+    assert ei.value.line_no == 2
+
+
+def test_crlf_stream_keeps_line_numbers(tmp_path):
+    lines = [json.dumps(_frame_obj(0)), "", "   ", "{oops", json.dumps(_frame_obj(4))]
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    lf = tmp_path / "lf.jsonl"
+    lf.write_bytes("".join(line + "\n" for line in lines).encode())
+    seen = {}
+    for p in (crlf, lf):
+        errors = []
+        frames = [frame_to_obj(f) for f in parse_frame_stream(p, on_error=errors.append)]
+        seen[p.name] = (frames, [(e.line_no, str(e)) for e in errors])
+    frames, errors = seen["crlf.jsonl"]
+    assert [f["frame_id"] for f in frames] == [0, 4]
+    assert [line_no for line_no, _ in errors] == [4]
+    assert seen["lf.jsonl"] == seen["crlf.jsonl"]
 
 
 def test_non_monotone_frame_id_always_raises(tmp_path):
