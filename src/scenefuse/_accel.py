@@ -40,12 +40,14 @@ _sqrt = math.sqrt
 _INF = math.inf
 
 
-def bhattacharyya(mean_a, cov_a, logdet_a, mean_b, cov_b, logdet_b, det_min):
+def bhattacharyya(mean_a, cov_a, logdet_a, mean_b, cov_b, logdet_b, det_min, bound=_INF):
     """Bhattacharyya distance B of two Gaussians given as a 3-float mean, a
     9-float row-major covariance and its log-determinant.
 
     +inf when det S <= det_min, or when a log-determinant is -inf (a
-    degenerate covariance): the pair is unmergeable.
+    degenerate covariance): the pair is unmergeable. Also +inf, before the
+    log is taken, when the Mahalanobis term (1/8) d' S^-1 d alone exceeds
+    `bound`: the log-det term is >= 0, so B does too (fusion._gate_bound).
     """
     q00, q01, q02, q10, q11, q12, q20, q21, q22 = cov_a
     c00, c01, c02, c10, c11, c12, c20, c21, c22 = cov_b
@@ -71,10 +73,13 @@ def bhattacharyya(mean_a, cov_a, logdet_a, mean_b, cov_b, logdet_b, det_min):
         k00 * d0 * d0 + a11 * d1 * d1 + a22 * d2 * d2
         + 2.0 * (a01 * d0 * d1 + a02 * d0 * d2 + a12 * d1 * d2)
     )
-    return 0.125 * quad / det + 0.5 * (float(_log(det)) - 0.5 * (logdet_a + logdet_b))
+    b = 0.125 * quad / det
+    if b > bound:
+        return _INF
+    return b + 0.5 * (float(_log(det)) - 0.5 * (logdet_a + logdet_b))
 
 
-def _closest(mean, cov, logdet, means, covs, logdets, ids, det_min):
+def _closest(mean, cov, logdet, means, covs, logdets, ids, det_min, bound):
     """(position in ids, distance) of the first closest candidate.
 
     (-1, +inf) when ids is empty, when every candidate is unmergeable, or
@@ -82,9 +87,9 @@ def _closest(mean, cov, logdet, means, covs, logdets, ids, det_min):
     """
     best_k, best = -1, _INF
     for k, j in enumerate(ids):
-        b = bhattacharyya(mean, cov, logdet, means[j], covs[j], logdets[j], det_min)
+        b = bhattacharyya(mean, cov, logdet, means[j], covs[j], logdets[j], det_min, bound)
         if b == _INF:
-            continue  # unmergeable
+            continue  # unmergeable, or beyond the bound
         x = 1.0 - float(_exp(-b))
         if x > 0.0:
             h = _sqrt(x)
@@ -101,7 +106,7 @@ def best_match(
     mean, cov, logdet,
     a_means, a_covs, a_logdets, a_ids,
     b_means, b_covs, b_logdets, b_ids,
-    det_min,
+    det_min, bound=_INF,
 ):
     """Closest candidate in each of two sets: (idx_a, dist_a, idx_b, dist_b).
 
@@ -110,9 +115,12 @@ def best_match(
     9-float covariance, a_logdets[j] a float). The returned index is the
     position within the ids sequence; ties go to the earlier position. It is
     -1, with distance +inf, when the set is empty or entirely unmergeable.
+    Candidates that bhattacharyya rejects against `bound` count as
+    unmergeable, so a bound that no mergeable pair exceeds leaves every
+    result below the merge threshold as it is.
     """
-    ia, da = _closest(mean, cov, logdet, a_means, a_covs, a_logdets, a_ids, det_min)
-    ib, db = _closest(mean, cov, logdet, b_means, b_covs, b_logdets, b_ids, det_min)
+    ia, da = _closest(mean, cov, logdet, a_means, a_covs, a_logdets, a_ids, det_min, bound)
+    ib, db = _closest(mean, cov, logdet, b_means, b_covs, b_logdets, b_ids, det_min, bound)
     return ia, da, ib, db
 
 

@@ -381,22 +381,26 @@ def build_local_graph(
     return LocalSSG(frame_id=frame.frame_id, nodes=nodes, edges=edges, row_means=row_means, row_covs=row_covs)
 
 
-# Relative slack on the cull bound, for rounding in the computed distance. The
-# cull stays exact while the rounding error of the computed Bhattacharyya
-# distance is below this share of it, i.e. for averaged covariances with a
-# condition number up to about 1e8.
+# Relative slack on the cull bound and the scorer's early reject, for rounding
+# in the computed distance. Both stay exact while the rounding error of the
+# computed Bhattacharyya distance is below this share of it, i.e. for averaged
+# covariances with a condition number up to about 1e8.
 _CULL_MARGIN = 1e-6
 
 
-def _cull_reach(threshold: float) -> float:
-    """Factor r such that a pair with |d|^2 > r (tr A + tr B) cannot merge.
+def _gate_bound(threshold: float) -> float:
+    """B* (1 + _CULL_MARGIN): a pair whose Bhattacharyya distance, or any lower
+    bound of it, exceeds this cannot merge.
 
     H < delta means B < B* = -ln(1 - delta^2). For symmetric positive definite
-    A and B, log det is concave, so the log-det term of B is >= 0, and
-    d' S^-1 d >= |d|^2 / tr S with S = (A + B)/2. Hence B >= |d|^2 / (8 tr S)
-    = |d|^2 / (4 (tr A + tr B)), and |d|^2 > 4 B* (tr A + tr B) rules the pair out.
+    A and B, log det is concave, so the log-det term of B is >= 0 and
+    B >= (1/8) d' S^-1 d with S = (A + B)/2: the scorer stops at that term
+    when it alone exceeds the bound. Also d' S^-1 d >= |d|^2 / tr S, hence
+    B >= |d|^2 / (8 tr S) = |d|^2 / (4 (tr A + tr B)), and the cull rules a
+    pair out when |d|^2 > 4 B* (tr A + tr B), i.e. beyond a reach of 4 times
+    this bound.
     """
-    return 4.0 * -math.log1p(-threshold * threshold) * (1.0 + _CULL_MARGIN)
+    return -math.log1p(-threshold * threshold) * (1.0 + _CULL_MARGIN)
 
 
 def _queue_log_dets(covs: list[list[float]]) -> list[float]:
@@ -435,11 +439,15 @@ def integrate(
     a self-loop, in which case it is dropped.
 
     Candidates are culled before they are scored: a same-class candidate that
-    the bound of _cull_reach rules out, in the current state of both
+    the reach of _gate_bound rules out, in the current state of both
     Gaussians, could never pass the gate, so only the others are scored and
     the decisions are those of scoring every candidate. Global candidates
     come from the graph's x index (GlobalSSG.x_range with the class's trace
-    bound), queued peers from a scan of the queue.
+    bound), queued peers from a scan of the queue. The scorer, given the
+    same bound, stops early on a pair that cannot pass the gate either.
+
+    Eval points merged into a global node go to its lazy reservoir
+    (_GlobalNode.merge_eval_points); queued peers merge theirs eagerly.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -473,7 +481,8 @@ def integrate(
     queue = deque(sorted(range(n), key=lambda i: (-score[i], i)))
     remap: dict[int, int] = {}
     threshold = cfg.hellinger_threshold
-    reach = _cull_reach(threshold)
+    bound = _gate_bound(threshold)
+    reach = 4.0 * bound
     gm, gc, gld = global_graph.row_means, global_graph.row_covs, global_graph.row_logdets
     gtr = global_graph.row_traces
 
@@ -528,7 +537,7 @@ def integrate(
                 m, qc[i], qld[i],
                 qm, qc, qld, cand_q,
                 gm, gc, gld, cand_g,
-                DET_MIN,
+                DET_MIN, bound,
             )
             if min(dq, dg) >= threshold:
                 break
@@ -538,13 +547,10 @@ def integrate(
                 mean = [0.0] * 3
                 cov = [0.0] * 9
                 merge_moments_into(float(gnode.weight), gm[gid], gc[gid], float(weight[i]), m, qc[i], mean, cov)
-                if gnode.eval_points is None and points[i] is None:
-                    gnode.eval_seen += seen[i]
+                if points[i] is None and gnode._points is None:
+                    gnode.eval_seen += seen[i]  # no points on either side (runs without eval points)
                 else:
-                    gnode.eval_points, gnode.eval_keys, gnode.eval_seen = merge_point_reservoirs(
-                        gnode.eval_points, gnode.eval_keys, gnode.eval_seen,
-                        points[i], keys[i], seen[i], cfg.eval_point_cap, rng,
-                    )
+                    gnode.merge_eval_points(points[i], keys[i], seen[i], cfg.eval_point_cap, rng)
                 gnode.weight += weight[i]
                 gnode.score_sum += score[i]
                 global_graph.set_row(gid, mean, cov, log_det9(cov))

@@ -183,6 +183,97 @@ class _GraphNode(ObjectNode):
         return g
 
 
+class _GlobalNode(_GraphNode):
+    """A node of a GlobalSSG. Its eval-point reservoir merges lazily
+    (merge_eval_points): the held points and keys (_points, _keys) are
+    followed by pending keyed chunks, which are compacted into the held
+    reservoir, by one top_keys over their concatenation, when the held and
+    pending points exceed twice the cap, or when eval_points or eval_keys is
+    read or written. So a node holds at most 2 * cap points plus one chunk.
+    """
+
+    # keyed, non-empty chunks (a tuple until the first, so that a node that
+    # never defers a merge allocates no list), the points in them, and the
+    # cap they are compacted to
+    _pending: list[tuple[np.ndarray, np.ndarray]] | tuple = ()
+    _pending_n = 0
+    _cap = 0
+
+    @property
+    def eval_points(self) -> np.ndarray | None:
+        if self._pending:
+            self._compact()
+        return self._points
+
+    @eval_points.setter
+    def eval_points(self, points: np.ndarray | None) -> None:
+        if self._pending:
+            self._compact()
+        self._points = points
+
+    @property
+    def eval_keys(self) -> np.ndarray | None:
+        if self._pending:
+            self._compact()
+        return self._keys
+
+    @eval_keys.setter
+    def eval_keys(self, keys: np.ndarray | None) -> None:
+        if self._pending:
+            self._compact()
+        self._keys = keys
+
+    def merge_eval_points(self, points: np.ndarray | None, keys: np.ndarray | None, seen: int,
+                          cap: int, rng: np.random.Generator) -> None:
+        """Merge a reservoir (points, keys, seen) into the node's, leaving what
+        merge_point_reservoirs of the two would, with the same draws from rng.
+
+        A keyed chunk merged into a keyed or empty reservoir draws nothing,
+        and key-based merges are associative, so it is only appended to the
+        pending list. A side without keys draws its keys now, as the eager
+        merge would, after the pending chunks are compacted.
+        """
+        held = self._points
+        if points is None or len(points) == 0:
+            if held is None or len(held) == 0:  # compaction skips an empty held reservoir
+                self._points = None if points is None else points.copy()
+                self._keys = None if keys is None else keys.copy()
+        elif keys is None or (self._keys is None and held is not None and len(held)):
+            if self._pending:
+                self._compact()
+            self._points, self._keys, _ = merge_point_reservoirs(
+                self._points, self._keys, self.eval_seen, points, keys, seen, cap, rng
+            )
+        else:
+            if not self._pending:
+                self._pending = [(points, keys)]
+            elif cap == self._cap:
+                self._pending.append((points, keys))
+            else:
+                self._compact()
+                self._pending = [(points, keys)]
+            self._pending_n += len(points)
+            self._cap = cap
+            if self._pending_n + (0 if self._points is None else len(self._points)) > 2 * cap:
+                self._compact()
+        self.eval_seen += seen
+
+    def _compact(self) -> None:
+        """Fold the pending chunks into the held reservoir (there is at least one)."""
+        pieces = self._pending
+        held = self._points
+        if held is not None and len(held):
+            pieces.insert(0, (held, self._keys))
+        points = np.concatenate([p for p, _ in pieces])
+        keys = np.concatenate([k for _, k in pieces])
+        if len(pieces) > 1 and len(keys) > self._cap:
+            keep = top_keys(keys, self._cap)
+            points, keys = points.take(keep, axis=0), keys.take(keep)
+        self._points, self._keys = points, keys
+        self._pending = ()
+        self._pending_n = 0
+
+
 class GlobalSSG:
     """The accumulated scene graph; owned by a single fusion writer.
 
@@ -224,7 +315,9 @@ class GlobalSSG:
             xs.insert(k, x)
             ids.insert(k, nid)
         elif old[0] != x:
-            k = ids.index(nid)
+            k = bisect.bisect_left(xs, old[0])
+            while ids[k] != nid:  # step over the nodes at the same x
+                k += 1
             if (k == 0 or xs[k - 1] <= x) and (k + 1 == len(xs) or x <= xs[k + 1]):
                 xs[k] = x  # still in order where it stands
             else:
@@ -262,8 +355,8 @@ class GlobalSSG:
             self.row_covs += [None] * grow
             self.row_logdets += [-math.inf] * grow
             self.row_traces += [0.0] * grow
-        node = _GraphNode(self.row_means, self.row_covs, nid, class_id, weight, score_sum,
-                          eval_points, eval_seen, eval_keys, gaussian)
+        node = _GlobalNode(self.row_means, self.row_covs, nid, class_id, weight, score_sum,
+                           eval_points, eval_seen, eval_keys, gaussian)
         self.nodes[nid] = node
         ids = self.class_index.setdefault(class_id, [])
         if ids and nid < ids[-1]:
@@ -352,13 +445,22 @@ class GlobalSSG:
             assert self.row_traces[nid] == cov[0] + cov[4] + cov[8], "trace out of sync"
             np.testing.assert_array_equal(node.gaussian.mean, mean)
             np.testing.assert_array_equal(node.gaussian.cov.reshape(9), cov)
-            if eval_point_cap is not None and node.eval_points is not None:
-                assert len(node.eval_points) <= eval_point_cap, "eval point cap exceeded"
-            keys = node.eval_keys
-            if keys is not None:
-                assert node.eval_points is not None and keys.shape == (len(node.eval_points),), \
+            # the held reservoir and the pending chunks, read without compacting them
+            held, keys, pending = node._points, node._keys, node._pending
+            size = 0 if held is None else len(held)
+            if pending:
+                assert size == 0 or keys is not None, "pending chunks behind points without keys"
+                assert node._pending_n == sum(len(p) for p, _ in pending), "pending count out of sync"
+                total = size + node._pending_n
+                assert total <= 2 * node._cap, "pending points exceed twice the cap"
+                # compaction keeps all of a lone chunk, and at most the cap of two or more pieces
+                size = total if size == 0 and len(pending) == 1 else min(total, node._cap)
+            if eval_point_cap is not None:
+                assert size <= eval_point_cap, "eval point cap exceeded"
+            for points, k in pending if keys is None else [(held, keys), *pending]:
+                assert points is not None and k is not None and k.shape == (len(points),), \
                     "eval keys do not match eval points"
-                assert bool(np.all((keys >= 0.0) & (keys <= 1.0))), "eval key outside [0, 1]"
+                assert bool(np.all((k >= 0.0) & (k <= 1.0))), "eval key outside [0, 1]"
 
 
 def merge_point_reservoirs(

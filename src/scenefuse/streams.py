@@ -7,12 +7,12 @@ CRLF):
      "camera": {"fx","fy","cx","cy": float, "width","height": int},
      "pose": {"rotation": [9 floats, row-major, camera-to-world],
               "translation": [3 floats, meters]},
-     "detections": [{"class_id": int, "score": float in [0,1],
+     "detections": [{"class_id": int in [0, ID_LIMIT), "score": float in [0,1],
                      "bbox": {"cx","cy","w","h": float pixels},
                      "centroid_depth": float meters (optional),
                      "depth_ref": str path (optional)}],
      "relations": [{"subject","object": detection indices,
-                    "predicate": int, "score": float in [0,1]}]}
+                    "predicate": int in [0, ID_LIMIT), "score": float in [0,1]}]}
 
 Unknown keys anywhere in a frame object are parse errors. frame_id must be
 strictly increasing across the stream. Detection local indices are positional
@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
@@ -51,6 +52,11 @@ logger = logging.getLogger(__name__)
 _DEPTH_MAGIC = b"FRDP"
 _DEPTH_VERSION = 1
 _DEPTH_HEADER = struct.Struct("<4sBII")
+
+# Class and predicate ids must lie below this. A run without a vocabulary
+# names every id up to the largest one seen, so an unbounded id would size
+# the graph document, and the memory that builds it, from one input line.
+ID_LIMIT = 2 ** 16
 
 
 @dataclass
@@ -135,11 +141,13 @@ def _as_float(v, where: str, lo: float | None = None, hi: float | None = None) -
     return f
 
 
-def _as_int(v, where: str, lo: int | None = None) -> int:
+def _as_int(v, where: str, lo: int | None = None, hi: int | None = None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"{where} must be an integer, got {v!r}")
     if lo is not None and v < lo:
         raise ValueError(f"{where} below {lo}: {v}")
+    if hi is not None and v > hi:
+        raise ValueError(f"{where} above {hi}: {v}")
     return v
 
 
@@ -200,7 +208,7 @@ def _read_frame(obj) -> FrameRecord | None:
             if type(d) is not dict or not d.keys() <= _DETECTION_KEYS:
                 return None
             class_id, bbox, ref = d["class_id"], d["bbox"], d.get("depth_ref")
-            if not (type(class_id) is int and class_id >= 0 and (ref is None or type(ref) is str)
+            if not (type(class_id) is int and 0 <= class_id < ID_LIMIT and (ref is None or type(ref) is str)
                     and type(bbox) is dict and bbox.keys() == _BBOX_KEYS):
                 return None
             score = _real(d["score"])
@@ -221,7 +229,7 @@ def _read_frame(obj) -> FrameRecord | None:
             subject, object_, predicate = r["subject"], r["object"], r["predicate"]
             score = _real(r["score"])
             if not (type(subject) is int and type(object_) is int and type(predicate) is int
-                    and 0 <= subject < n_det and 0 <= object_ < n_det and predicate >= 0
+                    and 0 <= subject < n_det and 0 <= object_ < n_det and 0 <= predicate < ID_LIMIT
                     and 0.0 <= score <= 1.0):
                 return None
             relations.append(Relation2D(subject, object_, predicate, score))
@@ -285,7 +293,7 @@ def _walk_frame(obj) -> FrameRecord:
             raise ValueError(f"{where}.depth_ref must be a string path")
         detections.append(
             Detection(
-                class_id=_as_int(d["class_id"], f"{where}.class_id", lo=0),
+                class_id=_as_int(d["class_id"], f"{where}.class_id", lo=0, hi=ID_LIMIT - 1),
                 score=_as_float(d["score"], f"{where}.score", lo=0.0, hi=1.0),
                 cx=_as_float(bbox["cx"], f"{where}.bbox.cx"),
                 cy=_as_float(bbox["cy"], f"{where}.bbox.cy"),
@@ -313,7 +321,7 @@ def _walk_frame(obj) -> FrameRecord:
             Relation2D(
                 subject=subj,
                 object=obj_i,
-                predicate=_as_int(r["predicate"], f"{where}.predicate", lo=0),
+                predicate=_as_int(r["predicate"], f"{where}.predicate", lo=0, hi=ID_LIMIT - 1),
                 score=_as_float(r["score"], f"{where}.score", lo=0.0, hi=1.0),
             )
         )
@@ -414,22 +422,28 @@ def write_depth_map(path, depth: DepthMap | np.ndarray) -> None:
 
 
 def read_depth_map(path) -> DepthMap:
+    """Read a raw depth map. The payload is read from the file straight into
+    the (read-only) array: no bytes object is sliced or copied, and the array
+    is aligned, which a view at the 13-byte header's offset would not be (an
+    unaligned array takes numpy's slower path on every fancy index)."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _DEPTH_HEADER.size:
-        raise StreamFormatError(f"{path}: truncated depth header")
-    magic, version, w, h = _DEPTH_HEADER.unpack_from(raw)
-    if magic != _DEPTH_MAGIC:
-        raise StreamFormatError(f"{path}: bad magic {magic!r}")
-    if version != _DEPTH_VERSION:
-        raise StreamFormatError(f"{path}: unsupported version {version}")
-    payload = raw[_DEPTH_HEADER.size:]
-    expected = 4 * w * h
-    if len(payload) != expected:
-        raise StreamFormatError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
-        )
-    values = np.frombuffer(payload, dtype="<f4").reshape(h, w)
+        header = f.read(_DEPTH_HEADER.size)
+        if len(header) < _DEPTH_HEADER.size:
+            raise StreamFormatError(f"{path}: truncated depth header")
+        magic, version, w, h = _DEPTH_HEADER.unpack(header)
+        if magic != _DEPTH_MAGIC:
+            raise StreamFormatError(f"{path}: bad magic {magic!r}")
+        if version != _DEPTH_VERSION:
+            raise StreamFormatError(f"{path}: unsupported version {version}")
+        size = os.fstat(f.fileno()).st_size - _DEPTH_HEADER.size
+        expected = 4 * w * h
+        if size != expected:
+            raise StreamFormatError(f"{path}: payload is {size} bytes, header implies {expected}")
+        values = np.empty((h, w), dtype="<f4")
+        got = f.readinto(values)
+    if got != expected:
+        raise StreamFormatError(f"{path}: payload is {got} bytes, header implies {expected}")
+    values.flags.writeable = False
     return DepthMap(width=w, height=h, values=values)
 
 

@@ -1,6 +1,5 @@
 """Deterministic synthetic scenes: boxes in a room, rule-based relations,
-pinhole rendering into the exact frame-stream formats, and a Monte-Carlo
-moment oracle.
+and pinhole rendering into the exact frame-stream formats.
 
 World frame is z-up with the floor at z = 0; the room spans
 [-X/2, X/2] x [-Y/2, Y/2] x [0, Z]. Objects are axis-aligned boxes placed on
@@ -42,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigError, GenerationError
 from .evaluation import GroundTruthInstance, GroundTruthScene
-from .geometry import CameraIntrinsics, CameraPose, Gaussian3D
+from .geometry import CameraIntrinsics, CameraPose
 from .graph import ClassVocabulary
 from .streams import Detection, DepthMap, FrameRecord, Relation2D
 
@@ -620,35 +619,3 @@ def synthesize_dataset(
     write_frame_stream(frames, frames_path)
     save_ground_truth(gt_path, scene.gt)
     return scene
-
-
-# ---------------------------------------------------------------------------
-# moment oracle
-# ---------------------------------------------------------------------------
-
-
-def mixture_moment_oracle(
-    a: Gaussian3D,
-    w_a: float,
-    b: Gaussian3D,
-    w_b: float,
-    n_samples: int,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical mean/covariance of the (w_a, w_b)-weighted two-component
-    Gaussian mixture, from n_samples Monte-Carlo draws."""
-    if w_a <= 0 or w_b <= 0:
-        raise ValueError("mixture weights must be positive")
-    if n_samples < 100_000:
-        raise ValueError("n_samples must be >= 100000 for a usable estimate")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    pick_a = rng.random(n_samples) < w_a / (w_a + w_b)
-    n_a = int(pick_a.sum())
-    samples = np.empty((n_samples, 3))
-    samples[pick_a] = rng.multivariate_normal(a.mean, a.cov, size=n_a)
-    samples[~pick_a] = rng.multivariate_normal(b.mean, b.cov, size=n_samples - n_a)
-    mean = samples.mean(axis=0)
-    centered = samples - mean
-    cov = centered.T @ centered / n_samples
-    return mean, cov

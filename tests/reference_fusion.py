@@ -18,6 +18,9 @@ must reach its verdicts, and word its errors, except within rounding of tol.
 `export_graph` builds the graph document one Python float at a time;
 graph.save_graph must write exactly the bytes that json's pure-Python encoder
 makes of it.
+
+`mixture_moment_oracle` estimates a two-component mixture's moments by Monte
+Carlo, against which the closed-form moment merge is checked.
 """
 
 from __future__ import annotations
@@ -444,3 +447,30 @@ def integrate(
             continue
         global_graph.accumulate_edge(s, o, edge.votes)
     return global_graph, events
+
+
+def mixture_moment_oracle(
+    a: Gaussian3D,
+    w_a: float,
+    b: Gaussian3D,
+    w_b: float,
+    n_samples: int,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical mean/covariance of the (w_a, w_b)-weighted two-component
+    Gaussian mixture, from n_samples Monte-Carlo draws."""
+    if w_a <= 0 or w_b <= 0:
+        raise ValueError("mixture weights must be positive")
+    if n_samples < 100_000:
+        raise ValueError("n_samples must be >= 100000 for a usable estimate")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    pick_a = rng.random(n_samples) < w_a / (w_a + w_b)
+    n_a = int(pick_a.sum())
+    samples = np.empty((n_samples, 3))
+    samples[pick_a] = rng.multivariate_normal(a.mean, a.cov, size=n_a)
+    samples[~pick_a] = rng.multivariate_normal(b.mean, b.cov, size=n_samples - n_a)
+    mean = samples.mean(axis=0)
+    centered = samples - mean
+    cov = centered.T @ centered / n_samples
+    return mean, cov

@@ -41,7 +41,6 @@ from scenefuse import (
     lift_detection,
     match_objects,
     merge_gaussians,
-    mixture_moment_oracle,
     process_frame,
     projection_jacobian,
     render_frames,
@@ -53,6 +52,8 @@ from scenefuse.cli import _execute_run
 from scenefuse.evaluation import GroundTruthInstance, GroundTruthScene, collect_eval_points
 from scenefuse.fusion import merge_moments
 from scenefuse.streams import DepthMap, RunConfig
+
+from reference_fusion import mixture_moment_oracle
 
 IDENTITY_POSE = CameraPose(rotation=np.eye(3), translation=np.zeros(3))
 UP = np.array([0.0, 0.0, 1.0])

@@ -164,6 +164,13 @@ def test_run_corrupt_stream_exit_2(tmp_path):
     stream.write_bytes(b'{"a":1}\n\xff\xfe\n')
     rc = main(["run", "--input", str(stream), "--output", str(tmp_path / "g.json")])
     assert rc == 2
+    # and a class id beyond the id limit, which would otherwise size the vocabulary
+    frame["detections"] = [{"class_id": 200_000, "score": 0.9, "centroid_depth": 2.0,
+                            "bbox": {"cx": 320.0, "cy": 240.0, "w": 40.0, "h": 40.0}}]
+    stream.write_text(json.dumps(frame) + "\n")
+    rc = main(["run", "--input", str(stream), "--output", str(tmp_path / "g.json")])
+    assert rc == 2
+    assert not (tmp_path / "g.json").exists()
 
 
 # Runs in a fresh interpreter: fuses a stream through the CLI, checks that

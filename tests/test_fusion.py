@@ -19,7 +19,18 @@ from scenefuse.fusion import (
     process_frame,
 )
 from scenefuse.geometry import CameraIntrinsics, CameraPose, Gaussian3D
-from scenefuse.graph import ClassVocabulary, GlobalSSG, LocalSSG, ObjectNode, RelationEdge, load_graph, save_graph
+from scenefuse.graph import (
+    DET_MIN,
+    ClassVocabulary,
+    GlobalSSG,
+    LocalSSG,
+    ObjectNode,
+    RelationEdge,
+    det9,
+    load_graph,
+    log_det9,
+    save_graph,
+)
 from scenefuse.streams import DepthMap, Detection, FrameRecord, Relation2D
 
 from reference_fusion import best_match_np, merge_moments_np
@@ -197,6 +208,58 @@ def test_best_match_agrees_with_scalar_distance():
         assert ref[3] == pytest.approx(bd_b, abs=1e-15, nan_ok=False) or (
             math.isinf(ref[3]) and math.isinf(bd_b)
         )
+
+
+def test_best_match_bound_keeps_every_decision():
+    # best_match given the bound B* (1 + margin) stops scoring a pair once its
+    # Mahalanobis term alone exceeds the bound. Pairs just below and just
+    # above B* must come out exactly as without the bound, and on random
+    # candidate sets every result below the gate is unchanged.
+    from scenefuse import _accel
+    from scenefuse.fusion import _gate_bound
+
+    threshold = 0.85
+    bound = _gate_bound(threshold)
+    b_star = -math.log1p(-threshold * threshold)
+    cov = (np.eye(3) * 0.3).reshape(9).tolist()
+    ld = float(np.log(det9(cov)))  # as the kernel logs det S: the log-det term is exactly 0
+
+    def at(b):  # a mean at Bhattacharyya distance b from the origin, under cov
+        return [math.sqrt(8.0 * 0.3 * b), 0.0, 0.0]
+
+    origin = [0.0, 0.0, 0.0]
+    for rel in (-1e-7, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-7):
+        near, far = at(b_star * (1.0 + rel)), at(b_star * 1.01)
+        args = (origin, cov, ld, [near, far], [cov, cov], [ld, ld], [1, 0],
+                [far, near], [cov, cov], [ld, ld], [0, 1], DET_MIN)
+        unbounded = _accel.best_match(*args)
+        assert _accel.best_match(*args, bound) == unbounded
+        assert unbounded[0] == 1 and unbounded[2] == 1
+        assert (unbounded[1] < threshold) == (rel < 0.0) or abs(unbounded[1] - threshold) < 1e-12
+    far_only = (origin, cov, ld, [at(b_star * 1.01)], [cov], [ld], [0], [], [], [], [], DET_MIN)
+    assert _accel.best_match(*far_only, bound) == (-1, math.inf, -1, math.inf)
+    assert _accel.best_match(*far_only)[1] > threshold
+
+    rng = np.random.default_rng(17)
+    rejected = merged = 0
+    for _ in range(300):
+        query = _random_gauss(rng)
+        n = int(rng.integers(1, 6))
+        cands = [_random_gauss(rng, scale=float(rng.uniform(0.5, 4.0))) for _ in range(n)]
+        means = [g.mean.tolist() for g in cands]
+        covs = [g.cov.reshape(9).tolist() for g in cands]
+        lds = [log_det9(c) for c in covs]
+        args = (query.mean.tolist(), query.cov.reshape(9).tolist(), log_det9(query.cov.reshape(9).tolist()),
+                means, covs, lds, list(range(n)), [], [], [], [], DET_MIN)
+        plain, fast = _accel.best_match(*args), _accel.best_match(*args, bound)
+        if plain[1] < threshold:
+            assert fast == plain
+            merged += 1
+        else:
+            assert fast[1] >= threshold
+        rejected += sum(_accel.bhattacharyya(args[0], args[1], args[2], means[j], covs[j], lds[j], DET_MIN, bound)
+                        == math.inf for j in range(n))
+    assert merged > 30 and rejected > 100
 
 
 def test_merge_kernel_paths_agree():

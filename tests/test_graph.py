@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from scenefuse.errors import InvalidEdgeError, StreamFormatError
 from scenefuse.geometry import Gaussian3D
@@ -18,6 +20,7 @@ from scenefuse.graph import (
     import_graph,
     load_graph,
     log_det3x3,
+    log_det9,
     merge_point_reservoirs,
     resolve_predicate,
     save_graph,
@@ -422,6 +425,162 @@ def test_reservoir_merge_keyless_sides_match_successive_sampling():
 
 
 # -- serialization -----------------------------------------------------------
+
+
+def test_moved_nodes_keep_the_x_order_among_equal_x():
+    # many nodes share each x, so a moved node is found by bisecting its old x
+    # and stepping over the others at that x
+    g = GlobalSSG()
+    rng = np.random.default_rng(3)
+    shared = [0.0, 1.0, 2.0]
+    for i in range(45):
+        g.add_node(class_id=0, gaussian=_gauss([shared[i % 3], float(i), 0.0]))
+    cov = np.eye(3).reshape(9).tolist()
+    for step in range(200):
+        nid = int(rng.integers(45))
+        x = float(rng.choice(shared + [0.5, 1.5]))  # to a shared x, or a new one
+        g.set_row(nid, [x, float(step), 0.0], list(cov), log_det9(cov))
+        g.validate()
+        assert sorted(g.x_range(0, x, x)) == [i for i in sorted(g.nodes) if g.row_means[i][0] == x]
+
+
+def _same_array(lazy, eager):
+    if lazy is None or eager is None:
+        assert lazy is None and eager is None
+    else:
+        assert lazy.dtype == eager.dtype and lazy.shape == eager.shape
+        assert lazy.tobytes() == eager.tobytes()
+
+
+@st.composite
+def _reservoir_scripts(draw):
+    """A cap, a node's starting reservoir and a sequence of merges and reads.
+
+    Keys often take one of five values, so that ties fall at the cut; each
+    point's coordinates are unique, so that any change of order shows. A
+    merge now and then passes another cap.
+    """
+    cap = draw(st.integers(1, 5))
+    labels = iter(range(10 ** 6))
+
+    def reservoir(kind, size):
+        if kind == "none":
+            return None, None
+        points = np.array([[next(labels)] * 3 for _ in range(size)], dtype=np.float64).reshape(size, 3)
+        if kind == "keyless":
+            return points, None
+        keys = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)),
+                             min_size=size, max_size=size))
+        return points, np.array(keys, dtype=np.float64)
+
+    kind = draw(st.sampled_from(["none", "keyed", "keyless"]))
+    points, keys = reservoir(kind, draw(st.integers(0, 2 * cap)))
+    start = (points, keys, (0 if points is None else len(points)) + draw(st.integers(0, 3)))
+    steps = []
+    for _ in range(draw(st.integers(0, 25))):
+        op = draw(st.sampled_from(["merge"] * 6 + ["points", "keys", "validate"]))
+        if op == "merge":
+            kind = draw(st.sampled_from(["none", "keyed", "keyed", "keyed", "keyless"]))
+            points, keys = reservoir(kind, draw(st.integers(0, 3 * cap)))
+            seen = (0 if points is None else len(points)) + draw(st.integers(0, 3))
+            steps.append((op, points, keys, seen, draw(st.sampled_from([cap] * 5 + [1, 3]))))
+        else:
+            steps.append((op,))
+    return cap, start, steps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_reservoir_scripts())
+def test_lazy_reservoir_merges_equal_the_eager_chain(script):
+    # a global node's merge_eval_points defers keyed chunks; whatever is read,
+    # and at the end, it must hold what the chain of merge_point_reservoirs
+    # calls would, bit for bit, having drawn the same numbers from its rng
+    cap, (points, keys, seen), steps = script
+    g = GlobalSSG()
+    node = g.add_node(class_id=0, gaussian=_gauss([0, 0, 0]), eval_points=points, eval_keys=keys, eval_seen=seen)
+    eager = (points, keys, seen)
+    rng_lazy, rng_eager = np.random.default_rng(7), np.random.default_rng(7)
+    for step in steps:
+        if step[0] == "merge":
+            _, points, keys, seen, merge_cap = step
+            node.merge_eval_points(points, keys, seen, merge_cap, rng_lazy)
+            if eager[0] is None and points is None:
+                eager = (None, eager[1], eager[2] + seen)
+            else:
+                eager = merge_point_reservoirs(*eager, points, keys, seen, merge_cap, rng_eager)
+            assert node.eval_seen == eager[2]
+        elif step[0] == "points":
+            _same_array(node.eval_points, eager[0])
+        elif step[0] == "keys":
+            _same_array(node.eval_keys, eager[1])
+        else:
+            pending = list(node._pending)
+            g.validate()
+            if eager[0] is None or len(eager[0]) <= cap:
+                g.validate(eval_point_cap=cap)
+            else:
+                with pytest.raises(AssertionError, match="eval point cap exceeded"):
+                    g.validate(eval_point_cap=cap)
+            assert list(node._pending) == pending  # validate does not compact
+    assert rng_lazy.bit_generator.state == rng_eager.bit_generator.state
+    _same_array(node.eval_points, eager[0])
+    _same_array(node.eval_keys, eager[1])
+    assert node.eval_seen == eager[2]
+    g.validate()
+
+
+def test_lazy_reservoir_holds_at_most_twice_the_cap_plus_a_chunk():
+    # keyed chunks of 3 points under a cap of 4: they wait until the held and
+    # pending points would exceed 8, then compact to the 4 largest keys
+    cap = 4
+    g = GlobalSSG()
+    node = g.add_node(class_id=0, gaussian=_gauss([0, 0, 0]))
+    keys_rng, merge_rng = np.random.default_rng(1), np.random.default_rng(2)
+    before = merge_rng.bit_generator.state
+    held_and_pending = []
+    for step in range(8):
+        node.merge_eval_points(np.full((3, 3), float(step)), keys_rng.random(3), 3, cap, merge_rng)
+        held = 0 if node._points is None else len(node._points)
+        held_and_pending.append((held, node._pending_n))
+        assert held + node._pending_n <= 2 * cap
+        g.validate(eval_point_cap=cap)
+    assert held_and_pending == [(0, 3), (0, 6), (4, 0), (4, 3), (4, 0), (4, 3), (4, 0), (4, 3)]
+    assert merge_rng.bit_generator.state == before  # keyed chunks draw nothing
+    assert node.eval_points.shape == (4, 3) and not node._pending and node.eval_seen == 24
+    # a lone chunk is the node's reservoir whole, as in the eager merge, so
+    # one above the cap fails validation before it is ever compacted
+    g_lone = GlobalSSG()
+    lone = g_lone.add_node(class_id=0, gaussian=_gauss([1, 0, 0]))
+    lone.merge_eval_points(np.zeros((6, 3)), keys_rng.random(6), 6, cap, merge_rng)
+    with pytest.raises(AssertionError, match="eval point cap exceeded"):
+        g_lone.validate(eval_point_cap=cap)
+    assert lone._pending_n == 6 and lone.eval_points.shape == (6, 3)
+    # a node that breaks the bound is caught without compacting it
+    node.merge_eval_points(np.zeros((3, 3)), keys_rng.random(3), 3, cap, merge_rng)
+    node._pending_n += 2
+    with pytest.raises(AssertionError, match="pending count out of sync"):
+        g.validate()
+    node._pending[0] = (np.zeros((5, 3)), keys_rng.random(5))
+    with pytest.raises(AssertionError, match="pending points exceed twice the cap"):
+        g.validate()
+
+
+def test_lazy_reservoir_compacts_before_the_cap_changes():
+    # chunks that wait under one cap are cut to it before a merge under
+    # another, and the bound of twice the cap holds for the new cap
+    keys_rng = np.random.default_rng(4)
+    for caps in ((4, 4, 8), (4, 4, 2)):
+        g = GlobalSSG()
+        node = g.add_node(class_id=0, gaussian=_gauss([0, 0, 0]))
+        eager = (None, None, 0)
+        for i, cap in enumerate(caps):
+            points, keys = np.full((3, 3), float(i)), keys_rng.random(3)
+            node.merge_eval_points(points, keys, 3, cap, np.random.default_rng(0))
+            eager = merge_point_reservoirs(*eager, points, keys, 3, cap, np.random.default_rng(0))
+            g.validate()
+        _same_array(node.eval_points, eager[0])
+        _same_array(node.eval_keys, eager[1])
 
 
 def test_export_empty_graph():

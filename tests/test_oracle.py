@@ -35,7 +35,7 @@ from scenefuse.geometry import (
 )
 from scenefuse.graph import ClassVocabulary, GlobalSSG, LocalSSG, ObjectNode, RelationEdge, export_graph
 from scenefuse.streams import (
-    DepthMap, Detection, FrameRecord, Relation2D, _frame_from_obj, _read_frame, _walk_frame,
+    ID_LIMIT, DepthMap, Detection, FrameRecord, Relation2D, _frame_from_obj, _read_frame, _walk_frame,
 )
 
 import reference_fusion
@@ -313,7 +313,7 @@ def test_batched_lift_matches_per_detection_lift(batch, mode):
 # sentinel strings replaced by JSON number literals in the line's text
 _LITERALS = {"__NaN__": "NaN", "__Infinity__": "Infinity", "__-Infinity__": "-Infinity", "__1e999__": "1e999"}
 _ODD_VALUES = [None, True, False, 0, -1, 2, 0.0, -0.0, 1.0000000001, -1e-300, 1e308, -1e308, 10 ** 400,
-               -(10 ** 400), "s", [], {}, [1, 2], *_LITERALS]
+               -(10 ** 400), ID_LIMIT - 1, ID_LIMIT, "s", [], {}, [1, 2], *_LITERALS]
 numbers = st.one_of(st.floats(-1e4, 1e4), st.integers(-10_000, 10_000))
 positive = st.one_of(st.floats(1e-3, 1e4), st.integers(1, 10_000))
 

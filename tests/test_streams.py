@@ -17,6 +17,7 @@ from scenefuse.errors import (
     StreamOrderError,
 )
 from scenefuse.streams import (
+    ID_LIMIT,
     DepthCache,
     DepthMap,
     Detection,
@@ -221,6 +222,16 @@ def test_rejects_bad_geometry_fields(tmp_path):
         (huge_w, "detections[0].bbox.w is an integer too large for a float"),
         (huge_rot, "pose.rotation is an integer too large for a float"),
     ]
+    # ids at or above ID_LIMIT: without a vocabulary, the graph document would
+    # name every id up to the largest one
+    big_class = _frame_obj(1)
+    big_class["detections"][1]["class_id"] = 200_000
+    big_pred = _frame_obj(1)
+    big_pred["relations"][0]["predicate"] = ID_LIMIT
+    cases += [
+        (big_class, f"detections[1].class_id above {ID_LIMIT - 1}: 200000"),
+        (big_pred, f"relations[0].predicate above {ID_LIMIT - 1}: {ID_LIMIT}"),
+    ]
     for obj, message in cases:
         _assert_line_rejected(tmp_path, obj, message)
 
@@ -282,6 +293,14 @@ def test_depth_size_mismatch_rejected(tmp_path):
     # header says 4x4 but only 12 values follow
     p.write_bytes(struct.pack("<4sBII", b"FRDP", 1, 4, 4) + struct.pack("<12f", *range(12)))
     with pytest.raises(StreamFormatError):
+        read_depth_map(p)
+
+
+def test_depth_trailing_bytes_rejected(tmp_path):
+    p = tmp_path / "d.frdp"
+    # header says 2x2 but five values follow
+    p.write_bytes(struct.pack("<4sBII", b"FRDP", 1, 2, 2) + struct.pack("<5f", *range(5)))
+    with pytest.raises(StreamFormatError, match="payload is 20 bytes, header implies 16"):
         read_depth_map(p)
 
 

@@ -25,12 +25,13 @@ from scenefuse.synthetic import (
     _render_depth_map,
     generate_scene,
     load_scene_spec,
-    mixture_moment_oracle,
     render_frames,
     scene_vocab,
     spec_from_obj,
     synthesize_dataset,
 )
+
+from reference_fusion import mixture_moment_oracle
 
 
 def _hand_scene(centers, extents, classes, spec=None, pose=None):
