@@ -42,6 +42,7 @@ from .graph import (
     ObjectNode,
     RelationEdge,
     _GraphNode,
+    _aes_keys,
     det9,
     log_det9,
     merge_point_reservoirs,
@@ -166,7 +167,9 @@ def merge_gaussians(
 
     Weight and score sums add; the Gaussian is the moment-matched mixture
     with mixture weights proportional to the node weights; evaluation-point
-    reservoirs are merged under the cap.
+    reservoirs are merged under the cap. A side with eval points but no keys
+    first gets A-ES keys from rng (a's first, then b's; see
+    merge_point_reservoirs); that is the only use of rng.
     """
     if a.class_id != b.class_id:
         raise MergeContractError(f"cannot merge class {a.class_id} with class {b.class_id}")
@@ -177,8 +180,10 @@ def merge_gaussians(
     mean, cov = merge_moments(
         float(a.weight), a.gaussian.mean, a.gaussian.cov, float(b.weight), b.gaussian.mean, b.gaussian.cov
     )
+    keys_a = _aes_keys(a.eval_points, a.eval_keys, a.eval_seen, rng)
+    keys_b = _aes_keys(b.eval_points, b.eval_keys, b.eval_seen, rng)
     points, keys, seen = merge_point_reservoirs(
-        a.eval_points, a.eval_keys, a.eval_seen, b.eval_points, b.eval_keys, b.eval_seen, eval_point_cap, rng
+        a.eval_points, keys_a, a.eval_seen, b.eval_points, keys_b, b.eval_seen, eval_point_cap
     )
     return ObjectNode(
         id=a.id,
@@ -428,8 +433,6 @@ def integrate(
     local: LocalSSG,
     global_graph: GlobalSSG,
     cfg: FusionConfig,
-    *,
-    rng: np.random.Generator | None = None,
 ) -> tuple[GlobalSSG, list[MergeEvent]]:
     """Fold a local graph into the global graph; returns it plus merge events.
 
@@ -447,10 +450,10 @@ def integrate(
     same bound, stops early on a pair that cannot pass the gate either.
 
     Eval points merged into a global node go to its lazy reservoir
-    (_GlobalNode.merge_eval_points); queued peers merge theirs eagerly.
+    (_GlobalNode.merge_eval_points); queued peers merge theirs eagerly. Every
+    merge is by the points' keys, which the local graph carries (LocalSSG),
+    so integrate draws no random numbers.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     n = len(local.nodes)
     events: list[MergeEvent] = []
     if n == 0:
@@ -550,7 +553,7 @@ def integrate(
                 if points[i] is None and gnode._points is None:
                     gnode.eval_seen += seen[i]  # no points on either side (runs without eval points)
                 else:
-                    gnode.merge_eval_points(points[i], keys[i], seen[i], cfg.eval_point_cap, rng)
+                    gnode.merge_eval_points(points[i], keys[i], seen[i], cfg.eval_point_cap)
                 gnode.weight += weight[i]
                 gnode.score_sum += score[i]
                 global_graph.set_row(gid, mean, cov, log_det9(cov))
@@ -569,7 +572,7 @@ def integrate(
                 seen[i] += seen[j]
             else:
                 points[i], keys[i], seen[i] = merge_point_reservoirs(
-                    points[i], keys[i], seen[i], points[j], keys[j], seen[j], cfg.eval_point_cap, rng,
+                    points[i], keys[i], seen[i], points[j], keys[j], seen[j], cfg.eval_point_cap,
                 )
             qm[i], qc[i], qld[i], qtr[i] = mean, cov, log_det9(cov), cov[0] + cov[4] + cov[8]
             weight[i] += weight[j]
@@ -630,7 +633,7 @@ def process_frame(
         result.lift_seconds = time.perf_counter() - t0
         return result
     t1 = time.perf_counter()
-    _, events = integrate(local, state, cfg, rng=rng)
+    _, events = integrate(local, state, cfg)
     t2 = time.perf_counter()
     result.lifted = len(local.nodes)
     result.dropped = len(frame.detections) - len(local.nodes)

@@ -102,10 +102,11 @@ class CameraPose:
         R = self.rotation
         if not np.all(np.isfinite(R)) or not np.all(np.isfinite(self.translation)):
             raise ValueError("non-finite pose")
-        err = np.abs(R.T @ R - _IDENTITY3).max()
+        with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries reject quietly
+            err = np.abs(R.T @ R - _IDENTITY3).max()
+            det = np.linalg.det(R)
         if err > tol:
             raise ValueError(f"rotation is not orthonormal (max |R'R - I| = {err:.3e})")
-        det = np.linalg.det(R)
         if abs(det - 1.0) > tol:
             raise ValueError(f"rotation must be proper (det {det:.12f} != +1)")
 

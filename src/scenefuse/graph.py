@@ -20,13 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidEdgeError, StreamFormatError
+from .errors import InvalidEdgeError, MergeContractError, StreamFormatError
 from .geometry import Gaussian3D
 
 logger = logging.getLogger(__name__)
 
 # Determinant floor below which a covariance is treated as degenerate.
 DET_MIN = 1e-30
+
+# Eval points that enter a GlobalSSG without keys (GlobalSSG.add_node, and so
+# import_graph) draw their keys from np.random.default_rng((ENTRY_KEY_SEED, node_id)).
+ENTRY_KEY_SEED = 2006
 
 
 def det3x3(a: np.ndarray) -> float:
@@ -82,9 +86,9 @@ class ObjectNode:
     eval_points is an optional (k, 3) array of back-projected points kept for
     evaluation, reservoir-capped; eval_seen counts every point ever offered
     to the reservoir. eval_keys holds one sampling key in [0, 1] per row of
-    eval_points (see merge_point_reservoirs); it is None for points that
-    came without keys, such as a graph read back from its document, which
-    does not carry them.
+    eval_points (see merge_point_reservoirs). Points that enter a graph
+    without keys get them there: GlobalSSG.add_node draws them, and a
+    LocalSSG built from nodes refuses them.
     """
 
     id: int
@@ -123,7 +127,8 @@ class LocalSSG:
     nodes[i], and integrate reads only these. build_local_graph passes the
     rows of its stacked lift, and its nodes build their Gaussian3D from
     their row when read; a LocalSSG given nodes and no rows takes the rows
-    from the nodes' Gaussians.
+    from the nodes' Gaussians, and raises MergeContractError if a node has
+    eval points without keys.
     """
 
     frame_id: int
@@ -134,6 +139,9 @@ class LocalSSG:
 
     def __post_init__(self):
         if self.row_means is None:
+            for node in self.nodes:
+                if node.eval_keys is None and node.eval_points is not None and len(node.eval_points):
+                    raise MergeContractError(f"local node {node.id} has eval points without keys")
             self.row_means = [node.gaussian.mean.tolist() for node in self.nodes]
             self.row_covs = [node.gaussian.cov.reshape(9).tolist() for node in self.nodes]
 
@@ -190,6 +198,9 @@ class _GlobalNode(_GraphNode):
     reservoir, by one top_keys over their concatenation, when the held and
     pending points exceed twice the cap, or when eval_points or eval_keys is
     read or written. So a node holds at most 2 * cap points plus one chunk.
+    Every non-empty reservoir here has keys (GlobalSSG.add_node keys those
+    that come without); whoever assigns eval_points must assign their
+    eval_keys too before the node is merged into.
     """
 
     # keyed, non-empty chunks (a tuple until the first, so that a node that
@@ -224,26 +235,17 @@ class _GlobalNode(_GraphNode):
         self._keys = keys
 
     def merge_eval_points(self, points: np.ndarray | None, keys: np.ndarray | None, seen: int,
-                          cap: int, rng: np.random.Generator) -> None:
+                          cap: int) -> None:
         """Merge a reservoir (points, keys, seen) into the node's, leaving what
-        merge_point_reservoirs of the two would, with the same draws from rng.
-
-        A keyed chunk merged into a keyed or empty reservoir draws nothing,
-        and key-based merges are associative, so it is only appended to the
-        pending list. A side without keys draws its keys now, as the eager
-        merge would, after the pending chunks are compacted.
+        merge_point_reservoirs of the two would. A non-empty chunk must have
+        keys; merges by key are associative, so it is only appended to the
+        pending list.
         """
-        held = self._points
         if points is None or len(points) == 0:
+            held = self._points
             if held is None or len(held) == 0:  # compaction skips an empty held reservoir
                 self._points = None if points is None else points.copy()
                 self._keys = None if keys is None else keys.copy()
-        elif keys is None or (self._keys is None and held is not None and len(held)):
-            if self._pending:
-                self._compact()
-            self._points, self._keys, _ = merge_point_reservoirs(
-                self._points, self._keys, self.eval_seen, points, keys, seen, cap, rng
-            )
         else:
             if not self._pending:
                 self._pending = [(points, keys)]
@@ -345,9 +347,13 @@ class GlobalSSG:
         logdet: float | None = None,
         eval_keys: np.ndarray | None = None,
     ) -> ObjectNode:
+        """Add a node; eval points without keys get A-ES keys (see
+        merge_point_reservoirs) from the generator seeded (ENTRY_KEY_SEED, id),
+        so that they do not depend on the order nodes are added in."""
         nid = self.next_id if node_id is None else node_id
         if nid in self.nodes:
             raise ValueError(f"node id {nid} already present")
+        eval_keys = _aes_keys(eval_points, eval_keys, eval_seen, (ENTRY_KEY_SEED, nid))
         if nid >= len(self.row_means):
             grow = nid + 1 - len(self.row_means)
             # extended in place, never replaced: the nodes hold these lists
@@ -448,8 +454,8 @@ class GlobalSSG:
             # the held reservoir and the pending chunks, read without compacting them
             held, keys, pending = node._points, node._keys, node._pending
             size = 0 if held is None else len(held)
+            pieces = pending if size == 0 and keys is None else [(held, keys), *pending]
             if pending:
-                assert size == 0 or keys is not None, "pending chunks behind points without keys"
                 assert node._pending_n == sum(len(p) for p, _ in pending), "pending count out of sync"
                 total = size + node._pending_n
                 assert total <= 2 * node._cap, "pending points exceed twice the cap"
@@ -457,9 +463,9 @@ class GlobalSSG:
                 size = total if size == 0 and len(pending) == 1 else min(total, node._cap)
             if eval_point_cap is not None:
                 assert size <= eval_point_cap, "eval point cap exceeded"
-            for points, k in pending if keys is None else [(held, keys), *pending]:
-                assert points is not None and k is not None and k.shape == (len(points),), \
-                    "eval keys do not match eval points"
+            for points, k in pieces:
+                assert k is not None, "eval points without keys"
+                assert k.shape == (0 if points is None else len(points),), "eval keys do not match eval points"
                 assert bool(np.all((k >= 0.0) & (k <= 1.0))), "eval key outside [0, 1]"
 
 
@@ -471,7 +477,6 @@ def merge_point_reservoirs(
     keys_b: np.ndarray | None,
     seen_b: int,
     cap: int,
-    rng: np.random.Generator,
 ) -> tuple[np.ndarray | None, np.ndarray | None, int]:
     """Combine two capped point reservoirs into one of at most `cap` points.
 
@@ -486,10 +491,11 @@ def merge_point_reservoirs(
     replacement of every point either side has seen (Efraimidis and
     Spirakis, "Weighted random sampling with a reservoir", IPL 2006).
 
-    A side with points but no keys first gets A-ES keys u ** (1 / w) from
-    rng, u uniform, with each of its points standing for
-    w = seen / len >= 1 originals; that is the only use of rng. Either side
-    may be None or empty, and is then no more than a count.
+    A side with points must have their keys; either side may be None or
+    empty, and is then no more than a count. Points that come without keys
+    are keyed where they enter (GlobalSSG.add_node, fusion.merge_gaussians)
+    by A-ES keys u ** (1 / w), u uniform, with each point standing for
+    w = seen / len >= 1 originals.
     """
     if points_a is None or len(points_a) == 0:
         return (
@@ -498,11 +504,7 @@ def merge_point_reservoirs(
             seen_a + seen_b,
         )
     if points_b is None or len(points_b) == 0:
-        return points_a.copy(), None if keys_a is None else keys_a.copy(), seen_a + seen_b
-    if keys_a is None:
-        keys_a = _aes_keys(len(points_a), seen_a, rng)
-    if keys_b is None:
-        keys_b = _aes_keys(len(points_b), seen_b, rng)
+        return points_a.copy(), keys_a.copy(), seen_a + seen_b
     points = np.concatenate((points_a, points_b))
     keys = np.concatenate((keys_a, keys_b))
     if len(keys) > cap:
@@ -525,9 +527,14 @@ def top_keys(keys: np.ndarray, cap: int) -> np.ndarray:
     return keep
 
 
-def _aes_keys(k: int, seen: int, rng: np.random.Generator) -> np.ndarray:
-    """A-ES keys for k points that each stand for max(seen, k) / k originals."""
-    return rng.random(k) ** (k / max(seen, k))
+def _aes_keys(points: np.ndarray | None, keys: np.ndarray | None, seen: int, seed) -> np.ndarray | None:
+    """keys; or, for points that come without them, A-ES keys from
+    np.random.default_rng(seed) (a Generator is used as it is), each point
+    standing for max(seen, k) / k originals of the k."""
+    if keys is not None or points is None or len(points) == 0:
+        return keys
+    k = len(points)
+    return np.random.default_rng(seed).random(k) ** (k / max(seen, k))
 
 
 # ---------------------------------------------------------------------------

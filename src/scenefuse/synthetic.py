@@ -576,6 +576,43 @@ def render_frames(
     return frames, depth_maps
 
 
+def orbit_frames(n_frames: int = 3600, dets_per_frame: int = 18) -> list[FrameRecord]:
+    """The throughput stream: a camera orbits a jittered 15 x 12 floor grid of
+    180 boxes at 11.5 m, one degree per frame, and reports the dets_per_frame
+    boxes nearest the image centre as noise-free detections with centroid
+    depths and no relations. The grid is fixed (seed 77)."""
+    rng = np.random.default_rng(77)
+    objects = [
+        (np.array([(i % 15 - 7.0) * 1.3 + rng.uniform(-0.25, 0.25),
+                   (i // 15 - 5.5) * 1.3 + rng.uniform(-0.25, 0.25),
+                   rng.uniform(0.3, 1.8)]), i % 6, rng.uniform(0.4, 0.8, 3))
+        for i in range(180)
+    ]
+    cam = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+    origin = np.full(3, -0.0)  # -0.0, so that origin - eye is -eye, signs of zeros included
+    frames = []
+    for fid in range(n_frames):
+        angle = 2.0 * math.pi * fid / 360.0
+        pose = _look_at(np.array([11.5 * math.cos(angle), 11.5 * math.sin(angle), 2.0]), origin)
+        rt = pose.rotation.T
+        visible = []
+        for center, cls, ext in objects:
+            c = rt @ (center - pose.translation)
+            if c[2] <= 1.0:
+                continue
+            px = cam.fx * c[0] / c[2] + cam.cx
+            py = cam.fy * c[1] / c[2] + cam.cy
+            if not (0 <= px < cam.width and 0 <= py < cam.height):
+                continue
+            offset = (px - cam.cx) ** 2 + (py - cam.cy) ** 2
+            visible.append((offset, px, py, cam.fx * ext[0] / c[2], cam.fy * ext[2] / c[2], float(c[2]), cls))
+        visible.sort(key=lambda t: t[0])
+        dets = [Detection(class_id=cls, score=1.0, cx=px, cy=py, w=w, h=h, centroid_depth=z)
+                for _, px, py, w, h, z, cls in visible[:dets_per_frame]]
+        frames.append(FrameRecord(frame_id=fid, camera=cam, pose=pose, detections=dets, relations=[]))
+    return frames
+
+
 # ---------------------------------------------------------------------------
 # dataset writer
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ every query scans every live same-class candidate with the vectorized numpy
 Hellinger kernel, merges go through the numpy moment merge, and point
 reservoirs merge by a full sort of their keys. The engine, which culls
 candidates first, scores and merges in scalar Python and partitions keys,
-must reproduce its decisions, merge events, distances, reservoirs and rng
-draws exactly; tests/test_oracle.py checks that on random streams.
+must reproduce its decisions, merge events, distances and reservoirs
+exactly; tests/test_oracle.py checks that on random streams. Neither integrate
+draws a random number: every point already has its key.
 
 `frame_eval_points` back-projects evaluation points one detection at a time
 (`eval_region_points`); the engine's one pass over a frame must equal it bit
@@ -95,7 +96,7 @@ def export_graph(g: GlobalSSG, vocab: ClassVocabulary) -> dict:
     }
 
 
-def merge_point_reservoirs(points_a, keys_a, seen_a, points_b, keys_b, seen_b, cap, rng):
+def merge_point_reservoirs(points_a, keys_a, seen_a, points_b, keys_b, seen_b, cap):
     """graph.merge_point_reservoirs by a stable sort of all keys, largest first."""
     if points_a is None or len(points_a) == 0:
         return (
@@ -104,11 +105,7 @@ def merge_point_reservoirs(points_a, keys_a, seen_a, points_b, keys_b, seen_b, c
             seen_a + seen_b,
         )
     if points_b is None or len(points_b) == 0:
-        return points_a.copy(), None if keys_a is None else keys_a.copy(), seen_a + seen_b
-    if keys_a is None:
-        keys_a = rng.random(len(points_a)) ** (len(points_a) / max(seen_a, len(points_a)))
-    if keys_b is None:
-        keys_b = rng.random(len(points_b)) ** (len(points_b) / max(seen_b, len(points_b)))
+        return points_a.copy(), keys_a.copy(), seen_a + seen_b
     points = np.concatenate((points_a, points_b))
     keys = np.concatenate((keys_a, keys_b))
     keep = np.sort(np.argsort(-keys, kind="stable")[:cap])
@@ -285,8 +282,6 @@ def integrate(
     local: LocalSSG,
     global_graph: GlobalSSG,
     cfg: FusionConfig,
-    *,
-    rng: np.random.Generator | None = None,
 ) -> tuple[GlobalSSG, list[MergeEvent]]:
     """Fold a local graph into the global graph; returns it plus merge events.
 
@@ -295,8 +290,6 @@ def integrate(
     edge lands on the merged endpoints' global nodes unless the merge made it
     a self-loop, in which case it is dropped.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     n = len(local.nodes)
     events: list[MergeEvent] = []
     if n == 0:
@@ -384,7 +377,7 @@ def integrate(
                     points, keys, seen = merge_point_reservoirs(
                         gnode.eval_points, gnode.eval_keys, gnode.eval_seen,
                         slot.eval_points, slot.eval_keys, slot.eval_seen,
-                        cfg.eval_point_cap, rng,
+                        cfg.eval_point_cap,
                     )
                 gnode.weight += slot.weight
                 gnode.score_sum += slot.score_sum
@@ -411,7 +404,7 @@ def integrate(
                 points, keys, seen = merge_point_reservoirs(
                     slot.eval_points, slot.eval_keys, slot.eval_seen,
                     other.eval_points, other.eval_keys, other.eval_seen,
-                    cfg.eval_point_cap, rng,
+                    cfg.eval_point_cap,
                 )
             q_logdets[i] = log_det3x3(q_covs[i])
             slot.weight += other.weight

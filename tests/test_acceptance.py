@@ -52,11 +52,9 @@ from scenefuse.cli import _execute_run
 from scenefuse.evaluation import GroundTruthInstance, GroundTruthScene, collect_eval_points
 from scenefuse.fusion import merge_moments
 from scenefuse.streams import DepthMap, RunConfig
-
-from reference_fusion import mixture_moment_oracle
+from scenefuse.synthetic import _look_at, orbit_frames
 
 IDENTITY_POSE = CameraPose(rotation=np.eye(3), translation=np.zeros(3))
-UP = np.array([0.0, 0.0, 1.0])
 
 
 def _report(gate: str, checks: list[tuple[str, bool]]) -> None:
@@ -91,13 +89,6 @@ def _clean_scene_spec(seed: int) -> SceneSpec:
     n = 15 + (seed * 7) % 16
     side = round(8 * math.sqrt(n / 20), 1)
     return SceneSpec(seed=seed, n_objects=n, n_classes=5, n_frames=120, room_size=(side, side, 3.0))
-
-
-def _look_at_origin(eye: np.ndarray) -> CameraPose:
-    f = -eye / np.linalg.norm(eye)
-    r = np.cross(f, UP)
-    r = r / np.linalg.norm(r)
-    return CameraPose(rotation=np.column_stack([r, np.cross(f, r), f]), translation=eye)
 
 
 def test_closed_form_examples_hold_at_tolerance():
@@ -258,6 +249,10 @@ def test_pseudoinverse_identity_residual_stays_below_1e9():
 
 
 def test_merge_agrees_with_monte_carlo_moment_oracle():
+    # imported here: perfbench/selftest.py imports this module outside pytest,
+    # where tests/ is not on sys.path
+    from reference_fusion import mixture_moment_oracle
+
     t0 = time.perf_counter()
     worst_cov = 0.0
     worst_mean = 0.0
@@ -466,50 +461,8 @@ def test_matcher_agrees_with_brute_force_reference():
     )
 
 
-def _benchmark_frames(n_frames: int = 3600, dets_per_frame: int = 18) -> list[FrameRecord]:
-    """Orbit camera over a fixed 180-object floor grid; noise-free detections."""
-    rng = np.random.default_rng(77)
-    objects = []
-    for i in range(180):
-        center = np.array(
-            [
-                (i % 15 - 7.0) * 1.3 + rng.uniform(-0.25, 0.25),
-                (i // 15 - 5.5) * 1.3 + rng.uniform(-0.25, 0.25),
-                rng.uniform(0.3, 1.8),
-            ]
-        )
-        objects.append((center, i % 6, rng.uniform(0.4, 0.8, 3)))
-    cam = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
-    frames = []
-    for fid in range(n_frames):
-        pose = _look_at_origin(
-            np.array(
-                [
-                    11.5 * math.cos(2.0 * math.pi * fid / 360.0),
-                    11.5 * math.sin(2.0 * math.pi * fid / 360.0),
-                    2.0,
-                ]
-            )
-        )
-        rt = pose.rotation.T
-        visible = []
-        for center, cls, ext in objects:
-            c = rt @ (center - pose.translation)
-            if c[2] <= 1.0:
-                continue
-            px = cam.fx * c[0] / c[2] + cam.cx
-            py = cam.fy * c[1] / c[2] + cam.cy
-            if not (0 <= px < cam.width and 0 <= py < cam.height):
-                continue
-            offset = (px - cam.cx) ** 2 + (py - cam.cy) ** 2
-            visible.append((offset, px, py, cam.fx * ext[0] / c[2], cam.fy * ext[2] / c[2], float(c[2]), cls))
-        visible.sort(key=lambda t: t[0])
-        dets = [
-            Detection(class_id=cls, score=1.0, cx=px, cy=py, w=w, h=h, centroid_depth=z)
-            for _, px, py, w, h, z, cls in visible[:dets_per_frame]
-        ]
-        frames.append(FrameRecord(frame_id=fid, camera=cam, pose=pose, detections=dets, relations=[]))
-    return frames
+# the gate's stream; perfbench/selftest.py imports it under this name
+_benchmark_frames = orbit_frames
 
 
 def test_hour_long_stream_meets_throughput_targets(tmp_path):
@@ -559,7 +512,7 @@ def test_long_randomized_stream_preserves_graph_invariants():
                 rng.uniform(0.5, 3.5),
             ]
         )
-        pose = _look_at_origin(eye)
+        pose = _look_at(eye, np.zeros(3))
         rt = pose.rotation.T
         dets = []
         for idx in rng.choice(40, size=int(rng.integers(0, 9)), replace=False):

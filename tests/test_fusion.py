@@ -1,6 +1,7 @@
 """Fusion engine: distances, moment merging, local-graph build, integrate."""
 
 import gc
+import json
 import math
 import weakref
 
@@ -26,9 +27,13 @@ from scenefuse.graph import (
     LocalSSG,
     ObjectNode,
     RelationEdge,
+    _aes_keys,
     det9,
+    export_graph,
+    import_graph,
     load_graph,
     log_det9,
+    merge_point_reservoirs,
     save_graph,
 )
 from scenefuse.streams import DepthMap, Detection, FrameRecord, Relation2D
@@ -359,6 +364,7 @@ def test_merge_matches_mixture_moments_monte_carlo():
 
 
 def test_merge_point_reservoirs_through_nodes():
+    # keyless sides are keyed from rng, a's points first, then merged by key
     rng = np.random.default_rng(3)
     a = ObjectNode(id=0, class_id=0, gaussian=_g([0, 0, 0]), weight=1,
                    eval_points=np.zeros((200, 3)), eval_seen=200)
@@ -367,6 +373,11 @@ def test_merge_point_reservoirs_through_nodes():
     k = merge_gaussians(a, b, eval_point_cap=256, rng=rng)
     assert k.eval_points.shape == (256, 3)
     assert k.eval_seen == 600
+    again = np.random.default_rng(3)
+    ka, kb = _aes_keys(a.eval_points, None, 200, again), _aes_keys(b.eval_points, None, 400, again)
+    points, keys, _ = merge_point_reservoirs(a.eval_points, ka, 200, b.eval_points, kb, 400, 256)
+    assert k.eval_points.tobytes() == points.tobytes() and k.eval_keys.tobytes() == keys.tobytes()
+    assert rng.bit_generator.state == again.bit_generator.state
 
 
 # -- local graph construction -------------------------------------------------
@@ -733,40 +744,82 @@ def test_process_frame_counts_dropped():
     assert result.lifted == 1 and result.dropped == 2
 
 
+_RECORDED_CFG = FusionConfig(eval_point_cap=5)
+_RECORDED_VOCAB = ClassVocabulary(("a", "b", "c"), ("near",))
+
+
+def _fuse_recorded(g, first, rng):
+    """Fuse six frames of three jittered detections, with eval points from
+    one depth map, into g; returns the number of detections lifted."""
+    depth = DepthMap(width=20, height=20,
+                     values=(2.0 + 0.05 * np.random.default_rng(4).random((20, 20))).astype(np.float32))
+    lifted = 0
+    for fid in range(first, first + 6):
+        jitter = 0.2 * rng.standard_normal(2)
+        dets = [_det(cid=c, cx=cx + jitter[0], cy=cy + jitter[1], w=8.0, h=6.0, depth=None, ref="d")
+                for c, (cx, cy) in enumerate([(5.0, 5.0), (14.0, 6.0), (9.0, 15.0)])]
+        frame = _frame(dets, [Relation2D(0, 1, 0, 0.9)], frame_id=fid)
+        result = process_frame(frame, g, _RECORDED_CFG, rng=rng, depth_provider=lambda ref: depth,
+                               record_eval_points=True)
+        lifted += result.lifted
+    return lifted
+
+
 def test_fusing_into_a_loaded_graph_keeps_reservoirs_valid(tmp_path):
-    # a recorded graph read back has no keys; fusing more frames into it merges
-    # keyless reservoirs with keyed ones
+    # a graph document carries no keys; its points are keyed as they enter
+    # the loaded graph, and fusing more frames merges them by key
     rng = np.random.default_rng(4)
-    depth = DepthMap(width=20, height=20, values=(2.0 + 0.05 * rng.random((20, 20))).astype(np.float32))
-    cfg = FusionConfig(eval_point_cap=5)
-
-    def frames(first):
-        for fid in range(first, first + 6):
-            jitter = 0.2 * rng.standard_normal(2)
-            dets = [_det(cid=c, cx=cx + jitter[0], cy=cy + jitter[1], w=8.0, h=6.0, depth=None, ref="d")
-                    for c, (cx, cy) in enumerate([(5.0, 5.0), (14.0, 6.0), (9.0, 15.0)])]
-            yield _frame(dets, [Relation2D(0, 1, 0, 0.9)], frame_id=fid)
-
-    def fuse(g, first):
-        lifted = 0
-        for frame in frames(first):
-            result = process_frame(frame, g, cfg, rng=rng, depth_provider=lambda ref: depth,
-                                   record_eval_points=True)
-            lifted += result.lifted
-        return lifted
-
+    cap = _RECORDED_CFG.eval_point_cap
     g = GlobalSSG()
-    lifted = fuse(g, 0)
-    g.validate(eval_point_cap=cfg.eval_point_cap)
-    vocab = ClassVocabulary(("a", "b", "c"), ("near",))
-    save_graph(tmp_path / "g.json", g, vocab)
+    lifted = _fuse_recorded(g, 0, rng)
+    g.validate(eval_point_cap=cap)
+    save_graph(tmp_path / "g.json", g, _RECORDED_VOCAB)
     loaded, _ = load_graph(tmp_path / "g.json")
-    assert all(n.eval_keys is None and len(n.eval_points) == 5 for n in loaded.nodes.values())
-    lifted += fuse(loaded, 6)
-    loaded.validate(eval_point_cap=cfg.eval_point_cap)
+    assert all(n.eval_keys is not None and len(n.eval_points) == 5 for n in loaded.nodes.values())
+    loaded.validate(eval_point_cap=cap)
+    lifted += _fuse_recorded(loaded, 6, rng)
+    loaded.validate(eval_point_cap=cap)
     assert loaded.total_weight() == lifted == 36
     assert all(n.eval_keys is not None and len(n.eval_points) == 5 for n in loaded.nodes.values())
     assert sum(n.eval_seen for n in loaded.nodes.values()) == sum(n.eval_seen for n in g.nodes.values()) * 2
+
+
+def test_a_loaded_graph_fuses_to_the_same_bytes_every_time(tmp_path):
+    # entry keys come from each node's id, so the same document, loaded twice
+    # or with its nodes in reverse order, fuses the same frames identically
+    g = GlobalSSG()
+    _fuse_recorded(g, 0, np.random.default_rng(4))
+    path = tmp_path / "g.json"
+    save_graph(path, g, _RECORDED_VOCAB)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["nodes"].reverse()
+    outputs = []
+    for loaded in (load_graph(path)[0], load_graph(path)[0], import_graph(doc)[0]):
+        _fuse_recorded(loaded, 6, np.random.default_rng(5))
+        loaded.validate(eval_point_cap=_RECORDED_CFG.eval_point_cap)
+        out = tmp_path / f"fused{len(outputs)}.json"
+        save_graph(out, loaded, _RECORDED_VOCAB)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_keyless_local_graph_is_refused_before_the_global_graph_changes():
+    g = GlobalSSG()
+    g.add_node(class_id=0, gaussian=_g([0, 0, 0]), eval_points=np.zeros((2, 3)), eval_seen=2)
+    before = json.dumps(export_graph(g, _RECORDED_VOCAB))
+    keys_before = g.nodes[0].eval_keys.tobytes()
+    keyed = ObjectNode(id=0, class_id=0, gaussian=_g([0, 0, 0]), score_sum=0.9,
+                       eval_points=np.ones((1, 3)), eval_seen=1, eval_keys=np.array([0.5]))
+    keyless = ObjectNode(id=1, class_id=0, gaussian=_g([0.1, 0, 0]), score_sum=0.8,
+                         eval_points=np.ones((2, 3)), eval_seen=3)
+    with pytest.raises(MergeContractError, match="local node 1 has eval points without keys"):
+        integrate(LocalSSG(frame_id=1, nodes=[keyed, keyless], edges=[]), g, FusionConfig())
+    assert json.dumps(export_graph(g, _RECORDED_VOCAB)) == before
+    assert g.nodes[0].eval_keys.tobytes() == keys_before and g.nodes[0].eval_seen == 2
+    # no points, or an empty array of them, needs no keys
+    empty = ObjectNode(id=0, class_id=0, gaussian=_g([0, 0, 0]), eval_points=np.empty((0, 3)))
+    integrate(LocalSSG(frame_id=2, nodes=[empty, _node(1, 0, [0, 0, 0])], edges=[]), g, FusionConfig())
+    g.validate()
 
 
 def test_merge_event_fields():

@@ -9,8 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from scenefuse.errors import InvalidEdgeError, StreamFormatError
+from scenefuse.fusion import merge_gaussians
 from scenefuse.geometry import Gaussian3D
 from scenefuse.graph import (
+    ENTRY_KEY_SEED,
     ClassVocabulary,
     GlobalSSG,
     ObjectNode,
@@ -231,11 +233,15 @@ def test_validate_detects_eval_key_corruption():
     def keys_without_points(g):
         g.nodes[0].eval_keys = np.array([0.5])
 
+    def points_without_keys(g):
+        g.nodes[2].eval_keys = None
+
     for corrupt, message in (
         (key_out_of_range, r"eval key outside \[0, 1\]"),
         (key_is_nan, r"eval key outside \[0, 1\]"),
         (key_missing, "eval keys do not match eval points"),
         (keys_without_points, "eval keys do not match eval points"),
+        (points_without_keys, "eval points without keys"),
     ):
         g = _populated_graph()
         g.nodes[2].eval_keys = np.array([0.25, 0.75])
@@ -267,21 +273,24 @@ def test_reservoir_merge_under_cap_concatenates():
     a = np.arange(9.0).reshape(3, 3)
     b = np.arange(6.0).reshape(2, 3) + 100
     ka, kb = rng.random(3), rng.random(2)
-    merged, keys, seen = merge_point_reservoirs(a, ka, 3, b, kb, 2, 10, rng)
+    merged, keys, seen = merge_point_reservoirs(a, ka, 3, b, kb, 2, 10)
     np.testing.assert_array_equal(merged, np.vstack([a, b]))
     np.testing.assert_array_equal(keys, np.concatenate([ka, kb]))
     assert seen == 5
 
 
 def test_reservoir_merge_handles_empty_sides():
-    rng = np.random.default_rng(0)
     b = np.ones((2, 3))
     kb = np.array([0.3, 0.6])
-    merged, keys, seen = merge_point_reservoirs(None, None, 0, b, kb, 7, 4, rng)
+    merged, keys, seen = merge_point_reservoirs(None, None, 0, b, kb, 7, 4)
     np.testing.assert_array_equal(merged, b)
     np.testing.assert_array_equal(keys, kb)
     assert seen == 7
-    merged, keys, seen = merge_point_reservoirs(None, None, 0, None, None, 0, 4, rng)
+    merged, keys, seen = merge_point_reservoirs(b, kb, 7, np.empty((0, 3)), None, 2, 4)
+    np.testing.assert_array_equal(merged, b)
+    np.testing.assert_array_equal(keys, kb)
+    assert seen == 9
+    merged, keys, seen = merge_point_reservoirs(None, None, 0, None, None, 0, 4)
     assert merged is None and keys is None and seen == 0
 
 
@@ -290,7 +299,7 @@ def test_reservoir_merge_caps_overflow_with_subset():
     a = np.arange(30.0).reshape(10, 3)
     b = np.arange(30.0).reshape(10, 3) + 1000
     ka, kb = rng.random(10), rng.random(10)
-    merged, keys, seen = merge_point_reservoirs(a, ka, 50, b, kb, 10, 12, rng)
+    merged, keys, seen = merge_point_reservoirs(a, ka, 50, b, kb, 10, 12)
     assert merged.shape == (12, 3)
     assert seen == 60
     union = {tuple(p) for p in np.vstack([a, b])}
@@ -299,21 +308,23 @@ def test_reservoir_merge_caps_overflow_with_subset():
 
 
 def test_reservoir_merge_with_keys_is_deterministic():
+    # the merge is a function of its inputs, which it leaves as they were
     a = np.arange(30.0).reshape(10, 3)
     b = a + 50
     keys = np.random.default_rng(1).random(20)
-    rng_1, rng_2 = np.random.default_rng(42), np.random.default_rng(43)
-    m1, k1, _ = merge_point_reservoirs(a, keys[:10], 10, b, keys[10:], 10, 8, rng_1)
-    m2, k2, _ = merge_point_reservoirs(a, keys[:10], 10, b, keys[10:], 10, 8, rng_2)
+    before = keys.copy()
+    m1, k1, _ = merge_point_reservoirs(a, keys[:10], 10, b, keys[10:], 10, 8)
+    m2, k2, _ = merge_point_reservoirs(a, keys[:10], 10, b, keys[10:], 10, 8)
     np.testing.assert_array_equal(m1, m2)
     np.testing.assert_array_equal(k1, k2)
-    assert rng_1.bit_generator.state == np.random.default_rng(42).bit_generator.state
+    k1[:] = 2.0
+    np.testing.assert_array_equal(keys, before)
 
 
 def test_reservoir_merge_keeps_earlier_points_on_equal_keys():
     a = np.arange(12.0).reshape(4, 3)
     merged, keys, _ = merge_point_reservoirs(
-        a[:2], np.array([0.5, 0.9]), 2, a[2:], np.array([0.5, 0.5]), 2, 2, np.random.default_rng(0))
+        a[:2], np.array([0.5, 0.9]), 2, a[2:], np.array([0.5, 0.5]), 2, 2)
     np.testing.assert_array_equal(merged, a[:2])
     np.testing.assert_array_equal(keys, [0.5, 0.9])
 
@@ -333,7 +344,7 @@ def _fold(rng, leaves, cap):
     while len(pool) > 1:
         i, j = sorted(rng.choice(len(pool), size=2, replace=False).tolist())
         a, b = pool[i], pool.pop(j)
-        pool[i] = merge_point_reservoirs(a[0], a[1], a[2], b[0], b[1], b[2], cap, rng)
+        pool[i] = merge_point_reservoirs(a[0], a[1], a[2], b[0], b[1], b[2], cap)
     return pool[0]
 
 
@@ -358,19 +369,20 @@ def test_reservoir_merge_is_associative_with_keys():
     for cap in (1, 3, 7):
         for _ in range(50):
             a, b, c = (_leaf(rng, 100 * i, int(rng.integers(1, 12)), cap) for i in range(3))
-            ab = merge_point_reservoirs(*a, *b, cap, rng)
-            left = merge_point_reservoirs(*ab, *c, cap, rng)
-            bc = merge_point_reservoirs(*b, *c, cap, rng)
-            right = merge_point_reservoirs(*a, *bc, cap, rng)
+            ab = merge_point_reservoirs(*a, *b, cap)
+            left = merge_point_reservoirs(*ab, *c, cap)
+            bc = merge_point_reservoirs(*b, *c, cap)
+            right = merge_point_reservoirs(*a, *bc, cap)
             assert left[0].tobytes() == right[0].tobytes()
             assert left[1].tobytes() == right[1].tobytes()
             assert left[2] == right[2]
 
 
 def test_reservoir_merge_keyless_side_weighs_by_seen():
-    # one point kept of a keyless side whose 3 points stand for 4 originals each
-    # and a keyed side of 6 points seen once: with cap 1, A-ES keeps each point
-    # with probability proportional to its weight
+    # one point kept of a side that enters a graph without keys, whose 3 points
+    # stand for 4 originals each, and a keyed side of 6 points seen once: with
+    # cap 1, the entry keys (A-ES) keep each point with probability
+    # proportional to its weight; every node id seeds its own keys
     rng = np.random.default_rng(17)
     a = np.zeros((3, 3))
     a[:, 0] = [0, 1, 2]
@@ -378,8 +390,10 @@ def test_reservoir_merge_keyless_side_weighs_by_seen():
     b[:, 0] = np.arange(3, 9)
     trials = 20000
     counts = np.zeros(9)
+    g = GlobalSSG()
     for _ in range(trials):
-        points, keys, seen = merge_point_reservoirs(a, None, 12, b, rng.random(6), 6, 1, rng)
+        node = g.add_node(class_id=0, gaussian=_gauss([0, 0, 0]), eval_points=a, eval_seen=12)
+        points, keys, seen = merge_point_reservoirs(a, node.eval_keys, 12, b, rng.random(6), 6, 1)
         assert seen == 18 and keys.shape == (1,)
         counts[int(points[0, 0])] += 1
     p = np.array([4.0] * 3 + [1.0] * 6) / 18.0
@@ -406,17 +420,20 @@ def _successive_inclusion(w: np.ndarray, cap: int) -> np.ndarray:
 
 
 def test_reservoir_merge_keyless_sides_match_successive_sampling():
-    # with a larger cap, the A-ES keys of two keyless sides select as successive
-    # weighted draws without replacement do, in proportion to seen/len
+    # with a larger cap, the A-ES keys merge_gaussians gives two keyless sides
+    # select as successive weighted draws without replacement do, in
+    # proportion to seen/len
     rng = np.random.default_rng(23)
     a = np.zeros((4, 3))
     a[:, 0] = np.arange(4)
     b = np.zeros((5, 3))
     b[:, 0] = np.arange(4, 9)
+    node_a = ObjectNode(id=0, class_id=0, gaussian=_gauss([0, 0, 0]), eval_points=a, eval_seen=10)
+    node_b = ObjectNode(id=1, class_id=0, gaussian=_gauss([1, 0, 0]), eval_points=b, eval_seen=5)
     trials, cap = 20000, 4
     counts = np.zeros(9)
     for _ in range(trials):
-        points, _, _ = merge_point_reservoirs(a, None, 10, b, None, 5, cap, rng)
+        points = merge_gaussians(node_a, node_b, eval_point_cap=cap, rng=rng).eval_points
         counts[points[:, 0].astype(int)] += 1
     p = _successive_inclusion(np.array([10 / 4] * 4 + [5 / 5] * 5), cap)
     assert p.sum() == pytest.approx(cap)
@@ -458,7 +475,8 @@ def _reservoir_scripts(draw):
 
     Keys often take one of five values, so that ties fall at the cut; each
     point's coordinates are unique, so that any change of order shows. A
-    merge now and then passes another cap.
+    merge now and then passes another cap. A starting reservoir may come
+    without keys, which the node draws on entry; merged chunks have keys.
     """
     cap = draw(st.integers(1, 5))
     labels = iter(range(10 ** 6))
@@ -480,7 +498,7 @@ def _reservoir_scripts(draw):
     for _ in range(draw(st.integers(0, 25))):
         op = draw(st.sampled_from(["merge"] * 6 + ["points", "keys", "validate"]))
         if op == "merge":
-            kind = draw(st.sampled_from(["none", "keyed", "keyed", "keyed", "keyless"]))
+            kind = draw(st.sampled_from(["none", "keyed", "keyed", "keyed"]))
             points, keys = reservoir(kind, draw(st.integers(0, 3 * cap)))
             seen = (0 if points is None else len(points)) + draw(st.integers(0, 3))
             steps.append((op, points, keys, seen, draw(st.sampled_from([cap] * 5 + [1, 3]))))
@@ -495,20 +513,19 @@ def _reservoir_scripts(draw):
 def test_lazy_reservoir_merges_equal_the_eager_chain(script):
     # a global node's merge_eval_points defers keyed chunks; whatever is read,
     # and at the end, it must hold what the chain of merge_point_reservoirs
-    # calls would, bit for bit, having drawn the same numbers from its rng
+    # calls would, bit for bit
     cap, (points, keys, seen), steps = script
     g = GlobalSSG()
     node = g.add_node(class_id=0, gaussian=_gauss([0, 0, 0]), eval_points=points, eval_keys=keys, eval_seen=seen)
-    eager = (points, keys, seen)
-    rng_lazy, rng_eager = np.random.default_rng(7), np.random.default_rng(7)
+    eager = (points, node.eval_keys, seen)
     for step in steps:
         if step[0] == "merge":
             _, points, keys, seen, merge_cap = step
-            node.merge_eval_points(points, keys, seen, merge_cap, rng_lazy)
+            node.merge_eval_points(points, keys, seen, merge_cap)
             if eager[0] is None and points is None:
                 eager = (None, eager[1], eager[2] + seen)
             else:
-                eager = merge_point_reservoirs(*eager, points, keys, seen, merge_cap, rng_eager)
+                eager = merge_point_reservoirs(*eager, points, keys, seen, merge_cap)
             assert node.eval_seen == eager[2]
         elif step[0] == "points":
             _same_array(node.eval_points, eager[0])
@@ -523,7 +540,6 @@ def test_lazy_reservoir_merges_equal_the_eager_chain(script):
                 with pytest.raises(AssertionError, match="eval point cap exceeded"):
                     g.validate(eval_point_cap=cap)
             assert list(node._pending) == pending  # validate does not compact
-    assert rng_lazy.bit_generator.state == rng_eager.bit_generator.state
     _same_array(node.eval_points, eager[0])
     _same_array(node.eval_keys, eager[1])
     assert node.eval_seen == eager[2]
@@ -536,28 +552,26 @@ def test_lazy_reservoir_holds_at_most_twice_the_cap_plus_a_chunk():
     cap = 4
     g = GlobalSSG()
     node = g.add_node(class_id=0, gaussian=_gauss([0, 0, 0]))
-    keys_rng, merge_rng = np.random.default_rng(1), np.random.default_rng(2)
-    before = merge_rng.bit_generator.state
+    keys_rng = np.random.default_rng(1)
     held_and_pending = []
     for step in range(8):
-        node.merge_eval_points(np.full((3, 3), float(step)), keys_rng.random(3), 3, cap, merge_rng)
+        node.merge_eval_points(np.full((3, 3), float(step)), keys_rng.random(3), 3, cap)
         held = 0 if node._points is None else len(node._points)
         held_and_pending.append((held, node._pending_n))
         assert held + node._pending_n <= 2 * cap
         g.validate(eval_point_cap=cap)
     assert held_and_pending == [(0, 3), (0, 6), (4, 0), (4, 3), (4, 0), (4, 3), (4, 0), (4, 3)]
-    assert merge_rng.bit_generator.state == before  # keyed chunks draw nothing
     assert node.eval_points.shape == (4, 3) and not node._pending and node.eval_seen == 24
     # a lone chunk is the node's reservoir whole, as in the eager merge, so
     # one above the cap fails validation before it is ever compacted
     g_lone = GlobalSSG()
     lone = g_lone.add_node(class_id=0, gaussian=_gauss([1, 0, 0]))
-    lone.merge_eval_points(np.zeros((6, 3)), keys_rng.random(6), 6, cap, merge_rng)
+    lone.merge_eval_points(np.zeros((6, 3)), keys_rng.random(6), 6, cap)
     with pytest.raises(AssertionError, match="eval point cap exceeded"):
         g_lone.validate(eval_point_cap=cap)
     assert lone._pending_n == 6 and lone.eval_points.shape == (6, 3)
     # a node that breaks the bound is caught without compacting it
-    node.merge_eval_points(np.zeros((3, 3)), keys_rng.random(3), 3, cap, merge_rng)
+    node.merge_eval_points(np.zeros((3, 3)), keys_rng.random(3), 3, cap)
     node._pending_n += 2
     with pytest.raises(AssertionError, match="pending count out of sync"):
         g.validate()
@@ -576,8 +590,8 @@ def test_lazy_reservoir_compacts_before_the_cap_changes():
         eager = (None, None, 0)
         for i, cap in enumerate(caps):
             points, keys = np.full((3, 3), float(i)), keys_rng.random(3)
-            node.merge_eval_points(points, keys, 3, cap, np.random.default_rng(0))
-            eager = merge_point_reservoirs(*eager, points, keys, 3, cap, np.random.default_rng(0))
+            node.merge_eval_points(points, keys, 3, cap)
+            eager = merge_point_reservoirs(*eager, points, keys, 3, cap)
             g.validate()
         _same_array(node.eval_points, eager[0])
         _same_array(node.eval_keys, eager[1])
@@ -633,6 +647,31 @@ def test_roundtrip_preserves_everything():
     # second export is byte-identical
     assert json.dumps(export_graph(g2, vocab2)) == json.dumps(doc)
     g2.validate()
+
+
+def test_import_keys_eval_points_from_the_per_node_seed():
+    # a document carries no keys; each node's points get the A-ES keys of the
+    # generator seeded (ENTRY_KEY_SEED, id), whatever order the nodes come in
+    g = GlobalSSG()
+    for nid, k, seen in ((0, 2, 5), (3, 4, 4), (7, 1, 9), (9, 0, 0)):
+        g.add_node(class_id=0, gaussian=_gauss([nid, 0, 0]), node_id=nid, eval_points=np.full((k, 3), float(nid)),
+                   eval_seen=seen, eval_keys=np.full(k, 0.5))
+    doc = export_graph(g, _vocab())
+    forward, _ = import_graph(doc)
+    doc["nodes"].reverse()
+    backward, _ = import_graph(doc)
+    for nid, node in g.nodes.items():
+        k, seen = len(node.eval_points), node.eval_seen
+        for loaded in (forward, backward):
+            keys = loaded.nodes[nid].eval_keys
+            if k == 0:
+                assert keys is None
+            else:
+                expected = np.random.default_rng((ENTRY_KEY_SEED, nid)).random(k) ** (k / seen)
+                assert keys.tobytes() == expected.tobytes()
+            loaded.validate()
+    # keys given with the points are kept
+    assert all(np.all(n.eval_keys == 0.5) for n in g.nodes.values())
 
 
 def test_roundtrip_random_graphs_bit_exact(tmp_path):

@@ -1,7 +1,11 @@
 """Synthetic harness: generation, relation rules, rendering, moment oracle."""
 
+import importlib.util
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from scenefuse.synthetic import (
     _render_depth_map,
     generate_scene,
     load_scene_spec,
+    orbit_frames,
     render_frames,
     scene_vocab,
     spec_from_obj,
@@ -421,3 +426,23 @@ def test_oracle_rejects_bad_arguments():
         mixture_moment_oracle(g, -1.0, g, 1.0, 200_000)
     with pytest.raises(ValueError):
         mixture_moment_oracle(g, 1.0, g, 1.0, 99_999)
+
+
+def test_benchmark_orbit_inputs_stay_the_gates(tmp_path, monkeypatch):
+    # perfbench/selftest.py imports the gate's module with only src/ and the
+    # repo root on sys.path, and compares the benchmark's orbit with it; both
+    # must keep working outside pytest, and one lap must be the same bytes
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+            "from tests.test_acceptance import _benchmark_frames; print(len(_benchmark_frames(2)))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(root / "src"), str(root)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2"]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    write_frame_stream(workloads.orbit_frames(n_frames=360), tmp_path / "benchmark.jsonl")
+    write_frame_stream(orbit_frames(360), tmp_path / "synthetic.jsonl")
+    assert (tmp_path / "benchmark.jsonl").read_bytes() == (tmp_path / "synthetic.jsonl").read_bytes()
