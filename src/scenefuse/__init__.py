@@ -66,31 +66,53 @@ from .streams import (
     write_depth_map,
     write_frame_stream,
 )
-from .evaluation import (
-    GroundTruthInstance,
-    GroundTruthScene,
-    MatchResult,
-    NodeDiagnostics,
-    RecallReport,
-    collect_eval_points,
-    compute_recalls,
-    format_report,
-    load_ground_truth,
-    match_objects,
-    report_to_obj,
-    save_ground_truth,
-)
-from .synthetic import (
-    NoiseModel,
-    SceneSpec,
-    SyntheticScene,
-    generate_scene,
-    load_scene_spec,
-    render_frames,
-    scene_vocab,
-    spec_from_obj,
-    synthesize_dataset,
-)
+
+
+# The evaluation protocol and the synthetic harness are loaded on first use
+# (PEP 562), so that fusing a stream loads neither them nor what they import.
+# Each lazy name maps to the submodule that defines it; a submodule, to None.
+_LAZY = {
+    "evaluation": None,
+    "synthetic": None,
+    **dict.fromkeys((
+        "GroundTruthInstance",
+        "GroundTruthScene",
+        "MatchResult",
+        "NodeDiagnostics",
+        "RecallReport",
+        "collect_eval_points",
+        "compute_recalls",
+        "format_report",
+        "load_ground_truth",
+        "match_objects",
+        "report_to_obj",
+        "save_ground_truth",
+    ), "evaluation"),
+    **dict.fromkeys((
+        "NoiseModel",
+        "SceneSpec",
+        "SyntheticScene",
+        "generate_scene",
+        "load_scene_spec",
+        "render_frames",
+        "scene_vocab",
+        "spec_from_obj",
+        "synthesize_dataset",
+    ), "synthetic"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    owner = _LAZY[name]
+    module = importlib.import_module(f".{owner or name}", __name__)
+    value = module if owner is None else getattr(module, name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
 
 __all__ = [
     "errors",

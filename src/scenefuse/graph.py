@@ -239,14 +239,17 @@ class _GlobalNode(_GraphNode):
         """Merge a reservoir (points, keys, seen) into the node's, leaving what
         merge_point_reservoirs of the two would. A non-empty chunk must have
         keys; merges by key are associative, so it is only appended to the
-        pending list.
+        pending list. MergeContractError, before the node changes, when
+        either non-empty reservoir has no keys.
         """
+        held = self._points
         if points is None or len(points) == 0:
-            held = self._points
             if held is None or len(held) == 0:  # compaction skips an empty held reservoir
                 self._points = None if points is None else points.copy()
                 self._keys = None if keys is None else keys.copy()
         else:
+            if keys is None or (held is not None and len(held) and self._keys is None):
+                raise MergeContractError(f"node {self.id}: eval points without keys cannot be merged")
             if not self._pending:
                 self._pending = [(points, keys)]
             elif cap == self._cap:

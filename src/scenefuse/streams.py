@@ -14,9 +14,12 @@ CRLF):
      "relations": [{"subject","object": detection indices,
                     "predicate": int in [0, ID_LIMIT), "score": float in [0,1]}]}
 
-Unknown keys anywhere in a frame object are parse errors. frame_id must be
-strictly increasing across the stream. Detection local indices are positional
-(dense, 0-based). Inline centroid_depth takes precedence over depth_ref.
+A line is what Python's json module decodes (orjson decodes it first, and
+json decides whatever orjson or the one-pass check doubts; see
+parse_frame_stream). Unknown keys anywhere in a frame object are parse
+errors. frame_id must be strictly increasing across the stream. Detection
+local indices are positional (dense, 0-based). Inline centroid_depth takes
+precedence over depth_ref.
 
 Raw depth format: magic `FRDP`, version byte 0x01, width and height as u32
 little-endian, then width*height float32 little-endian values, row-major,
@@ -341,6 +344,11 @@ def parse_frame_stream(
     raises StreamOrderError — that is stream corruption, not a line-local
     problem.
     """
+    # Imported here, not with the module: a process that imports streams but
+    # parses no stream need not load it.
+    import orjson
+
+    fast_loads, doubt = orjson.loads, orjson.JSONDecodeError
     last_id = None
     # Bytes, decoded line by line: a line that is not UTF-8 raises
     # UnicodeDecodeError (a ValueError) here, where it costs only that line.
@@ -348,14 +356,25 @@ def parse_frame_stream(
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
+            # orjson accepts a subset of what json accepts and, where both
+            # accept, returns an equal object, but for an integer beyond 64
+            # bits: that comes back as the nearest float, which is what the
+            # one pass makes of it in a float field and which it refuses by
+            # type in an int field. json and the walk decide, and word the
+            # error of, every line that orjson or the one pass doubts.
             try:
-                frame = _frame_from_obj(json.loads(line.decode("utf-8")))
-            except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
-                err = FrameParseError(line_no, str(exc))
-                if on_error is None:
-                    raise err from exc
-                on_error(err)
-                continue
+                frame = _read_frame(fast_loads(line))
+            except doubt:
+                frame = None
+            if frame is None:
+                try:
+                    frame = _frame_from_obj(json.loads(line.decode("utf-8")))
+                except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
+                    err = FrameParseError(line_no, str(exc))
+                    if on_error is None:
+                        raise err from exc
+                    on_error(err)
+                    continue
             if last_id is not None and frame.frame_id <= last_id:
                 raise StreamOrderError(
                     f"line {line_no}: frame_id {frame.frame_id} not greater than {last_id}"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scenefuse.errors import InvalidEdgeError, StreamFormatError
+from scenefuse.errors import InvalidEdgeError, MergeContractError, StreamFormatError
 from scenefuse.fusion import merge_gaussians
 from scenefuse.geometry import Gaussian3D
 from scenefuse.graph import (
@@ -596,6 +596,29 @@ def test_lazy_reservoir_compacts_before_the_cap_changes():
         _same_array(node.eval_points, eager[0])
         _same_array(node.eval_keys, eager[1])
 
+
+
+def test_keyless_eval_points_refuse_a_merge_before_the_node_changes():
+    # assigning points without keys stays legal (a scorer may set a node's
+    # mean as its only point); merging into them, or merging a keyless
+    # chunk, is a contract error that leaves the node as it was
+    g = GlobalSSG()
+    node = g.add_node(class_id=0, gaussian=_gauss([0, 0, 0]))
+    node.eval_points = np.zeros((2, 3))
+    node.eval_seen = 2
+    with pytest.raises(MergeContractError, match="without keys"):
+        node.merge_eval_points(np.ones((1, 3)), np.array([0.5]), 1, 8)
+    _same_array(node.eval_points, np.zeros((2, 3)))
+    assert node.eval_keys is None and node.eval_seen == 2
+    keyed = g.add_node(class_id=0, gaussian=_gauss([1, 0, 0]), eval_points=np.zeros((1, 3)), eval_seen=1)
+    before = keyed.eval_keys.copy()
+    with pytest.raises(MergeContractError, match="without keys"):
+        keyed.merge_eval_points(np.ones((1, 3)), None, 1, 8)
+    _same_array(keyed.eval_keys, before)
+    assert keyed.eval_seen == 1
+    # an empty chunk needs no keys
+    keyed.merge_eval_points(None, None, 1, 8)
+    assert keyed.eval_seen == 2
 
 def test_export_empty_graph():
     doc = export_graph(GlobalSSG(), _vocab())

@@ -10,9 +10,11 @@ per-frame evaluation-point pass must equal the per-detection one bit for bit.
 
 The per-frame checks around the merge have references too: the one-pass
 frame reader must accept only what the per-field walk accepts, with equal
-records; the scalar pose check must reach the numpy check's verdicts; and a
+records; the scalar pose check must reach the numpy check's verdicts; a
 local graph handed over as the lift's float rows must integrate exactly as
-one of hand-built nodes.
+one of hand-built nodes; and the stream parser, which decodes with orjson
+first, must give the records and errors of a json-only reference on raw
+bytes.
 """
 
 import json
@@ -24,7 +26,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from scenefuse.errors import InvalidDepthError, InvalidDetectionError, SingularJacobianError
+from scenefuse.errors import (
+    FrameParseError, InvalidDepthError, InvalidDetectionError, SingularJacobianError, StreamOrderError,
+)
 from scenefuse.fusion import FusionConfig, _frame_eval_points, _queue_log_dets, build_local_graph, integrate
 from scenefuse.geometry import (
     BoundingBox2D,
@@ -37,7 +41,9 @@ from scenefuse.geometry import (
 from scenefuse.graph import ClassVocabulary, GlobalSSG, LocalSSG, ObjectNode, RelationEdge, export_graph
 from scenefuse.streams import (
     ID_LIMIT, DepthMap, Detection, FrameRecord, Relation2D, _frame_from_obj, _read_frame, _walk_frame,
+    frame_to_obj, parse_frame_stream,
 )
+from scenefuse.synthetic import orbit_frames
 
 import reference_fusion
 
@@ -630,3 +636,154 @@ def test_lifted_rows_integrate_as_hand_built_nodes(stream):
     g_rows.validate()
     vocab = ClassVocabulary(("c0", "c1", "c2"), ("p0", "p1", "p2"))
     assert json.dumps(export_graph(g_rows, vocab)) == json.dumps(export_graph(g_nodes, vocab))
+
+
+# -- the stream parser against its json-only reference --------------------------
+
+
+def _reference_parse(path, on_error=None):
+    """parse_frame_stream with json decoding every line: the stream grammar."""
+    last_id = None
+    with open(path, "rb") as f:
+        for line_no, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                frame = _frame_from_obj(json.loads(line.decode("utf-8")))
+            except (ValueError, RecursionError) as exc:
+                err = FrameParseError(line_no, str(exc))
+                if on_error is None:
+                    raise err from exc
+                on_error(err)
+                continue
+            if last_id is not None and frame.frame_id <= last_id:
+                raise StreamOrderError(f"line {line_no}: frame_id {frame.frame_id} not greater than {last_id}")
+            last_id = frame.frame_id
+            yield frame
+
+
+def _outcome(parse, path, skip: bool) -> list:
+    """Every record and error a parser gives for a file, in order."""
+    events = []
+    on_error = (lambda err: events.append(("error", err.line_no, str(err)))) if skip else None
+    try:
+        for frame in parse(path, on_error=on_error):
+            events.append(("frame", _record(frame)))
+    except FrameParseError as exc:
+        events.append(("raised", exc.line_no, str(exc)))
+    except StreamOrderError as exc:
+        events.append(("order", str(exc)))
+    return events
+
+
+def _assert_parsers_agree(path, data: bytes) -> None:
+    path.write_bytes(data)
+    for skip in (True, False):
+        assert _outcome(parse_frame_stream, path, skip) == _outcome(_reference_parse, path, skip)
+
+
+# number and string literals that one decoder may read otherwise than the
+# other: past 64 bits, past the float range, non-finite, lone surrogates
+_RAW_TOKENS = [
+    "9223372036854775807", "9223372036854775808", "18446744073709551615", "18446744073709551616",
+    "-9223372036854775808", "-9223372036854775809", "1" + "0" * 399, "-" + "7" * 400, "1" * 19 + ".5",
+    "123456789012345678901234567890", "1e400", "-1e400", "1e-400", "4.9e-324", "2.4703282292062328e-324",
+    "1.7976931348623157e308", "1.7976931348623159e308", "NaN", "Infinity", "-Infinity", "-0", "-0.0", "1E2",
+    '"\\ud800"', '"\\udc00x"', '"\\ud83d\\ude00"', '"\\u0000"', '"\\u00e9"', '"é"',
+    "[" * 3000 + "]" * 3000,
+]
+_SENTINEL = "\x00raw{}\x00"
+
+
+def _line_with_tokens(obj, slots: list, tokens: list) -> bytes:
+    """obj as a JSON line with each given slot's value written as a raw token."""
+    for i, (container, key) in enumerate(slots):
+        container[key] = _SENTINEL.format(i)
+    text = json.dumps(obj)
+    for i, token in enumerate(tokens):
+        text = text.replace(json.dumps(_SENTINEL.format(i)), token)
+    return text.encode("utf-8")
+
+
+_SYNTHETIC_LINES = [json.dumps(frame_to_obj(f), separators=(",", ":")).encode() for f in orbit_frames(6, 4)]
+_INTERESTING_BYTES = b'{}[]",:0123456789.-+eE\\u \t\r\n\x00\x7f\x80\xbf\xc0\xed\xef\xff'
+
+
+@st.composite
+def raw_streams(draw):
+    """A stream of a few lines, each a valid frame (synthetic or drawn), one
+    with raw tokens in some slots, one with a byte replaced, dropped or
+    inserted, or one with a BOM, a duplicate key, deep nesting, bytes that
+    are not UTF-8; LF or CRLF endings, blank lines, frame ids in order or not."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            line = draw(st.sampled_from(_SYNTHETIC_LINES))
+        else:
+            line = json.dumps(draw(frame_objects())).encode()
+        kind = draw(st.sampled_from(["valid", "tokens", "tokens", "byte", "byte", "bom", "duplicate",
+                                     "nested", "not_utf8", "frame_id"]))
+        if kind == "tokens":
+            obj = json.loads(line)
+            slots = _slots(obj, [])
+            picked = draw(st.lists(st.sampled_from(range(len(slots))), min_size=1, max_size=3, unique=True))
+            tokens = [draw(st.sampled_from(_RAW_TOKENS)) for _ in picked]
+            line = _line_with_tokens(obj, [slots[k] for k in picked], tokens)
+        elif kind == "byte":
+            at = draw(st.integers(0, len(line)))
+            byte = bytes([draw(st.one_of(st.sampled_from(_INTERESTING_BYTES), st.integers(0, 255)))])
+            op = draw(st.sampled_from(["replace", "drop", "insert"]))
+            if op == "insert" or at == len(line):
+                line = line[:at] + byte + line[at:]
+            else:
+                line = line[:at] + (byte if op == "replace" else b"") + line[at + 1:]
+        elif kind == "bom":
+            line = b"\xef\xbb\xbf" + line
+        elif kind == "duplicate":  # the later value wins in both decoders
+            key = draw(st.sampled_from([b'"frame_id": 1', b'"relations": []', b'"frame_id": 0.5', b'"x": 1']))
+            line = b"{" + key + b", " + line[1:]
+        elif kind == "nested":
+            obj = json.loads(line)
+            depth = draw(st.sampled_from([10, 500, 999, 1024, 1025, 3000]))
+            line = _line_with_tokens(obj, [draw(st.sampled_from(_slots(obj, [])))], ["[" * depth + "]" * depth])
+        elif kind == "not_utf8":
+            bad = draw(st.sampled_from([b"\xff", b"\xc0\xaf", b"\xed\xa0\x80", b"\xe9", b"\xf4\x90\x80\x80"]))
+            at = draw(st.integers(1, len(line) - 1))
+            line = line[:at] + bad + line[at:]
+        elif kind == "frame_id":  # out of order, equal, or past 64 bits
+            obj = json.loads(line)
+            obj["frame_id"] = "__id__"
+            token = draw(st.sampled_from(["0", "5", "18446744073709551616", "2" * 40, "7.0"]))
+            line = json.dumps(obj).replace('"__id__"', token).encode()
+        lines.append(line)
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from([b"", b"  ", b"\t"])))
+    ending = draw(st.sampled_from([b"\n", b"\r\n"]))
+    data = ending.join(lines)
+    return data + ending if draw(st.booleans()) else data
+
+
+@pytest.fixture(scope="module")
+def stream_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("streams") / "frames.jsonl"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(SETTINGS, max_examples=500)
+@given(data=raw_streams())
+def test_stream_parser_matches_json_reference(stream_file, data):
+    _assert_parsers_agree(stream_file, data)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stream_parser_on_every_raw_token(stream_file):
+    """Each raw token in each slot of a valid frame, and each slot of a
+    synthetic frame given a number past 64 bits, as its own stream."""
+    base = json.loads(_SYNTHETIC_LINES[1])
+    base["relations"] = [{"subject": 0, "object": 1, "predicate": 3, "score": 0.5}]
+    base["detections"][0]["depth_ref"] = "d/1.frdp"
+    for k in range(len(_slots(base, []))):
+        for token in _RAW_TOKENS:
+            obj = json.loads(json.dumps(base))
+            line = _line_with_tokens(obj, [_slots(obj, [])[k]], [token])
+            _assert_parsers_agree(stream_file, line + b"\n")

@@ -435,7 +435,7 @@ def test_benchmark_orbit_inputs_stay_the_gates(tmp_path, monkeypatch):
     root = Path(__file__).resolve().parent.parent
     code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
             "from tests.test_acceptance import _benchmark_frames; print(len(_benchmark_frames(2)))")
-    done = subprocess.run([sys.executable, "-I", "-c", code, str(root / "src"), str(root)],
+    done = subprocess.run([sys.executable, "-B", "-I", "-c", code, str(root / "src"), str(root)],
                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["2"]
