@@ -13,9 +13,7 @@ Exit codes, shared by every subcommand:
 frame at a time, on one thread, and writes the final graph as JSON.
 ``--bench`` collects per-frame wall times for the parse, lift, and merge
 stages separately and writes mean/median/p99 per stage plus end-to-end FPS
-next to the output graph. ``--skip-bad-lines`` logs each malformed frame
-line as a WARNING and goes on (the bench report lists them); without it the
-first one ends the run with exit code 2.
+next to the output graph.
 
 ``eval`` matches a saved graph against a ground-truth scene and prints the
 five headline recall numbers; ``synth`` materializes a synthetic dataset
@@ -43,17 +41,20 @@ import numpy as np
 from .errors import (
     ConfigError,
     EvaluationError,
-    FrameParseError,
     GenerationError,
     SceneFuseError,
     StreamFormatError,
 )
-from .fusion import process_frame
+from .evaluation import (
+    compute_recalls,
+    load_ground_truth,
+    match_objects,
+    report_to_obj,
+)
+from .fusion import FusionConfig, process_frame
 from .graph import ClassVocabulary, GlobalSSG, load_graph, save_graph, to_dot
 from .streams import DepthCache, RunConfig, load_run_config, parse_frame_stream
-
-# `eval`, `synth` and `sweep` import the evaluation protocol and the synthetic
-# harness in their handlers, so that `run` loads neither.
+from .synthetic import load_scene_spec, scene_vocab, synthesize_dataset
 
 log = logging.getLogger(__name__)
 
@@ -66,10 +67,10 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _timed_frames(path, on_error=None):
+def _timed_frames(path):
     """Yield (parse_seconds, frame) so bench can cost the parse stage
     separately from lift and merge."""
-    it = parse_frame_stream(path, on_error=on_error)
+    it = parse_frame_stream(path)
     while True:
         t0 = time.perf_counter()
         try:
@@ -115,11 +116,10 @@ def _stage_stats(seconds: list[float]) -> dict:
     }
 
 
-def _bench_report(parse_s, lift_s, merge_s, n_frames, wall_seconds, skipped, bad_lines) -> dict:
+def _bench_report(parse_s, lift_s, merge_s, n_frames, wall_seconds, skipped) -> dict:
     return {
         "frames": n_frames,
         "skipped_frames": skipped,
-        "skipped_lines": [{"line": err.line_no, "error": str(err)} for err in bad_lines],
         "wall_seconds": wall_seconds,
         "fps": (n_frames / wall_seconds) if wall_seconds > 0 else 0.0,
         "stages": {
@@ -148,14 +148,8 @@ def _print_bench(report: dict, out) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _execute_run(
-    cfg: RunConfig, skip_bad_lines: bool = False
-) -> tuple[GlobalSSG, ClassVocabulary, dict | None]:
-    """Shared engine loop for `run` and `sweep`; returns (graph, vocab, bench).
-
-    With skip_bad_lines a malformed frame line is logged as a WARNING and
-    skipped; otherwise its FrameParseError ends the run.
-    """
+def _execute_run(cfg: RunConfig) -> tuple[GlobalSSG, ClassVocabulary, dict | None]:
+    """Shared engine loop for `run` and `sweep`; returns (graph, vocab, bench)."""
     if cfg.input is None:
         raise ConfigError("no input stream given (flag --input or config key)")
     state = GlobalSSG()
@@ -167,14 +161,8 @@ def _execute_run(
     merge_s: list[float] = []
     n_frames = 0
     skipped = 0
-    bad_lines: list[FrameParseError] = []
-
-    def skip_line(err: FrameParseError) -> None:
-        log.warning("skipped %s", err)
-        bad_lines.append(err)
-
     t_start = time.perf_counter()
-    for parse_dt, frame in _timed_frames(cfg.input, skip_line if skip_bad_lines else None):
+    for parse_dt, frame in _timed_frames(cfg.input):
         res = process_frame(
             frame,
             state,
@@ -194,7 +182,7 @@ def _execute_run(
 
     bench = None
     if cfg.bench:
-        bench = _bench_report(parse_s, lift_s, merge_s, n_frames, wall, skipped, bad_lines)
+        bench = _bench_report(parse_s, lift_s, merge_s, n_frames, wall, skipped)
     vocab = _vocab_for_run(cfg, state)
     return state, vocab, bench
 
@@ -214,7 +202,7 @@ def cmd_run(args) -> int:
     if cfg.output is None:
         raise ConfigError("no output path given (flag --output or config key)")
 
-    state, vocab, bench = _execute_run(cfg, skip_bad_lines=args.skip_bad_lines)
+    state, vocab, bench = _execute_run(cfg)
     save_graph(cfg.output, state, vocab)
     if cfg.export_dot:
         Path(cfg.export_dot).write_text(to_dot(state, vocab), encoding="utf-8")
@@ -245,8 +233,6 @@ def _headline_row(report) -> str:
 
 
 def cmd_eval(args) -> int:
-    from .evaluation import compute_recalls, load_ground_truth, match_objects, report_to_obj
-
     pred, vocab = load_graph(args.pred)
     gt = load_ground_truth(args.gt)
     match = match_objects(pred, gt)
@@ -266,8 +252,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .synthetic import load_scene_spec, synthesize_dataset
-
     spec = load_scene_spec(args.spec)
     scene = synthesize_dataset(
         spec, args.out_frames, args.out_gt, depth_dir=args.depth_dir
@@ -297,9 +281,6 @@ def _parse_thresholds(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    from .evaluation import compute_recalls, load_ground_truth, match_objects, report_to_obj
-    from .synthetic import load_scene_spec, synthesize_dataset
-
     thresholds = _parse_thresholds(args.thresholds)
     base = load_run_config(args.config) if args.config else RunConfig()
     base.record_eval_points = True
@@ -372,12 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep a reservoir of lifted centers per node for evaluation",
     )
     p_run.add_argument("--bench", action="store_true", help="collect per-stage latency stats")
-    p_run.add_argument(
-        "--skip-bad-lines",
-        dest="skip_bad_lines",
-        action="store_true",
-        help="log a malformed frame line as a warning and go on (default: exit 2 at the first one)",
-    )
     p_run.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="score a graph against ground truth")

@@ -154,18 +154,6 @@ def _as_int(v, where: str, lo: int | None = None, hi: int | None = None) -> int:
     return v
 
 
-def _frame_from_obj(obj) -> FrameRecord:
-    """The FrameRecord of one decoded frame line; ValueError says what is wrong.
-
-    A valid frame is read in one pass (_read_frame). Whatever that pass
-    doubts goes to the per-field walk (_walk_frame), which decides and is
-    the only code that words an error; the one pass accepts only frames the
-    walk accepts, with equal records, so the walk defines the grammar.
-    """
-    frame = _read_frame(obj)
-    return _walk_frame(obj) if frame is None else frame
-
-
 def _real(v) -> float:
     """float(v) for an int or a float; TypeError for anything else, bool included."""
     t = type(v)
@@ -244,8 +232,11 @@ def _read_frame(obj) -> FrameRecord | None:
 
 
 def _walk_frame(obj) -> FrameRecord:
-    """_frame_from_obj field by field: the first field that is wrong raises
-    ValueError with the field's path in its message."""
+    """The FrameRecord of one decoded frame line, checked field by field: the
+    first field that is wrong raises ValueError with the field's path in its
+    message. The walk defines the frame grammar and is the only code that
+    words an error; _read_frame accepts only frames the walk accepts, with
+    equal records."""
     if not isinstance(obj, dict):
         raise ValueError("frame line must be a JSON object")
     _require_keys(obj, _FRAME_KEYS, _FRAME_KEYS, "frame")
@@ -368,7 +359,7 @@ def parse_frame_stream(
                 frame = None
             if frame is None:
                 try:
-                    frame = _frame_from_obj(json.loads(line.decode("utf-8")))
+                    frame = _walk_frame(json.loads(line.decode("utf-8")))
                 except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
                     err = FrameParseError(line_no, str(exc))
                     if on_error is None:

@@ -597,7 +597,6 @@ def test_lazy_reservoir_compacts_before_the_cap_changes():
         _same_array(node.eval_keys, eager[1])
 
 
-
 def test_keyless_eval_points_refuse_a_merge_before_the_node_changes():
     # assigning points without keys stays legal (a scorer may set a node's
     # mean as its only point); merging into them, or merging a keyless
@@ -619,6 +618,7 @@ def test_keyless_eval_points_refuse_a_merge_before_the_node_changes():
     # an empty chunk needs no keys
     keyed.merge_eval_points(None, None, 1, 8)
     assert keyed.eval_seen == 2
+
 
 def test_export_empty_graph():
     doc = export_graph(GlobalSSG(), _vocab())
