@@ -13,29 +13,24 @@ log-determinant form:
 
 A pair whose averaged covariance has determinant below det_min, or one of
 whose covariances is degenerate (log-determinant -inf), has B = +inf and is
-unmergeable. The determinant uses the same first-row cofactor expansion as
-graph.det3x3, so identical inputs whose log-determinants were taken with the
-same log give a distance of exactly 0.0. `bhattacharyya` is the one
-implementation of the formula: the engine's scorer and the public
-fusion.bhattacharyya and fusion.hellinger all go through it.
-
-The operation order matches a numpy evaluation of the same formulas
-element by element, and log/exp go through numpy's scalar ufuncs (math.exp
-differs from numpy's exp in the last bit on a few percent of inputs), so the
-results are bit-identical to the vectorized form kept in tests/.
+unmergeable. The callers take log det A and log det B from graph.log_det9,
+whose determinant is the same first-row cofactor expansion as det S here,
+and every log and exp goes through math; so identical inputs give a
+distance of exactly 0.0. `bhattacharyya` is the one implementation of the
+formula: the engine's scorer and the public fusion.bhattacharyya and
+fusion.hellinger all go through it, and a merge records the distance that
+fusion.hellinger returns for the same pair.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 # No kernel is jitted; the flag stays for callers that record it (perfbench).
 HAVE_NUMBA = False
 
-_log = np.log
-_exp = np.exp
+_log = math.log
+_exp = math.exp
 _sqrt = math.sqrt
 _INF = math.inf
 
@@ -76,7 +71,19 @@ def bhattacharyya(mean_a, cov_a, logdet_a, mean_b, cov_b, logdet_b, det_min, bou
     b = 0.125 * quad / det
     if b > bound:
         return _INF
-    return b + 0.5 * (float(_log(det)) - 0.5 * (logdet_a + logdet_b))
+    return b + 0.5 * (_log(det) - 0.5 * (logdet_a + logdet_b))
+
+
+def hellinger_of(b):
+    """The Hellinger distance sqrt(1 - exp(-B)) of a Bhattacharyya distance B.
+
+    0.0 for B <= 0, which only rounding or a covariance that is not positive
+    definite gives (exp(-B) is then never taken, so it cannot overflow), and
+    NaN for NaN.
+    """
+    if b > 0.0:
+        return _sqrt(1.0 - _exp(-b))
+    return 0.0 if b == b else b
 
 
 def _closest(mean, cov, logdet, means, covs, logdets, ids, det_min, bound):
@@ -90,12 +97,8 @@ def _closest(mean, cov, logdet, means, covs, logdets, ids, det_min, bound):
         b = bhattacharyya(mean, cov, logdet, means[j], covs[j], logdets[j], det_min, bound)
         if b == _INF:
             continue  # unmergeable, or beyond the bound
-        x = 1.0 - float(_exp(-b))
-        if x > 0.0:
-            h = _sqrt(x)
-        elif x == x:
-            h = 0.0
-        else:
+        h = hellinger_of(b)
+        if h != h:
             return -1, _INF
         if h < best:
             best_k, best = k, h

@@ -43,7 +43,6 @@ from .graph import (
     RelationEdge,
     _GraphNode,
     _aes_keys,
-    det9,
     log_det9,
     merge_point_reservoirs,
     top_keys,
@@ -65,7 +64,6 @@ class FusionConfig:
     confidence_threshold: detections scoring below it are dropped at ingest.
     top_k_relations: per-frame cap on relations kept after deduplication.
     min_depth: centroid depths below this reject the detection.
-    jacobian_mode: "camera-frame" (default) or "pixel"; see geometry.lift_detection.
     eval_point_cap: per-node reservoir size for evaluation points.
     """
 
@@ -73,7 +71,6 @@ class FusionConfig:
     confidence_threshold: float = 0.7
     top_k_relations: int = 10
     min_depth: float = Z_MIN
-    jacobian_mode: str = "camera-frame"
     eval_point_cap: int = 256
 
     def validate(self) -> None:
@@ -85,8 +82,6 @@ class FusionConfig:
             raise ValueError("top_k_relations must be >= 0")
         if not (self.min_depth > 0.0):
             raise ValueError("min_depth must be positive")
-        if self.jacobian_mode not in ("camera-frame", "pixel"):
-            raise ValueError(f"unknown jacobian_mode: {self.jacobian_mode!r}")
         if self.eval_point_cap < 1:
             raise ValueError("eval_point_cap must be >= 1")
 
@@ -118,14 +113,14 @@ class FrameResult:
 def bhattacharyya(a: Gaussian3D, b: Gaussian3D) -> float:
     """Bhattacharyya distance between two 3D Gaussians.
 
-    Uses the log-determinant form (the engine's kernel, _accel.bhattacharyya)
-    so the distance is exactly 0.0 for bit-identical inputs. Raises
-    DegenerateCovarianceError if either input covariance, or their average,
-    has determinant below the guard.
+    The engine's kernel (_accel.bhattacharyya) on log-dets from
+    graph.log_det9, as integrate scores a pair, so the distance is exactly
+    0.0 for bit-identical inputs. Raises DegenerateCovarianceError if either
+    input covariance, or their average, has determinant below the guard.
     """
     cov_a = a.cov.reshape(9).tolist()
     cov_b = b.cov.reshape(9).tolist()
-    ld_a, ld_b = _queue_log_dets([cov_a, cov_b])
+    ld_a, ld_b = log_det9(cov_a), log_det9(cov_b)
     for ld, who in ((ld_a, "first"), (ld_b, "second")):
         if ld == _NEG_INF:
             raise DegenerateCovarianceError(f"{who} covariance has determinant <= {DET_MIN:g}")
@@ -136,8 +131,10 @@ def bhattacharyya(a: Gaussian3D, b: Gaussian3D) -> float:
 
 
 def hellinger(a: Gaussian3D, b: Gaussian3D) -> float:
-    """Hellinger distance in [0, 1): sqrt(1 - exp(-B))."""
-    return math.sqrt(max(1.0 - math.exp(-bhattacharyya(a, b)), 0.0))
+    """Hellinger distance in [0, 1): sqrt(1 - exp(-B)). A merge that integrate
+    records (MergeEvent.distance) has exactly this distance of the two
+    Gaussians it merged."""
+    return _accel.hellinger_of(bhattacharyya(a, b))
 
 
 def merge_moments(
@@ -339,7 +336,7 @@ def build_local_graph(
     row_covs: list[list[float]] = []
     if lifts:
         boxes = np.array([(det.cx, det.cy, det.w, det.h) for _, det, _ in lifts])
-        means, covs, errors = lift_detections(boxes, np.array(depths), cam, pose, jacobian_mode=cfg.jacobian_mode)
+        means, covs, errors = lift_detections(boxes, np.array(depths), cam, pose)
         for k, (det_idx, _, _) in enumerate(lifts):
             if errors[k] is None:
                 kept.append(k)
@@ -408,21 +405,6 @@ def _gate_bound(threshold: float) -> float:
     return -math.log1p(-threshold * threshold) * (1.0 + _CULL_MARGIN)
 
 
-def _queue_log_dets(covs: list[list[float]]) -> list[float]:
-    """log dets of queued local nodes' 9-float covariances, -inf if degenerate.
-
-    Queued nodes take numpy's log, in one call over the frame, and graph rows
-    math.log (graph.log_det9). The two differ in the last bit on a few
-    inputs; each side keeps the one the merge decisions are defined with
-    (tests/reference_fusion.py). The public bhattacharyya takes numpy's log
-    too, the same log the kernel applies to det S, so that a Gaussian's
-    distance to itself is exactly 0.0.
-    """
-    dets = [det9(c) for c in covs]
-    logs = np.log([d if DET_MIN < d < math.inf else 1.0 for d in dets]).tolist()
-    return [ld if DET_MIN < d < math.inf else _NEG_INF for d, ld in zip(dets, logs)]
-
-
 # Padding of the x slab searched for global candidates: relative, for the
 # rounding of its half-width, and relative to |x|, for the rounding of x -/+ w.
 _SLAB_PAD = 1.0 + 1e-9
@@ -475,7 +457,7 @@ def integrate(
     carried = [[node.id] for node in nodes]
     qm = list(local.row_means)
     qc = list(local.row_covs)
-    qld = _queue_log_dets(qc)
+    qld = [log_det9(c) for c in qc]
     qtr = [c[0] + c[4] + c[8] for c in qc]
     peers_of: dict[int, list[int]] = {}
     for i, cid in enumerate(cls):

@@ -266,13 +266,11 @@ def lift_detection(
     z: float,
     cam: CameraIntrinsics,
     pose: CameraPose,
-    jacobian_mode: str = "camera-frame",
 ) -> Gaussian3D:
     """Lift one detection plus centroid depth into a world-frame Gaussian3D.
 
-    jacobian_mode selects where the projection Jacobian is evaluated:
-    "camera-frame" (default) uses the back-projected 3D point z*K^-1(p,1);
-    "pixel" substitutes the raw pixel coordinates (px, py, z) directly.
+    The projection Jacobian is evaluated at the back-projected camera-frame
+    point z*K^-1(p,1).
     """
     _check_depth(z)
     g2 = bbox_to_gaussian2d(bbox)
@@ -280,13 +278,7 @@ def lift_detection(
     x_cam = (px - cam.cx) / cam.fx * z
     y_cam = (py - cam.cy) / cam.fy * z
     cam_pt = np.array([x_cam, y_cam, z])
-    if jacobian_mode == "camera-frame":
-        J = projection_jacobian(cam_pt, cam)
-    elif jacobian_mode == "pixel":
-        J = projection_jacobian(np.array([px, py, z]), cam)
-    else:
-        raise ValueError(f"unknown jacobian_mode {jacobian_mode!r}")
-    cov = backproject_covariance(g2.cov, J, pose)
+    cov = backproject_covariance(g2.cov, projection_jacobian(cam_pt, cam), pose)
     mean = pose.rotation @ cam_pt + pose.translation
     return Gaussian3D(mean=mean, cov=cov)
 
@@ -296,7 +288,6 @@ def lift_detections(
     z: np.ndarray,
     cam: CameraIntrinsics,
     pose: CameraPose,
-    jacobian_mode: str = "camera-frame",
 ) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
     """lift_detection over a stack of detections, bit-identical row by row.
 
@@ -309,8 +300,6 @@ def lift_detections(
     products are stacked np.matmul calls, which round exactly as `@` on each
     matrix does.
     """
-    if jacobian_mode not in ("camera-frame", "pixel"):
-        raise ValueError(f"unknown jacobian_mode {jacobian_mode!r}")
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     z = np.asarray(z, dtype=np.float64).reshape(-1)
     n = len(z)
@@ -326,14 +315,13 @@ def lift_detections(
     with np.errstate(all="ignore"):  # rows with an error may divide by zero
         x_cam = (px - cam.cx) / cam.fx * z
         y_cam = (py - cam.cy) / cam.fy * z
-        jx, jy = (x_cam, y_cam) if jacobian_mode == "camera-frame" else (px, py)
         inv_z = 1.0 / z
         inv_z2 = inv_z * inv_z
         J = np.zeros((n, 2, 3))
         J[:, 0, 0] = cam.fx * inv_z
-        J[:, 0, 2] = -cam.fx * jx * inv_z2
+        J[:, 0, 2] = -cam.fx * x_cam * inv_z2
         J[:, 1, 1] = cam.fy * inv_z
-        J[:, 1, 2] = -cam.fy * jy * inv_z2
+        J[:, 1, 2] = -cam.fy * y_cam * inv_z2
         m00, m01, m02 = J[:, 0, 0], J[:, 0, 1], J[:, 0, 2]
         m10, m11, m12 = J[:, 1, 0], J[:, 1, 1], J[:, 1, 2]
         # closed-form pseudo-inverse J.T @ (J @ J.T)^-1, as jacobian_pseudoinverse

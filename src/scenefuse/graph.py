@@ -284,7 +284,6 @@ class GlobalSSG:
 
     nodes:       id -> ObjectNode
     edges:       (subject_id, object_id) -> RelationEdge
-    class_index: class_id -> ascending list of node ids
     next_id:     monotone id counter, never reused
 
     Node Gaussians are stored once, as Python floats indexed by node id:
@@ -293,13 +292,13 @@ class GlobalSSG:
     these rows directly; a node's `gaussian` is built from its row when read.
     Per class, node ids are also kept in order of mean x, with an upper bound
     on the covariance traces, so that the engine can find the nodes near a
-    point (`x_range`, `trace_bound`).
+    point (`x_range`, `trace_bound`); this order is the only index of nodes
+    by class.
     """
 
     def __init__(self):
         self.nodes: dict[int, ObjectNode] = {}
         self.edges: dict[tuple[int, int], RelationEdge] = {}
-        self.class_index: dict[int, list[int]] = {}
         self.next_id: int = 0
         self.row_means: list[list[float] | None] = []
         self.row_covs: list[list[float] | None] = []
@@ -367,11 +366,6 @@ class GlobalSSG:
         node = _GlobalNode(self.row_means, self.row_covs, nid, class_id, weight, score_sum,
                            eval_points, eval_seen, eval_keys, gaussian)
         self.nodes[nid] = node
-        ids = self.class_index.setdefault(class_id, [])
-        if ids and nid < ids[-1]:
-            bisect.insort(ids, nid)
-        else:
-            ids.append(nid)
         if class_id not in self._x_order:
             self._x_order[class_id] = ([], [])
             self._trace_bound[class_id] = -math.inf
@@ -429,14 +423,12 @@ class GlobalSSG:
 
     def validate(self, eval_point_cap: int | None = None) -> None:
         """Check every structural invariant; raises AssertionError on breakage."""
-        indexed = sorted(i for ids in self.class_index.values() for i in ids)
-        assert indexed == sorted(self.nodes), "class_index out of sync with nodes"
-        for cid, ids in self.class_index.items():
-            assert all(self.nodes[i].class_id == cid for i in ids), "class_index class mismatch"
-            assert ids == sorted(ids), "class_index not ascending"
-            xs, by_x = self._x_order[cid]
-            assert sorted(by_x) == ids, "x order out of sync with class_index"
-            assert xs == sorted(xs) and xs == [self.row_means[i][0] for i in by_x], "x order broken"
+        # every node sits in its own class's x order, once, and in no other
+        indexed = sorted(i for _, ids in self._x_order.values() for i in ids)
+        assert indexed == sorted(self.nodes), "x order out of sync with nodes"
+        for cid, (xs, ids) in self._x_order.items():
+            assert all(self.nodes[i].class_id == cid for i in ids), "x order class mismatch"
+            assert xs == sorted(xs) and xs == [self.row_means[i][0] for i in ids], "x order broken"
             bound = self._trace_bound[cid]
             assert all(c[0] + c[4] + c[8] <= bound for c in (self.row_covs[i] for i in ids)), "trace bound"
         for (s, o), edge in self.edges.items():

@@ -176,10 +176,8 @@ def log_det3x3_batch(a: np.ndarray) -> np.ndarray:
         - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
         + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0])
     )
-    ok = (d > DET_MIN) & np.isfinite(d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(ok, np.log(np.where(ok, d, 1.0)), -np.inf)
-    return out
+    # the logs one at a time through math, as graph.log_det9 takes them
+    return np.array([math.log(x) if DET_MIN < x < math.inf else -math.inf for x in d.tolist()])
 
 
 def merge_moments_np(w_a, mean_a, cov_a, w_b, mean_b, cov_b, out_mean, out_cov):
@@ -219,8 +217,12 @@ def hellinger_scan_np(mean, cov, logdet, means, covs, logdets, ids, det_min, out
         a00 * d0 * d0 + a11 * d1 * d1 + a22 * d2 * d2
         + 2.0 * (a01 * d0 * d1 + a02 * d0 * d2 + a12 * d1 * d2)
     )
-    b = 0.125 * quad / det_safe + 0.5 * (np.log(det_safe) - 0.5 * (logdet + logdets[ids]))
-    h = np.sqrt(np.maximum(1.0 - np.exp(-b), 0.0))
+    # logs and exps one element at a time through math, as the engine's kernel takes them
+    log_det = np.array([math.log(x) for x in det_safe.tolist()])
+    b = 0.125 * quad / det_safe + 0.5 * (log_det - 0.5 * (logdet + logdets[ids]))
+    # (for B < 0 the distance is 0 whatever exp(-B) is, and math.exp(-B) could overflow)
+    exp_neg_b = np.array([math.exp(min(x, 0.0)) for x in (-b).tolist()])
+    h = np.sqrt(np.maximum(1.0 - exp_neg_b, 0.0))
     # B = +inf (a degenerate candidate, log det -inf) is unmergeable, as in the engine
     out[: len(ids)] = np.where(bad | (b == np.inf), np.inf, h)
 
@@ -352,7 +354,10 @@ def integrate(
         while True:
             peers = local_by_class[slot.class_id]
             cand_q = peers[alive[peers]]
-            cand_g = np.asarray(global_graph.class_index.get(slot.class_id, ()), dtype=np.int64)
+            cand_g = np.asarray(
+                sorted(nid for nid, n in global_graph.nodes.items() if n.class_id == slot.class_id),
+                dtype=np.int64,
+            )
             g_means, g_covs, g_logdets = graph_arrays(global_graph)
             best_q, dq, best_g, dg = best_match_np(
                 q_means[i], q_covs[i], q_logdets[i],

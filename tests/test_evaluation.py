@@ -315,9 +315,6 @@ def test_object_recall_per_class_averaging():
 def test_wrong_class_match_not_counted_for_objects_but_ok_for_predicates():
     gt, g, n0, n1 = _matched_scene()
     g.nodes[n0.id].class_id = 2  # lamp instead of chair
-    g.class_index.clear()
-    for nid, node in g.nodes.items():
-        g.class_index.setdefault(node.class_id, []).append(nid)
     g.accumulate_edge(n0.id, n1.id, {0: [1, 0.9]})
     m = match_objects(g, gt)
     rep = compute_recalls(m, g, gt, _vocab())

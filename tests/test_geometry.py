@@ -314,22 +314,6 @@ def test_lift_rejects_zero_depth():
         lift_detection(bbox, 0.0, _cam(), _pose())
 
 
-def test_lift_pixel_mode_differs_off_axis_only():
-    cam = _cam(fx=500.0, cx=320.0, cy=240.0)
-    centered = BoundingBox2D(center=(320.0, 240.0), width=40.0, height=40.0, score=1.0, class_id=0)
-    off = BoundingBox2D(center=(500.0, 100.0), width=40.0, height=40.0, score=1.0, class_id=0)
-    # On the principal ray the camera-frame point is (0,0,z) while the pixel
-    # triple is (320,240,z): the Jacobian columns differ, so only means agree.
-    a = lift_detection(centered, 2.0, cam, _pose(), jacobian_mode="camera-frame")
-    b = lift_detection(centered, 2.0, cam, _pose(), jacobian_mode="pixel")
-    np.testing.assert_allclose(a.mean, b.mean, atol=1e-12)
-    a = lift_detection(off, 2.0, cam, _pose(), jacobian_mode="camera-frame")
-    b = lift_detection(off, 2.0, cam, _pose(), jacobian_mode="pixel")
-    assert not np.allclose(a.cov, b.cov)
-    with pytest.raises(ValueError):
-        lift_detection(off, 2.0, cam, _pose(), jacobian_mode="bogus")
-
-
 # ---------------------------------------------------------------------------
 # validation utilities
 # ---------------------------------------------------------------------------

@@ -136,7 +136,10 @@ def test_add_node_assigns_dense_ids_and_class_index():
     g = _populated_graph()
     assert sorted(g.nodes) == [0, 1, 2]
     assert g.next_id == 3
-    assert g.class_index == {0: [0, 2], 1: [1]}
+    everywhere = (-math.inf, math.inf)
+    assert sorted(g.x_range(0, *everywhere)) == [0, 2]
+    assert g.x_range(1, *everywhere) == [1]
+    assert g.x_range(2, *everywhere) == []
 
 
 def test_add_node_rejects_duplicate_id():
@@ -208,10 +211,23 @@ def test_validate_detects_row_corruption():
     def lower_trace_bound(g):
         g._trace_bound[0] = 2.9  # both class-0 covariances have trace 3
 
+    def drop_from_x_order(g):
+        xs, ids = g._x_order[1]
+        del xs[0], ids[0]
+
+    def change_class(g):
+        g.nodes[1].class_id = 0  # still in class 1's x order
+
+    def list_twice(g):
+        g._x_order[1] = ([0.0, 0.0], [1, 1])
+
     for corrupt, message in (
         (corrupt_logdet, "log-determinant out of sync"),
         (corrupt_x_order, "x order broken"),
         (lower_trace_bound, "trace bound"),
+        (drop_from_x_order, "x order out of sync with nodes"),
+        (change_class, "x order class mismatch"),
+        (list_twice, "x order out of sync with nodes"),
     ):
         g = _populated_graph()
         g.validate()

@@ -29,7 +29,7 @@ from scipy.spatial.transform import Rotation
 from scenefuse.errors import (
     FrameParseError, InvalidDepthError, InvalidDetectionError, SingularJacobianError, StreamOrderError,
 )
-from scenefuse.fusion import FusionConfig, _frame_eval_points, _queue_log_dets, build_local_graph, integrate
+from scenefuse.fusion import FusionConfig, _frame_eval_points, build_local_graph, integrate
 from scenefuse.geometry import (
     BoundingBox2D,
     CameraIntrinsics,
@@ -38,7 +38,7 @@ from scenefuse.geometry import (
     lift_detection,
     lift_detections,
 )
-from scenefuse.graph import ClassVocabulary, GlobalSSG, LocalSSG, ObjectNode, RelationEdge, export_graph
+from scenefuse.graph import ClassVocabulary, GlobalSSG, LocalSSG, ObjectNode, RelationEdge, export_graph, log_det9
 from scenefuse.streams import (
     ID_LIMIT, DepthMap, Detection, FrameRecord, Relation2D, _read_frame, _walk_frame,
     frame_to_obj, parse_frame_stream,
@@ -216,15 +216,16 @@ def test_integrate_matches_reference_on_random_streams(stream):
 
 
 def test_queue_log_dets_match_reference_bit_for_bit():
+    # queued nodes, graph rows and the public distance all take graph.log_det9;
     # numpy's and math's log differ in the last bit on about 0.1% of inputs, so
-    # the queue's one np.log per frame is checked on many covariances at once
+    # the reference's per-element math.log is checked on many covariances at once
     rng = np.random.default_rng(17)
     a = rng.normal(size=(20000, 3, 3)) * rng.uniform(1e-5, 10.0, size=(20000, 1, 1))
     covs = a @ a.transpose(0, 2, 1)
     covs[::97] = 0.0
     covs[::89] *= 1e-12  # determinant below the guard
     covs[::83, 1, 1] = np.nan
-    ours = np.array(_queue_log_dets(covs.reshape(-1, 9).tolist()))
+    ours = np.array([log_det9(c) for c in covs.reshape(-1, 9).tolist()])
     assert ours.tobytes() == reference_fusion.log_det3x3_batch(covs).tobytes()
 
 
@@ -295,15 +296,15 @@ def lift_batches(draw):
 
 
 @SETTINGS
-@given(lift_batches(), st.sampled_from(["camera-frame", "pixel"]))
-def test_batched_lift_matches_per_detection_lift(batch, mode):
+@given(lift_batches())
+def test_batched_lift_matches_per_detection_lift(batch):
     cam, pose, boxes, z = batch
-    means, covs, errors = lift_detections(boxes, z, cam, pose, jacobian_mode=mode)
+    means, covs, errors = lift_detections(boxes, z, cam, pose)
     assert len(errors) == len(z)
     for k, ((cx, cy, w, h), zk) in enumerate(zip(boxes.tolist(), z.tolist())):
         box = BoundingBox2D(center=np.array([cx, cy]), width=w, height=h, score=1.0, class_id=0)
         try:
-            g = lift_detection(box, zk, cam, pose, jacobian_mode=mode)
+            g = lift_detection(box, zk, cam, pose)
         except (InvalidDepthError, InvalidDetectionError, SingularJacobianError) as exc:
             assert type(errors[k]) is type(exc) and str(errors[k]) == str(exc)
             continue
@@ -566,8 +567,7 @@ def detection_streams(draw):
     """(config, frames): frames built in code from a few poses and objects
     seen again and again, so that their lifts merge, plus detections that are
     dropped for their score, their depth or their lift."""
-    cfg = FusionConfig(hellinger_threshold=draw(st.sampled_from([0.5, 0.85])),
-                       jacobian_mode=draw(st.sampled_from(["camera-frame", "pixel"])))
+    cfg = FusionConfig(hellinger_threshold=draw(st.sampled_from([0.5, 0.85])))
     cam = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
     poses = [CameraPose(rotation=_rotation(draw(quaternions)),
                         translation=np.array(draw(st.tuples(unit, unit, unit))) * 5.0)
@@ -608,7 +608,7 @@ def test_lifted_rows_integrate_as_hand_built_nodes(stream):
             box = BoundingBox2D(center=np.array([det.cx, det.cy]), width=det.w, height=det.h,
                                 score=det.score, class_id=det.class_id)
             try:
-                lifted.append((det, lift_detection(box, z, frame.camera, frame.pose, cfg.jacobian_mode)))
+                lifted.append((det, lift_detection(box, z, frame.camera, frame.pose)))
             except (InvalidDepthError, InvalidDetectionError, SingularJacobianError):
                 continue
         hand = LocalSSG(

@@ -438,7 +438,7 @@ def test_config_fusion_fields_and_ranges():
     assert cfg.fusion.hellinger_threshold == 0.6
     assert cfg.fusion.eval_point_cap == 64
     for bad in ({"hellinger_threshold": 1.0}, {"confidence_threshold": -0.2},
-                {"jacobian_mode": "fisheye"}, {"eval_point_cap": 0}, {"min_depth": 0.0}):
+                {"jacobian_mode": "camera-frame"}, {"eval_point_cap": 0}, {"min_depth": 0.0}):
         with pytest.raises(ConfigError):
             run_config_from_obj(bad)
 

@@ -446,3 +446,35 @@ def test_benchmark_orbit_inputs_stay_the_gates(tmp_path, monkeypatch):
     write_frame_stream(workloads.orbit_frames(n_frames=360), tmp_path / "benchmark.jsonl")
     write_frame_stream(orbit_frames(360), tmp_path / "synthetic.jsonl")
     assert (tmp_path / "benchmark.jsonl").read_bytes() == (tmp_path / "synthetic.jsonl").read_bytes()
+
+
+def test_benchmark_tracer_still_finds_the_engine(tmp_path):
+    # perfbench/tracer.py wraps engine names by attribute (fusion.lift_detection,
+    # fusion.best_match, GlobalSSG.set_gaussian, ...) and reads best_match's
+    # candidate ids as its positional args 6 and 10; perfbench/run.py records
+    # _accel.HAVE_NUMBA. A rename in the engine must fail here, not in a bench run.
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import json, sys, time; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer(0.85); tracer.install()\n"
+        "from scenefuse import _accel, fusion, graph, synthetic\n"
+        "state, cfg = graph.GlobalSSG(), fusion.FusionConfig()\n"
+        "for frame in synthetic.orbit_frames(5):\n"
+        "    tracer.open_frame(time.perf_counter())\n"
+        "    fusion.process_frame(frame, state, cfg)\n"
+        "    tracer.close_frame(frame.frame_id, time.perf_counter())\n"
+        "summary = tracer.summary()\n"
+        "print(json.dumps({'calls': {n: s['calls'] for n, s in summary['spans'].items()},\n"
+        "                  'candidates': summary['candidates'], 'matches': summary['matches'],\n"
+        "                  'have_numba': _accel.HAVE_NUMBA}))\n"
+    )
+    done = subprocess.run([sys.executable, "-B", "-I", "-c", code, str(root / "src"), str(root / "perfbench")],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    calls = out["calls"]
+    assert calls["frame"] == calls["fusion.process_frame"] == calls["fusion.integrate"] == 5
+    assert calls["accel.best_match"] > 0 and calls["graph.GlobalSSG.add_node"] > 0
+    assert out["candidates"] > 0 and out["matches"] > 0
+    assert out["have_numba"] is False
