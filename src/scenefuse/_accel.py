@@ -3,7 +3,11 @@
 integrate culls candidate pairs with an exact bound before it scores them, so
 each query scores only one or two candidates. At that size numpy's per-call
 overhead dominates, and these kernels work on Python floats instead. Gaussians
-are passed as a 3-float mean and a 9-float row-major covariance.
+are passed as a 3-float mean and a 9-float row-major covariance: the rows that
+LocalSSG's columns and GlobalSSG's row lists hold, read in place. best_match
+scores both candidate sets of a query in its own two loops, and
+merge_moments_into returns a new mean row and covariance row, which the
+caller hands to the graph to keep, so a merge copies no row.
 
 The Hellinger distance comes from the Bhattacharyya distance in
 log-determinant form:
@@ -86,25 +90,6 @@ def hellinger_of(b):
     return 0.0 if b == b else b
 
 
-def _closest(mean, cov, logdet, means, covs, logdets, ids, det_min, bound):
-    """(position in ids, distance) of the first closest candidate.
-
-    (-1, +inf) when ids is empty, when every candidate is unmergeable, or
-    when a distance is NaN (as numpy's argmin, which stops at the first NaN).
-    """
-    best_k, best = -1, _INF
-    for k, j in enumerate(ids):
-        b = bhattacharyya(mean, cov, logdet, means[j], covs[j], logdets[j], det_min, bound)
-        if b == _INF:
-            continue  # unmergeable, or beyond the bound
-        h = hellinger_of(b)
-        if h != h:
-            return -1, _INF
-        if h < best:
-            best_k, best = k, h
-    return best_k, best
-
-
 def best_match(
     mean, cov, logdet,
     a_means, a_covs, a_logdets, a_ids,
@@ -117,22 +102,43 @@ def best_match(
     each set is indexed by its ids (a_means[j] is a 3-float mean, a_covs[j] a
     9-float covariance, a_logdets[j] a float). The returned index is the
     position within the ids sequence; ties go to the earlier position. It is
-    -1, with distance +inf, when the set is empty or entirely unmergeable.
-    Candidates that bhattacharyya rejects against `bound` count as
-    unmergeable, so a bound that no mergeable pair exceeds leaves every
-    result below the merge threshold as it is.
+    -1, with distance +inf, when the set is empty, entirely unmergeable, or
+    has a candidate at NaN distance (scoring the set stops there). Candidates
+    that bhattacharyya rejects against `bound` count as unmergeable, so a
+    bound that no mergeable pair exceeds leaves every result below the merge
+    threshold as it is. The two sets are scored in two plain loops, one
+    bhattacharyya and one hellinger_of per candidate.
     """
-    ia, da = _closest(mean, cov, logdet, a_means, a_covs, a_logdets, a_ids, det_min, bound)
-    ib, db = _closest(mean, cov, logdet, b_means, b_covs, b_logdets, b_ids, det_min, bound)
+    ia, da = -1, _INF
+    for k, j in enumerate(a_ids):
+        b = bhattacharyya(mean, cov, logdet, a_means[j], a_covs[j], a_logdets[j], det_min, bound)
+        if b != _INF:  # else unmergeable, or beyond the bound
+            h = hellinger_of(b)
+            if h < da:
+                ia, da = k, h
+            elif h != h:
+                ia, da = -1, _INF
+                break
+    ib, db = -1, _INF
+    for k, j in enumerate(b_ids):
+        b = bhattacharyya(mean, cov, logdet, b_means[j], b_covs[j], b_logdets[j], det_min, bound)
+        if b != _INF:
+            h = hellinger_of(b)
+            if h < db:
+                ib, db = k, h
+            elif h != h:
+                ib, db = -1, _INF
+                break
     return ia, da, ib, db
 
 
-def merge_moments_into(w_a, mean_a, cov_a, w_b, mean_b, cov_b, out_mean, out_cov):
-    """Moment-matched merge of two weighted Gaussians, written to the outputs.
+def merge_moments_into(w_a, mean_a, cov_a, w_b, mean_b, cov_b):
+    """Moment-matched merge of two weighted Gaussians: a new (mean, cov) pair
+    of lists, a 3-float mean and a 9-float row-major covariance.
 
-    Means are 3 floats and covariances 9 floats, row-major; the outputs take
-    slice assignment (lists or 1-D arrays) and may alias the inputs, which
-    are read in full first. The covariance is symmetrized as 0.5 (C + C').
+    The inputs are read, never written. The covariance is symmetrized as
+    0.5 (C + C'); each off-diagonal pair is computed once and written to
+    both places, which are the same bits, as float addition commutes.
     """
     w = w_a + w_b
     k = w_a * w_b / (w * w)
@@ -152,9 +158,10 @@ def merge_moments_into(w_a, mean_a, cov_a, w_b, mean_b, cov_b, out_mean, out_cov
     c20 = (w_a * a20 + w_b * b20) / w + k * (d2 * d0)
     c21 = (w_a * a21 + w_b * b21) / w + k * (d2 * d1)
     c22 = (w_a * a22 + w_b * b22) / w + k * (d2 * d2)
-    out_mean[:] = ((w_a * m0 + w_b * n0) / w, (w_a * m1 + w_b * n1) / w, (w_a * m2 + w_b * n2) / w)
-    out_cov[:] = (
-        0.5 * (c00 + c00), 0.5 * (c01 + c10), 0.5 * (c02 + c20),
-        0.5 * (c10 + c01), 0.5 * (c11 + c11), 0.5 * (c12 + c21),
-        0.5 * (c20 + c02), 0.5 * (c21 + c12), 0.5 * (c22 + c22),
+    s01 = 0.5 * (c01 + c10)
+    s02 = 0.5 * (c02 + c20)
+    s12 = 0.5 * (c12 + c21)
+    return (
+        [(w_a * m0 + w_b * n0) / w, (w_a * m1 + w_b * n1) / w, (w_a * m2 + w_b * n2) / w],
+        [0.5 * (c00 + c00), s01, s02, s01, 0.5 * (c11 + c11), s12, s02, s12, 0.5 * (c22 + c22)],
     )

@@ -11,9 +11,10 @@ Exit codes, shared by every subcommand:
 
 ``run`` streams a JSON Lines detection file through the fusion engine a
 frame at a time, on one thread, and writes the final graph as JSON.
-``--bench`` collects per-frame wall times for the parse, lift, and merge
-stages separately and writes mean/median/p99 per stage plus end-to-end FPS
-next to the output graph.
+``--bench`` times the parse, lift, and merge stages of every frame and writes
+mean/median/p99 per stage plus end-to-end FPS next to the output graph; it
+keeps a running sum and a fixed-size histogram per stage, not the times, so
+its state does not grow with the stream.
 
 ``eval`` matches a saved graph against a ground-truth scene and prints the
 five headline recall numbers; ``synth`` materializes a synthetic dataset
@@ -30,6 +31,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -105,28 +107,65 @@ def _vocab_for_run(cfg: RunConfig, g: GlobalSSG) -> ClassVocabulary:
 # ---------------------------------------------------------------------------
 
 
-def _stage_stats(seconds: list[float]) -> dict:
-    if not seconds:
-        return {"mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
-    ms = np.asarray(seconds) * 1e3
-    return {
-        "mean_ms": float(ms.mean()),
-        "p50_ms": float(np.percentile(ms, 50)),
-        "p99_ms": float(np.percentile(ms, 99)),
-    }
+class _StageStats:
+    """Mean, p50 and p99 of one stage's per-frame seconds, in fixed space.
+
+    The mean comes from a running sum. The percentiles come from counts in
+    log-spaced bins, PER_DECADE to a decade from LOW seconds up, with one bin
+    below LOW and one above the top. A percentile is read as the geometric
+    centre of the bin that holds the sample of its rank (as numpy's "lower"
+    method ranks them), clamped to the smallest and largest times seen, so it
+    is within half a bin, about 1.2%, of that sample.
+    """
+
+    LOW = 1e-8
+    PER_DECADE = 100
+    SIZE = 11 * PER_DECADE + 2  # LOW to 1000 s, and the two open-ended bins
+
+    def __init__(self):
+        self.count = 0
+        self.total = 0.0
+        self.smallest = math.inf
+        self.largest = -math.inf
+        self.bins = [0] * self.SIZE
+
+    def add(self, seconds: float) -> None:
+        self.count += 1
+        self.total += seconds
+        self.smallest = min(self.smallest, seconds)
+        self.largest = max(self.largest, seconds)
+        k = 0
+        if seconds >= self.LOW:
+            k = min(int(math.log10(seconds / self.LOW) * self.PER_DECADE) + 1, self.SIZE - 1)
+        self.bins[k] += 1
+
+    def percentile(self, q: float) -> float:
+        rank = int((self.count - 1) * q / 100.0)
+        below = 0
+        for k, n in enumerate(self.bins):
+            below += n
+            if below > rank:
+                break
+        value = self.LOW * 10.0 ** ((k - 0.5) / self.PER_DECADE) if 0 < k < self.SIZE - 1 else 0.0
+        return min(max(value, self.smallest), self.largest)
+
+    def report(self) -> dict:
+        if not self.count:
+            return {"mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
+        return {
+            "mean_ms": self.total / self.count * 1e3,
+            "p50_ms": self.percentile(50) * 1e3,
+            "p99_ms": self.percentile(99) * 1e3,
+        }
 
 
-def _bench_report(parse_s, lift_s, merge_s, n_frames, wall_seconds, skipped) -> dict:
+def _bench_report(stages: dict[str, _StageStats], n_frames, wall_seconds, skipped) -> dict:
     return {
         "frames": n_frames,
         "skipped_frames": skipped,
         "wall_seconds": wall_seconds,
         "fps": (n_frames / wall_seconds) if wall_seconds > 0 else 0.0,
-        "stages": {
-            "parse": _stage_stats(parse_s),
-            "lift": _stage_stats(lift_s),
-            "merge": _stage_stats(merge_s),
-        },
+        "stages": {name: stats.report() for name, stats in stages.items()},
     }
 
 
@@ -156,9 +195,7 @@ def _execute_run(cfg: RunConfig) -> tuple[GlobalSSG, ClassVocabulary, dict | Non
     rng = np.random.default_rng(cfg.seed)
     depth = DepthCache(Path(cfg.input).resolve().parent)
 
-    parse_s: list[float] = []
-    lift_s: list[float] = []
-    merge_s: list[float] = []
+    parse, lift, merge = _StageStats(), _StageStats(), _StageStats()
     n_frames = 0
     skipped = 0
     t_start = time.perf_counter()
@@ -175,14 +212,14 @@ def _execute_run(cfg: RunConfig) -> tuple[GlobalSSG, ClassVocabulary, dict | Non
         if res.skipped:
             skipped += 1
         if cfg.bench:
-            parse_s.append(parse_dt)
-            lift_s.append(res.lift_seconds)
-            merge_s.append(res.merge_seconds)
+            parse.add(parse_dt)
+            lift.add(res.lift_seconds)
+            merge.add(res.merge_seconds)
     wall = time.perf_counter() - t_start
 
     bench = None
     if cfg.bench:
-        bench = _bench_report(parse_s, lift_s, merge_s, n_frames, wall, skipped)
+        bench = _bench_report({"parse": parse, "lift": lift, "merge": merge}, n_frames, wall, skipped)
     vocab = _vocab_for_run(cfg, state)
     return state, vocab, bench
 

@@ -41,7 +41,6 @@ from .graph import (
     LocalSSG,
     ObjectNode,
     RelationEdge,
-    _GraphNode,
     _aes_keys,
     log_det9,
     merge_point_reservoirs,
@@ -141,14 +140,11 @@ def merge_moments(
     w_a: float, mean_a: np.ndarray, cov_a: np.ndarray, w_b: float, mean_b: np.ndarray, cov_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Moment-matched mean and covariance of the two-component mixture."""
-    mean = [0.0] * 3
-    cov = [0.0] * 9
-    merge_moments_into(
+    mean, cov = merge_moments_into(
         float(w_a), np.asarray(mean_a, dtype=np.float64).reshape(3).tolist(),
         np.asarray(cov_a, dtype=np.float64).reshape(9).tolist(),
         float(w_b), np.asarray(mean_b, dtype=np.float64).reshape(3).tolist(),
         np.asarray(cov_b, dtype=np.float64).reshape(9).tolist(),
-        mean, cov,
     )
     return np.array(mean), np.array(cov).reshape(3, 3)
 
@@ -330,21 +326,28 @@ def build_local_graph(
             continue
         lifts.append((det_idx, det, depth_map))
         depths.append(z)
-    index_map: dict[int, int] = {}
-    kept: list[int] = []
+    # the columns of the local graph, one entry per detection kept
+    index_map: dict[int, int] = {}  # detection index -> local node id
+    kept: list[int] = []  # positions in lifts
+    class_ids: list[int] = []
+    scores: list[float] = []
     row_means: list[list[float]] = []
     row_covs: list[list[float]] = []
     if lifts:
         boxes = np.array([(det.cx, det.cy, det.w, det.h) for _, det, _ in lifts])
         means, covs, errors = lift_detections(boxes, np.array(depths), cam, pose)
-        for k, (det_idx, _, _) in enumerate(lifts):
+        for k, (det_idx, det, _) in enumerate(lifts):
             if errors[k] is None:
+                index_map[det_idx] = len(kept)
                 kept.append(k)
+                class_ids.append(det.class_id)
+                scores.append(det.score)
             else:
                 log.debug("frame %d det %d: lift failed (%s), dropped", frame.frame_id, det_idx, errors[k])
-        mean_rows, cov_rows = means.tolist(), covs.reshape(-1, 9).tolist()
-        row_means = [mean_rows[k] for k in kept]
-        row_covs = [cov_rows[k] for k in kept]
+        row_means, row_covs = means.tolist(), covs.reshape(-1, 9).tolist()
+        if len(kept) < len(lifts):
+            row_means = [row_means[k] for k in kept]
+            row_covs = [row_covs[k] for k in kept]
     points: list[np.ndarray | None] = [None] * len(kept)
     keys: list[np.ndarray | None] = [None] * len(kept)
     seen = [0] * len(kept)
@@ -361,11 +364,6 @@ def build_local_graph(
         points, keys, seen = _frame_eval_points(
             boxes[kept], maps, means[kept], cam, pose, cfg.eval_point_cap, rng
         )
-    nodes = []
-    for i, k in enumerate(kept):
-        det_idx, det, _ = lifts[k]
-        nodes.append(_GraphNode(row_means, row_covs, i, det.class_id, 1, det.score, points[i], seen[i], keys[i], None))
-        index_map[det_idx] = i
     best: dict[tuple[int, int], tuple[int, float]] = {}
     for rel in frame.relations:
         s = index_map.get(rel.subject)
@@ -380,7 +378,7 @@ def build_local_graph(
         RelationEdge(subject_id=s, object_id=o, votes={pid: [1, score]})
         for (s, o), (pid, score) in ranked
     ]
-    return LocalSSG(frame_id=frame.frame_id, nodes=nodes, edges=edges, row_means=row_means, row_covs=row_covs)
+    return LocalSSG.from_columns(frame.frame_id, edges, class_ids, scores, row_means, row_covs, points, keys, seen)
 
 
 # Relative slack on the cull bound and the scorer's early reject, for rounding
@@ -435,36 +433,39 @@ def integrate(
     (_GlobalNode.merge_eval_points); queued peers merge theirs eagerly. Every
     merge is by the points' keys, which the local graph carries (LocalSSG),
     so integrate draws no random numbers.
+
+    integrate reads only the local graph's columns, never its `nodes` view,
+    and leaves them as they are. A new global node takes its rows from the
+    queue as they stand (GlobalSSG.add_node's `row`).
     """
-    n = len(local.nodes)
+    cls = local.class_ids
+    n = len(cls)
     events: list[MergeEvent] = []
     if n == 0:
         if local.edges:
             raise MergeContractError("local graph has edges but no nodes")
         return global_graph, events
 
-    # working state of the queue, per local node: class, weight, score sum,
-    # eval-point reservoir (points, keys, count seen), the local ids merged
-    # into it, and its Gaussian as Python floats (3-float mean, 9-float
-    # row-major covariance, log det, trace)
-    nodes = local.nodes
-    cls = [node.class_id for node in nodes]
-    weight = [node.weight for node in nodes]
-    score = [node.score_sum for node in nodes]
-    points = [node.eval_points for node in nodes]
-    keys = [node.eval_keys for node in nodes]
-    seen = [node.eval_seen for node in nodes]
-    carried = [[node.id] for node in nodes]
+    # working state of the queue, per local node: the local graph's columns
+    # (copied where a merge of queued peers changes them), the Gaussian's
+    # log det and trace, and the node that absorbed it (itself while it is a
+    # root) or, for a root that left the queue, its global id
+    weight = list(local.weights)
+    score = list(local.score_sums)
+    points = list(local.eval_points)
+    keys = list(local.eval_keys)
+    seen = list(local.eval_seen)
     qm = list(local.row_means)
     qc = list(local.row_covs)
     qld = [log_det9(c) for c in qc]
     qtr = [c[0] + c[4] + c[8] for c in qc]
+    absorbed_by = list(range(n))
+    gid_of = [0] * n
     peers_of: dict[int, list[int]] = {}
     for i, cid in enumerate(cls):
         peers_of.setdefault(cid, []).append(i)
     alive = [True] * n
-    queue = deque(sorted(range(n), key=lambda i: (-score[i], i)))
-    remap: dict[int, int] = {}
+    queue = deque(sorted(range(n), key=score.__getitem__, reverse=True))  # stable: ties by id
     threshold = cfg.hellinger_threshold
     bound = _gate_bound(threshold)
     reach = 4.0 * bound
@@ -472,17 +473,9 @@ def integrate(
     gtr = global_graph.row_traces
 
     def insert(i: int) -> None:
-        gid = global_graph.add_node(
-            class_id=cls[i],
-            gaussian=Gaussian3D(mean=np.array(qm[i]), cov=np.array(qc[i])),
-            weight=weight[i],
-            score_sum=score[i],
-            eval_points=points[i],
-            eval_seen=seen[i],
-            eval_keys=keys[i],
+        gid_of[i] = global_graph.add_node(
+            cls[i], None, weight[i], score[i], points[i], seen[i], None, keys[i], row=(qm[i], qc[i], qld[i]),
         ).id
-        for orig in carried[i]:
-            remap[orig] = gid
 
     while queue:
         i = queue.popleft()
@@ -524,14 +517,12 @@ def integrate(
                 gm, gc, gld, cand_g,
                 DET_MIN, bound,
             )
-            if min(dq, dg) >= threshold:
+            if dq >= threshold and dg >= threshold:
                 break
             if dg <= dq:
                 gid = cand_g[best_g]
                 gnode = global_graph.nodes[gid]
-                mean = [0.0] * 3
-                cov = [0.0] * 9
-                merge_moments_into(float(gnode.weight), gm[gid], gc[gid], float(weight[i]), m, qc[i], mean, cov)
+                mean, cov = merge_moments_into(float(gnode.weight), gm[gid], gc[gid], float(weight[i]), m, qc[i])
                 if points[i] is None and gnode._points is None:
                     gnode.eval_seen += seen[i]  # no points on either side (runs without eval points)
                 else:
@@ -540,16 +531,13 @@ def integrate(
                 gnode.score_sum += score[i]
                 global_graph.set_row(gid, mean, cov, log_det9(cov))
                 events.append(MergeEvent(gid, -(i + 1), dg, local.frame_id))
-                for orig in carried[i]:
-                    remap[orig] = gid
+                gid_of[i] = gid
                 merged_into_global = True
                 break
             j = cand_q[best_q]
             queue.remove(j)
             alive[j] = False
-            mean = [0.0] * 3
-            cov = [0.0] * 9
-            merge_moments_into(float(weight[i]), m, qc[i], float(weight[j]), qm[j], qc[j], mean, cov)
+            mean, cov = merge_moments_into(float(weight[i]), m, qc[i], float(weight[j]), qm[j], qc[j])
             if points[i] is None and points[j] is None:
                 seen[i] += seen[j]
             else:
@@ -559,7 +547,7 @@ def integrate(
             qm[i], qc[i], qld[i], qtr[i] = mean, cov, log_det9(cov), cov[0] + cov[4] + cov[8]
             weight[i] += weight[j]
             score[i] += score[j]
-            carried[i].extend(carried[j])
+            absorbed_by[j] = i
             events.append(MergeEvent(-(i + 1), -(j + 1), dq, local.frame_id))
             if qld[i] == _NEG_INF:
                 break
@@ -567,11 +555,14 @@ def integrate(
             insert(i)
 
     for edge in local.edges:
-        try:
-            s = remap[edge.subject_id]
-            o = remap[edge.object_id]
-        except KeyError as exc:
-            raise MergeContractError(f"edge references unknown local node {exc}") from exc
+        s, o = edge.subject_id, edge.object_id
+        if not (0 <= s < n and 0 <= o < n):
+            raise MergeContractError(f"edge references unknown local node {o if 0 <= s < n else s}")
+        while absorbed_by[s] != s:
+            s = absorbed_by[s]
+        while absorbed_by[o] != o:
+            o = absorbed_by[o]
+        s, o = gid_of[s], gid_of[o]
         if s == o:
             continue
         global_graph.accumulate_edge(s, o, edge.votes)
@@ -617,8 +608,8 @@ def process_frame(
     t1 = time.perf_counter()
     _, events = integrate(local, state, cfg)
     t2 = time.perf_counter()
-    result.lifted = len(local.nodes)
-    result.dropped = len(frame.detections) - len(local.nodes)
+    result.lifted = len(local.class_ids)
+    result.dropped = len(frame.detections) - result.lifted
     result.merge_events = events
     result.lift_seconds = t1 - t0
     result.merge_seconds = t2 - t1

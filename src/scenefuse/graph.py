@@ -1,13 +1,22 @@
 """Scene-graph data model: Gaussian object nodes, predicate-vote edges, and
 the per-frame local graph plus the accumulated global graph.
 
-The global graph stores every node's Gaussian once, as a row of Python
-floats, and indexes each class's nodes by mean x. The fusion engine merges a
-few nodes per detection, one at a time, and at that size numpy's per-call
-cost outweighs the arithmetic: the engine reads and writes the float rows
-and finds candidates through the x index, with no numpy call per merge.
-Node objects build their Gaussian3D from the rows on demand; the rows are
-the only store of node Gaussians, and `validate` checks them.
+Both graphs store node state as columns of Python values, not as node
+objects. The local graph is nothing but columns (class ids, weights, score
+sums, eval-point reservoirs, and Gaussians as a 3-float mean row and a
+9-float covariance row); its `nodes` are built from them when read. The
+global graph stores every node's Gaussian once, as such rows, and indexes
+each class's nodes by mean x. The fusion engine merges a few nodes per
+detection, one at a time, and at that size numpy's per-call cost outweighs
+the arithmetic: the engine reads and writes the float rows and finds
+candidates through the x index, with no numpy call per merge. Global node
+objects build their Gaussian3D from the rows on demand; the rows are the
+only store of node Gaussians, and `validate` checks them.
+
+Covariances are symmetric, and positive definite unless degenerate (log_det9
+is -inf). The lift and the moment merge give such rows by construction and
+are not checked again; what comes from outside is checked where it enters
+(covariance_problem: import_graph, LocalSSG built from nodes).
 """
 
 from __future__ import annotations
@@ -24,6 +33,12 @@ from .errors import InvalidEdgeError, MergeContractError, StreamFormatError
 from .geometry import Gaussian3D
 
 logger = logging.getLogger(__name__)
+
+_log = math.log
+_INF = math.inf
+_NEG_INF = -math.inf
+# relative rounding allowed below 0 in a covariance's leading 2x2 minor (covariance_problem)
+_MINOR_SLACK = 4.0 * 2.0**-52
 
 # Determinant floor below which a covariance is treated as degenerate.
 DET_MIN = 1e-30
@@ -50,11 +65,38 @@ def log_det3x3(a: np.ndarray) -> float:
 
 
 def log_det9(c) -> float:
-    """log_det3x3 of 9 row-major floats."""
-    d = det9(c)
-    if not (d > DET_MIN) or not math.isfinite(d):
-        return -math.inf
-    return math.log(d)
+    """log_det3x3 of 9 row-major floats: the log of det9's expansion, written
+    out here because the engine takes one per merge."""
+    c00, c01, c02, c10, c11, c12, c20, c21, c22 = c
+    d = c00 * (c11 * c22 - c12 * c21) - c01 * (c10 * c22 - c12 * c20) + c02 * (c10 * c21 - c11 * c20)
+    if DET_MIN < d < _INF:
+        return _log(d)
+    return _NEG_INF
+
+
+def covariance_problem(cov) -> str | None:
+    """Why 9 row-major floats are not a covariance the merge gate can score,
+    or None if they are.
+
+    A covariance must be exactly symmetric, and one whose determinant clears
+    DET_MIN must be positive definite: c00 > 0 and m = c00 c11 - c01 c10 > 0
+    as well (Sylvester's criterion). The gate's cull and its log-det term
+    assume both; a pair of covariances that are not positive definite can
+    score B < 0 and merge at any distance. m may fall below 0 by its own
+    rounding, within _MINOR_SLACK of its two products: a rank-one covariance
+    v v' has m = 0 exactly but can compute to -1e-16 with a determinant that
+    rounds above DET_MIN, and is no more wrong than other near-singular ones.
+    A covariance whose determinant does not clear DET_MIN is degenerate, not
+    wrong: integrate inserts it unmatched.
+    """
+    c00, c01, c02, c10, c11, c12, c20, c21, c22 = cov
+    if c01 != c10 or c02 != c20 or c12 != c21:
+        return "covariance is not symmetric"
+    if log_det9(cov) != _NEG_INF:
+        diagonal, cross = c00 * c11, c01 * c10
+        if c00 <= 0.0 or diagonal - cross < -_MINOR_SLACK * (diagonal + abs(cross)):
+            return "covariance is not positive definite"
+    return None
 
 
 @dataclass(frozen=True)
@@ -118,32 +160,85 @@ class RelationEdge:
             tally[1] += score_sum
 
 
-@dataclass
 class LocalSSG:
     """Per-frame lifted graph; node ids are dense 0-based local indices.
 
-    Like GlobalSSG, it keeps its nodes' Gaussians as rows of Python floats:
-    row_means[i] (3 floats) and row_covs[i] (9 floats, row-major) belong to
-    nodes[i], and integrate reads only these. build_local_graph passes the
-    rows of its stacked lift, and its nodes build their Gaussian3D from
-    their row when read; a LocalSSG given nodes and no rows takes the rows
-    from the nodes' Gaussians, and raises MergeContractError if a node has
-    eval points without keys.
+    The columns are the store, one entry per node i: class_ids[i],
+    weights[i], score_sums[i], its eval-point reservoir (eval_points[i], None
+    or a (k, 3) array, with eval_keys[i] and the count seen eval_seen[i]),
+    and its Gaussian as rows of Python floats, row_means[i] (3 floats) and
+    row_covs[i] (9 floats, row-major). integrate reads only the columns and
+    leaves them as they are. `nodes` is a view: a list of ObjectNodes built
+    from the columns each time it is read, so changing one changes nothing.
+
+    build_local_graph fills the columns straight from the stacked lift
+    (from_columns). LocalSSG(frame_id, nodes, edges) takes them from the
+    nodes, whose ids must be 0, 1, ... in order, and raises
+    MergeContractError for a node with eval points without keys or with a
+    covariance the gate cannot score (covariance_problem); a degenerate
+    covariance is accepted.
     """
 
-    frame_id: int
-    nodes: list[ObjectNode]
-    edges: list[RelationEdge]
-    row_means: list[list[float]] | None = None
-    row_covs: list[list[float]] | None = None
+    def __init__(self, frame_id: int, nodes: list[ObjectNode], edges: list[RelationEdge]):
+        for i, node in enumerate(nodes):
+            if node.id != i:
+                raise MergeContractError(f"local node {node.id} at position {i}: ids must be 0, 1, ...")
+            if node.eval_keys is None and node.eval_points is not None and len(node.eval_points):
+                raise MergeContractError(f"local node {node.id} has eval points without keys")
+        self.frame_id = frame_id
+        self.edges = edges
+        self.class_ids = [node.class_id for node in nodes]
+        self.weights = [node.weight for node in nodes]
+        self.score_sums = [node.score_sum for node in nodes]
+        self.eval_points = [node.eval_points for node in nodes]
+        self.eval_keys = [node.eval_keys for node in nodes]
+        self.eval_seen = [node.eval_seen for node in nodes]
+        self.row_means = [node.gaussian.mean.tolist() for node in nodes]
+        self.row_covs = [node.gaussian.cov.reshape(9).tolist() for node in nodes]
+        for i, cov in enumerate(self.row_covs):
+            problem = covariance_problem(cov)
+            if problem is not None:
+                raise MergeContractError(f"local node {i}: {problem}")
 
-    def __post_init__(self):
-        if self.row_means is None:
-            for node in self.nodes:
-                if node.eval_keys is None and node.eval_points is not None and len(node.eval_points):
-                    raise MergeContractError(f"local node {node.id} has eval points without keys")
-            self.row_means = [node.gaussian.mean.tolist() for node in self.nodes]
-            self.row_covs = [node.gaussian.cov.reshape(9).tolist() for node in self.nodes]
+    @classmethod
+    def from_columns(
+        cls,
+        frame_id: int,
+        edges: list[RelationEdge],
+        class_ids: list[int],
+        score_sums: list[float],
+        row_means: list[list[float]],
+        row_covs: list[list[float]],
+        eval_points: list[np.ndarray | None],
+        eval_keys: list[np.ndarray | None],
+        eval_seen: list[int],
+    ) -> "LocalSSG":
+        """A local graph of weight-1 nodes whose columns are these lists, which
+        it keeps; nothing is checked (the lift's rows are covariances by
+        construction, and its eval points are keyed)."""
+        local = cls.__new__(cls)
+        local.frame_id = frame_id
+        local.edges = edges
+        local.class_ids = class_ids
+        local.weights = [1] * len(class_ids)
+        local.score_sums = score_sums
+        local.eval_points = eval_points
+        local.eval_keys = eval_keys
+        local.eval_seen = eval_seen
+        local.row_means = row_means
+        local.row_covs = row_covs
+        return local
+
+    @property
+    def nodes(self) -> list[ObjectNode]:
+        return [
+            ObjectNode(id=i, class_id=cid, gaussian=Gaussian3D(mean=np.array(mean), cov=np.array(cov)),
+                       weight=w, score_sum=score, eval_points=points, eval_seen=seen, eval_keys=keys)
+            for i, (cid, w, score, mean, cov, points, keys, seen) in enumerate(zip(
+                self.class_ids, self.weights, self.score_sums, self.row_means, self.row_covs,
+                self.eval_points, self.eval_keys, self.eval_seen,
+            ))
+        ]
 
 
 def resolve_predicate(edge: RelationEdge) -> int:
@@ -155,16 +250,23 @@ def resolve_predicate(edge: RelationEdge) -> int:
     return best[0]
 
 
-class _GraphNode(ObjectNode):
-    """An ObjectNode of a GlobalSSG or LocalSSG. Its Gaussian is its row in
-    the graph's row lists; `gaussian` builds a Gaussian3D from that row on
-    first read and keeps it until the row changes. Write it through
-    GlobalSSG.set_gaussian.
+class _GlobalNode(ObjectNode):
+    """A node of a GlobalSSG. Its Gaussian is its row in the graph's row
+    lists; `gaussian` builds a Gaussian3D from that row on first read and
+    keeps it until the row changes. Write it through GlobalSSG.set_gaussian
+    or set_row. The node holds the graph's row lists, not the graph, so that
+    a graph and its nodes form no reference cycle.
 
-    The node holds the graph's row lists, not the graph: a graph that its
-    nodes pointed back to would be a reference cycle, and every frame's
-    LocalSSG would be left for the cyclic garbage collector, whose passes
-    then stall frames."""
+    Its eval-point reservoir merges lazily (merge_eval_points): the held
+    points and keys (_points, _keys) are followed by pending keyed chunks,
+    which are compacted into the held reservoir, by one top_keys over their
+    concatenation, when the held and pending points exceed twice the cap, or
+    when eval_points or eval_keys is read or written. So a node holds at most
+    2 * cap points plus one chunk. Every non-empty reservoir here has keys
+    (GlobalSSG.add_node keys those that come without); whoever assigns
+    eval_points must assign their eval_keys too before the node is merged
+    into.
+    """
 
     def __init__(self, row_means: list, row_covs: list, node_id: int, class_id: int, weight: int,
                  score_sum: float, eval_points: np.ndarray | None, eval_seen: int,
@@ -173,9 +275,9 @@ class _GraphNode(ObjectNode):
         self.class_id = class_id
         self.weight = weight
         self.score_sum = score_sum
-        self.eval_points = eval_points
+        self._points = eval_points
+        self._keys = eval_keys
         self.eval_seen = eval_seen
-        self.eval_keys = eval_keys
         self._row_means = row_means
         self._row_covs = row_covs
         self._gaussian = gaussian
@@ -189,19 +291,6 @@ class _GraphNode(ObjectNode):
                 cov=np.array(self._row_covs[self.id]),
             )
         return g
-
-
-class _GlobalNode(_GraphNode):
-    """A node of a GlobalSSG. Its eval-point reservoir merges lazily
-    (merge_eval_points): the held points and keys (_points, _keys) are
-    followed by pending keyed chunks, which are compacted into the held
-    reservoir, by one top_keys over their concatenation, when the held and
-    pending points exceed twice the cap, or when eval_points or eval_keys is
-    read or written. So a node holds at most 2 * cap points plus one chunk.
-    Every non-empty reservoir here has keys (GlobalSSG.add_node keys those
-    that come without); whoever assigns eval_points must assign their
-    eval_keys too before the node is merged into.
-    """
 
     # keyed, non-empty chunks (a tuple until the first, so that a node that
     # never defers a merge allocates no list), the points in them, and the
@@ -340,18 +429,31 @@ class GlobalSSG:
     def add_node(
         self,
         class_id: int,
-        gaussian: Gaussian3D,
+        gaussian: Gaussian3D | None = None,
         weight: int = 1,
         score_sum: float = 0.0,
         eval_points: np.ndarray | None = None,
         eval_seen: int = 0,
         node_id: int | None = None,
-        logdet: float | None = None,
         eval_keys: np.ndarray | None = None,
+        *,
+        row: tuple[list[float], list[float], float] | None = None,
     ) -> ObjectNode:
-        """Add a node; eval points without keys get A-ES keys (see
-        merge_point_reservoirs) from the generator seeded (ENTRY_KEY_SEED, id),
-        so that they do not depend on the order nodes are added in."""
+        """Add a node and return it. Its Gaussian is `gaussian`, or `row`: a
+        3-float mean, a 9-float row-major covariance and their log_det9, which
+        the graph keeps (the caller must not modify them afterwards).
+
+        Precondition, not checked here: the covariance is symmetric, and
+        positive definite unless it is degenerate (log_det9 is -inf); see
+        covariance_problem. The gate scores pairs wrongly otherwise. Rows of
+        the lift and of the moment merge meet it by construction;
+        import_graph and a LocalSSG built from nodes check what comes from
+        outside.
+
+        Eval points without keys get A-ES keys (see merge_point_reservoirs)
+        from the generator seeded (ENTRY_KEY_SEED, id), so that they do not
+        depend on the order nodes are added in.
+        """
         nid = self.next_id if node_id is None else node_id
         if nid in self.nodes:
             raise ValueError(f"node id {nid} already present")
@@ -369,7 +471,10 @@ class GlobalSSG:
         if class_id not in self._x_order:
             self._x_order[class_id] = ([], [])
             self._trace_bound[class_id] = -math.inf
-        self._write(nid, gaussian, logdet)
+        if row is None:
+            self._write(nid, gaussian, None)
+        else:
+            self._place(nid, class_id, *row)
         self.next_id = max(self.next_id, nid + 1)
         return node
 
@@ -579,6 +684,11 @@ def export_graph(g: GlobalSSG, vocab: ClassVocabulary) -> dict:
 
 
 def import_graph(doc: dict) -> tuple[GlobalSSG, ClassVocabulary]:
+    """The graph and vocabulary of a document written by export_graph.
+
+    StreamFormatError for a malformed document, including a node covariance
+    the merge gate cannot score (covariance_problem).
+    """
     try:
         vocab = ClassVocabulary(
             object_classes=tuple(doc["vocab"]["objects"]),
@@ -587,12 +697,13 @@ def import_graph(doc: dict) -> tuple[GlobalSSG, ClassVocabulary]:
         g = GlobalSSG()
         for rec in doc["nodes"]:
             pts = rec.get("eval_points")
+            cov = np.array(rec["cov"], dtype=np.float64).reshape(3, 3)
+            problem = covariance_problem(cov.reshape(9).tolist())
+            if problem is not None:
+                raise ValueError(f"node {rec['id']}: {problem}")
             g.add_node(
                 class_id=int(rec["class_id"]),
-                gaussian=Gaussian3D(
-                    mean=np.array(rec["mean"], dtype=np.float64),
-                    cov=np.array(rec["cov"], dtype=np.float64).reshape(3, 3),
-                ),
+                gaussian=Gaussian3D(mean=np.array(rec["mean"], dtype=np.float64), cov=cov),
                 weight=int(rec["weight"]),
                 score_sum=float(rec["score_sum"]),
                 eval_points=None if pts is None else np.array(pts, dtype=np.float64).reshape(-1, 3),

@@ -245,12 +245,38 @@ def test_run_writes_graph_and_dot(tmp_path):
     assert text.startswith("digraph")
 
 
-def test_run_bench_report(tmp_path, capsys):
+def test_run_bench_report(tmp_path, capsys, monkeypatch):
+    from scenefuse import cli
+
+    accumulators = []
+
+    class Recorded(cli._StageStats):
+        def __init__(self):
+            super().__init__()
+            accumulators.append(self)
+
+    monkeypatch.setattr(cli, "_StageStats", Recorded)
     spec = _write_spec(tmp_path)
     frames, _ = _synth(tmp_path, spec)
     out = tmp_path / "graph.json"
     rc = main(["run", "--input", frames, "--output", str(out), "--bench"])
     assert rc == 0
+    # one fixed-size accumulator per stage: more frames add counts, not entries
+    assert len(accumulators) == 3 and all(acc.count == 40 for acc in accumulators)
+    state = [(len(acc.bins), sorted(vars(acc))) for acc in accumulators]
+    rng = np.random.default_rng(3)
+    times = rng.lognormal(-7.0, 1.0, size=20000)
+    for t in times.tolist():
+        accumulators[0].add(t)
+    assert [(len(acc.bins), sorted(vars(acc))) for acc in accumulators] == state
+    assert all(isinstance(v, (int, float)) for acc in accumulators for k, v in vars(acc).items() if k != "bins")
+    extra = Recorded()
+    for t in times.tolist():
+        extra.add(t)
+    stats = extra.report()
+    assert stats["mean_ms"] == pytest.approx(times.mean() * 1e3, rel=1e-12)
+    for q in (50, 99):
+        assert stats[f"p{q}_ms"] == pytest.approx(np.percentile(times, q, method="lower") * 1e3, rel=0.012)
     bench = json.loads((tmp_path / "graph.bench.json").read_text())
     assert bench["frames"] == 40
     assert bench["fps"] > 0

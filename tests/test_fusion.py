@@ -1,6 +1,7 @@
 """Fusion engine: distances, moment merging, local-graph build, integrate."""
 
 import gc
+import hashlib
 import json
 import math
 import warnings
@@ -37,6 +38,7 @@ from scenefuse.graph import (
     save_graph,
 )
 from scenefuse.streams import DepthMap, Detection, FrameRecord, Relation2D
+from scenefuse.synthetic import NoiseModel, SceneSpec, generate_scene, orbit_frames, render_frames
 
 from reference_fusion import best_match_np, merge_moments_np
 
@@ -144,14 +146,19 @@ def test_degenerate_covariance_rejected():
 def test_hellinger_of_a_pair_that_is_not_positive_definite_does_not_overflow():
     # S = diag(-1, -1, 1000) has det S > 0 and a positive trace, which pass
     # the guards and the cull, but is indefinite: B = -1250, and exp(-B) would
-    # overflow; the distance is 0.0, in hellinger and in a merge
+    # overflow; the distance is 0.0, in hellinger and in a merge. A LocalSSG
+    # built from nodes refuses such a covariance, so the merge goes through
+    # columns, which are not checked (as a lift's rows are not)
     a = _g([0, 0, 0], np.diag([-1.0, -1.0, 1000.0]))
     b = _g([100, 0, 0], np.diag([-1.0, -1.0, 1000.0]))
     assert bhattacharyya(a, b) == -1250.0
     assert hellinger(a, b) == 0.0
     g = GlobalSSG()
     g.add_node(class_id=0, gaussian=a)
-    local = LocalSSG(frame_id=0, nodes=[_node(0, 0, b.mean, b.cov)], edges=[])
+    with pytest.raises(MergeContractError, match="not positive definite"):
+        LocalSSG(frame_id=0, nodes=[_node(0, 0, b.mean, b.cov)], edges=[])
+    local = LocalSSG.from_columns(0, [], [0], [0.9], [b.mean.tolist()], [b.cov.reshape(9).tolist()],
+                                  [None], [None], [0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, events = integrate(local, g, FusionConfig())
@@ -309,11 +316,14 @@ def test_merge_kernel_paths_agree():
     for _ in range(200):
         a, b = _random_gauss(rng), _random_gauss(rng)
         wa, wb = float(rng.uniform(0.5, 40)), float(rng.uniform(0.5, 40))
-        m1 = np.empty(3)
-        c1 = np.empty(9)
-        _accel.merge_moments_into(
-            wa, a.mean.tolist(), a.cov.reshape(9).tolist(), wb, b.mean.tolist(), b.cov.reshape(9).tolist(), m1, c1
-        )
+        mean_a, cov_a = a.mean.tolist(), a.cov.reshape(9).tolist()
+        mean_b, cov_b = b.mean.tolist(), b.cov.reshape(9).tolist()
+        m1, c1 = _accel.merge_moments_into(wa, mean_a, cov_a, wb, mean_b, cov_b)
+        # new lists; the inputs are left as they were
+        assert type(m1) is list and type(c1) is list and len(m1) == 3 and len(c1) == 9
+        assert (mean_a, cov_a) == (a.mean.tolist(), a.cov.reshape(9).tolist())
+        assert (mean_b, cov_b) == (b.mean.tolist(), b.cov.reshape(9).tolist())
+        m1, c1 = np.array(m1), np.array(c1)
         m2 = np.empty(3)
         c2 = np.empty((3, 3))
         merge_moments_np(wa, a.mean, a.cov, wb, b.mean, b.cov, m2, c2)
@@ -859,3 +869,97 @@ def test_keyless_local_graph_is_refused_before_the_global_graph_changes():
 def test_merge_event_fields():
     ev = MergeEvent(kept_id=3, absorbed_id=-1, distance=0.4, frame_id=7)
     assert (ev.kept_id, ev.absorbed_id, ev.distance, ev.frame_id) == (3, -1, 0.4, 7)
+
+
+# -- covariances from outside the program --------------------------------------
+
+
+def test_node_built_local_graph_refuses_covariances_the_gate_cannot_score():
+    def local(cov):
+        return LocalSSG(frame_id=0, nodes=[_node(0, 0, [0, 0, 0]), _node(1, 0, [1, 0, 0], cov)], edges=[])
+
+    skew = np.eye(3)
+    skew[0, 1] = 1e-3
+    for cov, problem in (
+        (skew, "not symmetric"),
+        (np.diag([-1.0, -1.0, 1000.0]), "not positive definite"),  # det > 0, c00 < 0
+        (np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -1.0]]), "not positive definite"),  # 2x2 minor < 0
+    ):
+        with pytest.raises(MergeContractError, match=f"local node 1: covariance is {problem}"):
+            local(cov)
+    # degenerate covariances are taken, and inserted without matching
+    for cov in (np.zeros((3, 3)), -np.eye(3), np.diag([1.0, 1.0, 0.0])):
+        g = GlobalSSG()
+        _, events = integrate(local(cov), g, FusionConfig())
+        assert len(g.nodes) == 2 and events == []
+    # a rank-one v v' whose determinant rounds above DET_MIN, its 2x2 minor to -1e-16
+    v = np.array([1.0, 0.8, 0.1875])
+    local(np.outer(v, v))
+
+
+# -- graph bytes, and the two ways of building a local graph --------------------
+
+
+def _room_stream():
+    """A short noisy synthetic room with depth maps and relations."""
+    spec = SceneSpec(seed=21, n_objects=8, n_classes=4, n_frames=40, image_width=160, image_height=120,
+                     focal=125.0, noise=NoiseModel(bbox_jitter_px=1.0, depth_sigma_m=0.03,
+                                                   false_positive_rate=0.05, miss_rate=0.05))
+    return render_frames(generate_scene(spec), with_depth_maps=True)
+
+
+def _fused_sha256(tmp_path, frames, depth_maps=None) -> tuple[GlobalSSG, str]:
+    g, cfg, rng = GlobalSSG(), FusionConfig(), np.random.default_rng(5)
+    depth = None if depth_maps is None else depth_maps.__getitem__
+    for frame in frames:
+        res = process_frame(frame, g, cfg, rng=rng, depth_provider=depth, record_eval_points=depth is not None)
+        assert not res.skipped
+    g.validate(eval_point_cap=cfg.eval_point_cap)
+    vocab = ClassVocabulary(tuple(f"class_{i}" for i in range(10)), tuple(f"predicate_{i}" for i in range(5)))
+    save_graph(tmp_path / "graph.json", g, vocab)
+    return g, hashlib.sha256((tmp_path / "graph.json").read_bytes()).hexdigest()
+
+
+def test_graph_bytes_are_pinned(tmp_path):
+    # the bytes an engine change must not move without saying why
+    g, sha = _fused_sha256(tmp_path, orbit_frames(360))
+    assert len(g.nodes) == 166
+    assert sha == "98c8b5bf80363ffafc9989cc0cdeb26c4ad32118419e5d932be3ed8a2b738c2f"
+    frames, maps = _room_stream()
+    g, sha = _fused_sha256(tmp_path, frames, maps)
+    assert (len(g.nodes), len(g.edges)) == (19, 12)
+    assert sum(len(n.eval_points) > 1 for n in g.nodes.values()) == 9
+    assert sha == "69d2cfb396a3599a27e5664806c68edde0820e37ea4ec35834a6576cfdf1bec1"
+
+
+def test_node_built_and_columnar_local_graphs_integrate_alike():
+    # build_local_graph's columns, and a LocalSSG built from the nodes they
+    # view, give the same events and the same graph, eval keys included
+    frames, maps = _room_stream()
+    cfg = FusionConfig()
+    rng = np.random.default_rng(5)
+    g_cols, g_nodes = GlobalSSG(), GlobalSSG()
+    merges = 0
+    for frame in frames:
+        local = build_local_graph(frame, frame.camera, frame.pose, cfg, depth_provider=maps.__getitem__,
+                                  record_eval_points=True, rng=rng)
+        nodes = local.nodes
+        assert all(n.eval_keys is not None and len(n.eval_keys) == len(n.eval_points) for n in nodes)
+        hand = LocalSSG(frame.frame_id, nodes, [RelationEdge(e.subject_id, e.object_id,
+                                                             {p: list(v) for p, v in e.votes.items()})
+                                                for e in local.edges])
+        _, ev_cols = integrate(local, g_cols, cfg)
+        _, ev_nodes = integrate(hand, g_nodes, cfg)
+        assert ev_cols == ev_nodes
+        merges += len(ev_cols)
+        # integrate leaves the columns, and so the view, as they were
+        for a, b in zip(local.nodes, nodes):
+            assert (a.class_id, a.weight, a.score_sum, a.eval_seen) == (b.class_id, b.weight, b.score_sum, b.eval_seen)
+            assert a.gaussian.cov.tobytes() == b.gaussian.cov.tobytes()
+            assert a.eval_points is b.eval_points and a.eval_keys is b.eval_keys
+    assert merges > 0 and g_cols.edges
+    g_cols.validate(eval_point_cap=cfg.eval_point_cap)
+    vocab = ClassVocabulary(tuple(f"c{i}" for i in range(10)), tuple(f"p{i}" for i in range(5)))
+    assert json.dumps(export_graph(g_cols, vocab)) == json.dumps(export_graph(g_nodes, vocab))
+    for nid, node in g_cols.nodes.items():
+        assert node.eval_keys.tobytes() == g_nodes.nodes[nid].eval_keys.tobytes()

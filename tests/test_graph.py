@@ -779,6 +779,30 @@ def test_import_rejects_malformed():
         import_graph(doc)
 
 
+def test_import_refuses_covariances_the_gate_cannot_score():
+    # two nodes with covariance diag(-1, -1, 1000), 100 m apart, would score
+    # B = -1250 and merge; a graph document that holds one is malformed
+    g = GlobalSSG()
+    g.add_node(class_id=0, gaussian=Gaussian3D(mean=np.zeros(3), cov=np.eye(3)))
+    g.add_node(class_id=0, gaussian=Gaussian3D(mean=np.array([100.0, 0, 0]), cov=np.eye(3)))
+    good = export_graph(g, _vocab())
+    for cov, problem in (
+        ([-1.0, 0, 0, 0, -1.0, 0, 0, 0, 1000.0], "not positive definite"),
+        ([1.0, 2.0, 0, 2.0, 1.0, 0, 0, 0, -1.0], "not positive definite"),
+        ([1.0, 1e-3, 0, 0, 1.0, 0, 0, 0, 1.0], "not symmetric"),
+    ):
+        doc = json.loads(json.dumps(good))
+        doc["nodes"][1]["cov"] = cov
+        with pytest.raises(StreamFormatError, match=f"node 1: covariance is {problem}"):
+            import_graph(doc)
+    # a degenerate covariance is taken; integrate never matches it
+    for cov in ([0.0] * 9, [-1.0, 0, 0, 0, -1.0, 0, 0, 0, -1.0]):
+        doc = json.loads(json.dumps(good))
+        doc["nodes"][1]["cov"] = cov
+        loaded, _ = import_graph(doc)
+        assert loaded.row_logdets[1] == -math.inf
+
+
 def test_load_graph_rejects_non_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("not json {", encoding="utf-8")
