@@ -112,10 +112,12 @@ class _StageStats:
 
     The mean comes from a running sum. The percentiles come from counts in
     log-spaced bins, PER_DECADE to a decade from LOW seconds up, with one bin
-    below LOW and one above the top. A percentile is read as the geometric
-    centre of the bin that holds the sample of its rank (as numpy's "lower"
-    method ranks them), clamped to the smallest and largest times seen, so it
-    is within half a bin, about 1.2%, of that sample.
+    below LOW and one above the top. A percentile interpolates linearly
+    between the samples of the two ranks around it, as numpy's default
+    method does, and reads each sample as the geometric centre of its bin,
+    clamped to the smallest and largest times seen: within half a bin, about
+    1.2%, for times from LOW to the top. A sample in the bin below LOW reads
+    as the smallest time, one in the bin above the top as the largest.
     """
 
     LOW = 1e-8
@@ -139,15 +141,27 @@ class _StageStats:
             k = min(int(math.log10(seconds / self.LOW) * self.PER_DECADE) + 1, self.SIZE - 1)
         self.bins[k] += 1
 
-    def percentile(self, q: float) -> float:
-        rank = int((self.count - 1) * q / 100.0)
+    def _sample(self, rank: int) -> float:
+        """The sample of 0-based rank `rank`, read from its bin."""
         below = 0
         for k, n in enumerate(self.bins):
             below += n
             if below > rank:
                 break
-        value = self.LOW * 10.0 ** ((k - 0.5) / self.PER_DECADE) if 0 < k < self.SIZE - 1 else 0.0
+        if k == 0:
+            return self.smallest
+        if k == self.SIZE - 1:
+            return self.largest
+        value = self.LOW * 10.0 ** ((k - 0.5) / self.PER_DECADE)
         return min(max(value, self.smallest), self.largest)
+
+    def percentile(self, q: float) -> float:
+        position = (self.count - 1) * q / 100.0
+        rank = int(position)
+        value = self._sample(rank)
+        if position > rank:
+            value += (position - rank) * (self._sample(rank + 1) - value)
+        return value
 
     def report(self) -> dict:
         if not self.count:

@@ -435,8 +435,7 @@ def integrate(
     so integrate draws no random numbers.
 
     integrate reads only the local graph's columns, never its `nodes` view,
-    and leaves them as they are. A new global node takes its rows from the
-    queue as they stand (GlobalSSG.add_node's `row`).
+    and leaves them as they are.
     """
     cls = local.class_ids
     n = len(cls)
@@ -474,7 +473,13 @@ def integrate(
 
     def insert(i: int) -> None:
         gid_of[i] = global_graph.add_node(
-            cls[i], None, weight[i], score[i], points[i], seen[i], None, keys[i], row=(qm[i], qc[i], qld[i]),
+            class_id=cls[i],
+            gaussian=Gaussian3D(mean=np.array(qm[i]), cov=np.array(qc[i])),
+            weight=weight[i],
+            score_sum=score[i],
+            eval_points=points[i],
+            eval_seen=seen[i],
+            eval_keys=keys[i],
         ).id
 
     while queue:

@@ -34,9 +34,6 @@ from .geometry import Gaussian3D
 
 logger = logging.getLogger(__name__)
 
-_log = math.log
-_INF = math.inf
-_NEG_INF = -math.inf
 # relative rounding allowed below 0 in a covariance's leading 2x2 minor (covariance_problem)
 _MINOR_SLACK = 4.0 * 2.0**-52
 
@@ -65,13 +62,11 @@ def log_det3x3(a: np.ndarray) -> float:
 
 
 def log_det9(c) -> float:
-    """log_det3x3 of 9 row-major floats: the log of det9's expansion, written
-    out here because the engine takes one per merge."""
-    c00, c01, c02, c10, c11, c12, c20, c21, c22 = c
-    d = c00 * (c11 * c22 - c12 * c21) - c01 * (c10 * c22 - c12 * c20) + c02 * (c10 * c21 - c11 * c20)
-    if DET_MIN < d < _INF:
-        return _log(d)
-    return _NEG_INF
+    """log_det3x3 of 9 row-major floats."""
+    d = det9(c)
+    if not (d > DET_MIN) or not math.isfinite(d):
+        return -math.inf
+    return math.log(d)
 
 
 def covariance_problem(cov) -> str | None:
@@ -92,7 +87,7 @@ def covariance_problem(cov) -> str | None:
     c00, c01, c02, c10, c11, c12, c20, c21, c22 = cov
     if c01 != c10 or c02 != c20 or c12 != c21:
         return "covariance is not symmetric"
-    if log_det9(cov) != _NEG_INF:
+    if log_det9(cov) != -math.inf:
         diagonal, cross = c00 * c11, c01 * c10
         if c00 <= 0.0 or diagonal - cross < -_MINOR_SLACK * (diagonal + abs(cross)):
             return "covariance is not positive definite"
@@ -429,19 +424,17 @@ class GlobalSSG:
     def add_node(
         self,
         class_id: int,
-        gaussian: Gaussian3D | None = None,
+        gaussian: Gaussian3D,
         weight: int = 1,
         score_sum: float = 0.0,
         eval_points: np.ndarray | None = None,
         eval_seen: int = 0,
         node_id: int | None = None,
+        logdet: float | None = None,
         eval_keys: np.ndarray | None = None,
-        *,
-        row: tuple[list[float], list[float], float] | None = None,
     ) -> ObjectNode:
-        """Add a node and return it. Its Gaussian is `gaussian`, or `row`: a
-        3-float mean, a 9-float row-major covariance and their log_det9, which
-        the graph keeps (the caller must not modify them afterwards).
+        """Add a node and return it; `logdet`, if given, is log_det9 of the
+        covariance.
 
         Precondition, not checked here: the covariance is symmetric, and
         positive definite unless it is degenerate (log_det9 is -inf); see
@@ -471,10 +464,7 @@ class GlobalSSG:
         if class_id not in self._x_order:
             self._x_order[class_id] = ([], [])
             self._trace_bound[class_id] = -math.inf
-        if row is None:
-            self._write(nid, gaussian, None)
-        else:
-            self._place(nid, class_id, *row)
+        self._write(nid, gaussian, logdet)
         self.next_id = max(self.next_id, nid + 1)
         return node
 

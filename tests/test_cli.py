@@ -276,7 +276,14 @@ def test_run_bench_report(tmp_path, capsys, monkeypatch):
     stats = extra.report()
     assert stats["mean_ms"] == pytest.approx(times.mean() * 1e3, rel=1e-12)
     for q in (50, 99):
-        assert stats[f"p{q}_ms"] == pytest.approx(np.percentile(times, q, method="lower") * 1e3, rel=0.012)
+        assert stats[f"p{q}_ms"] == pytest.approx(np.percentile(times, q) * 1e3, rel=0.012)
+    # numpy's linear interpolation between ranks, and the open-ended bins read as the extremes
+    for few in ([2e-3, 4e-3], [1e-9, 2e-3, 3e-3], [1e-3, 2e-3, 5e3]):
+        short = Recorded()
+        for t in few:
+            short.add(t)
+        for q in (0, 50, 99, 100):
+            assert short.percentile(q) == pytest.approx(np.percentile(few, q), rel=0.012)
     bench = json.loads((tmp_path / "graph.bench.json").read_text())
     assert bench["frames"] == 40
     assert bench["fps"] > 0
