@@ -17,16 +17,9 @@ from .geometry import (
     BoundingBox2D,
     CameraIntrinsics,
     CameraPose,
-    Gaussian2D,
     Gaussian3D,
-    ProjectionJacobian,
-    backproject_covariance,
-    backproject_mean,
-    bbox_to_gaussian2d,
-    jacobian_pseudoinverse,
     lift_detection,
     lift_detections,
-    projection_jacobian,
 )
 from .graph import (
     ClassVocabulary,
@@ -97,16 +90,9 @@ __all__ = [
     "BoundingBox2D",
     "CameraIntrinsics",
     "CameraPose",
-    "Gaussian2D",
     "Gaussian3D",
-    "ProjectionJacobian",
-    "backproject_covariance",
-    "backproject_mean",
-    "bbox_to_gaussian2d",
-    "jacobian_pseudoinverse",
     "lift_detection",
     "lift_detections",
-    "projection_jacobian",
     "ClassVocabulary",
     "GlobalSSG",
     "LocalSSG",

@@ -10,12 +10,14 @@ Coordinate conventions used throughout the package:
   Rotation matrices are therefore camera-to-world.
 - All covariances are symmetric positive semi-definite, float64.
 
-The lift turns one detection into a 3D Gaussian in four steps: the box becomes
-a 2D Gaussian whose per-axis variance is that of a uniform distribution over
-the box; the box center is back-projected to the centroid depth; the 2D
-covariance is pulled through the pseudo-inverse of the projection Jacobian;
-and a synthetic depth variance (average of the two lateral variances) fills
-the rank-deficient viewing direction before rotating into the world frame.
+There is one lift, lift_detections, over a frame's detections at once;
+lift_detection is one row of it. It turns each detection into a 3D Gaussian
+in four steps: the box becomes a 2D Gaussian whose per-axis variance is that
+of a uniform distribution over the box; the box center is back-projected to
+the centroid depth; the 2D covariance is pulled through the pseudo-inverse
+of the projection Jacobian, and a synthetic depth variance (average of the
+two lateral variances) fills the rank-deficient viewing direction; the
+result is rotated into the world frame.
 """
 
 from __future__ import annotations
@@ -126,12 +128,6 @@ class BoundingBox2D:
 
 
 @dataclass(frozen=True)
-class Gaussian2D:
-    mean: np.ndarray
-    cov: np.ndarray
-
-
-@dataclass(frozen=True)
 class Gaussian3D:
     """World-frame object blob: mean in meters, 3x3 covariance in meters^2."""
 
@@ -141,19 +137,6 @@ class Gaussian3D:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64).reshape(3))
         object.__setattr__(self, "cov", np.asarray(self.cov, dtype=np.float64).reshape(3, 3))
-
-
-@dataclass(frozen=True)
-class ProjectionJacobian:
-    """2x3 linearization of perspective projection at a camera-frame point."""
-
-    matrix: np.ndarray
-    z: float
-
-
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    """(A + A.T)/2 — suppresses floating-point asymmetry before det/solve use."""
-    return (a + a.T) * 0.5
 
 
 def _check_depth(z: float) -> None:
@@ -174,113 +157,20 @@ def _check_gram(lo: float, hi: float) -> None:
         )
 
 
-def bbox_to_gaussian2d(bbox: BoundingBox2D) -> Gaussian2D:
-    """Model a box as the moments of a uniform density over its area.
-
-    A uniform distribution over width W has variance W^2/12, so the box maps
-    to mean = center, cov = diag(W^2/12, H^2/12).
-    """
-    _check_box(bbox.width, bbox.height)
-    cov = np.array(
-        [[bbox.width * bbox.width / 12.0, 0.0], [0.0, bbox.height * bbox.height / 12.0]]
-    )
-    return Gaussian2D(mean=bbox.center.copy(), cov=cov)
-
-
-def backproject_mean(
-    p: np.ndarray, z: float, cam: CameraIntrinsics, pose: CameraPose
-) -> np.ndarray:
-    """Back-project pixel p at depth z into the world frame.
-
-    Returns R @ (K^-1 @ (px, py, 1)) * z + t.
-    """
-    if not (z > 0.0) or not math.isfinite(z):
-        raise InvalidDepthError(f"depth must be positive finite, got {z}")
-    px, py = float(p[0]), float(p[1])
-    cam_pt = np.array(
-        [(px - cam.cx) / cam.fx * z, (py - cam.cy) / cam.fy * z, z]
-    )
-    return pose.rotation @ cam_pt + pose.translation
-
-
-def projection_jacobian(cam_point: np.ndarray, cam: CameraIntrinsics) -> ProjectionJacobian:
-    """Linearize perspective projection at a camera-frame point (x, y, z).
-
-    J = [[fx/z, 0, -fx*x/z^2],
-         [0, fy/z, -fy*y/z^2]]
-    """
-    x, y, z = float(cam_point[0]), float(cam_point[1]), float(cam_point[2])
-    if not (z >= Z_MIN) or not math.isfinite(z):
-        raise InvalidDepthError(f"evaluation depth {z} below minimum {Z_MIN}")
-    inv_z = 1.0 / z
-    inv_z2 = inv_z * inv_z
-    J = np.array(
-        [
-            [cam.fx * inv_z, 0.0, -cam.fx * x * inv_z2],
-            [0.0, cam.fy * inv_z, -cam.fy * y * inv_z2],
-        ]
-    )
-    return ProjectionJacobian(matrix=J, z=z)
-
-
-def jacobian_pseudoinverse(J: ProjectionJacobian) -> np.ndarray:
-    """Right pseudo-inverse J+ = J.T @ (J @ J.T)^-1, closed form.
-
-    The 2x2 Gram matrix is inverted by adjugate; its condition number is
-    checked first so a rank-deficient J fails loudly instead of amplifying
-    noise. Satisfies J @ J+ = I_2 for well-conditioned inputs.
-    """
-    m = J.matrix
-    # Gram matrix entries: [[a, b], [b, c]]
-    a = m[0, 0] * m[0, 0] + m[0, 1] * m[0, 1] + m[0, 2] * m[0, 2]
-    b = m[0, 0] * m[1, 0] + m[0, 1] * m[1, 1] + m[0, 2] * m[1, 2]
-    c = m[1, 0] * m[1, 0] + m[1, 1] * m[1, 1] + m[1, 2] * m[1, 2]
-    tr = a + c
-    disc = math.sqrt(max((a - c) * (a - c) + 4.0 * b * b, 0.0))
-    _check_gram(0.5 * (tr - disc), 0.5 * (tr + disc))
-    det = a * c - b * b
-    inv = np.array([[c, -b], [-b, a]]) / det
-    return m.T @ inv
-
-
-def backproject_covariance(
-    cov2d: np.ndarray, J: ProjectionJacobian, pose: CameraPose
-) -> np.ndarray:
-    """Pull a 2D pixel covariance back into a world-frame 3D covariance.
-
-    Sigma'' = J+ @ cov2d @ J+.T is rank deficient along the viewing ray, so
-    the (3,3) entry gets the average of the (1,1) and (2,2) entries before
-    the camera-frame result is rotated into the world: R @ Sigma' @ R.T.
-    The output is explicitly symmetrized.
-    """
-    jp = jacobian_pseudoinverse(J)
-    s = jp @ np.asarray(cov2d, dtype=np.float64) @ jp.T
-    s[2, 2] += 0.5 * (s[0, 0] + s[1, 1])
-    R = pose.rotation
-    out = R @ s @ R.T
-    return symmetrize(out)
-
-
 def lift_detection(
     bbox: BoundingBox2D,
     z: float,
     cam: CameraIntrinsics,
     pose: CameraPose,
 ) -> Gaussian3D:
-    """Lift one detection plus centroid depth into a world-frame Gaussian3D.
-
-    The projection Jacobian is evaluated at the back-projected camera-frame
-    point z*K^-1(p,1).
-    """
-    _check_depth(z)
-    g2 = bbox_to_gaussian2d(bbox)
-    px, py = float(bbox.center[0]), float(bbox.center[1])
-    x_cam = (px - cam.cx) / cam.fx * z
-    y_cam = (py - cam.cy) / cam.fy * z
-    cam_pt = np.array([x_cam, y_cam, z])
-    cov = backproject_covariance(g2.cov, projection_jacobian(cam_pt, cam), pose)
-    mean = pose.rotation @ cam_pt + pose.translation
-    return Gaussian3D(mean=mean, cov=cov)
+    """Lift one detection plus centroid depth into a world-frame Gaussian3D:
+    lift_detections of one row, raising that row's error."""
+    means, covs, (error,) = lift_detections(
+        [[bbox.center[0], bbox.center[1], bbox.width, bbox.height]], [z], cam, pose
+    )
+    if error is not None:
+        raise error
+    return Gaussian3D(mean=means[0], cov=covs[0])
 
 
 def lift_detections(
@@ -289,16 +179,30 @@ def lift_detections(
     cam: CameraIntrinsics,
     pose: CameraPose,
 ) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
-    """lift_detection over a stack of detections, bit-identical row by row.
+    """Lift a stack of detections, each with its centroid depth, into
+    world-frame Gaussians.
 
     boxes is (n, 4): pixel center cx, cy and extents w, h; z holds the n
     centroid depths. Returns the world-frame means (n, 3), the covariances
-    (n, 3, 3) and, per row, None or the error lift_detection raises for that
-    detection; the values of a row with an error are unspecified.
+    (n, 3, 3) and, per row, None or the row's error: InvalidDepthError for a
+    depth that is not finite or below Z_MIN, InvalidDetectionError for an
+    extent that is not positive and finite, SingularJacobianError for a
+    projection Jacobian whose Gram matrix is worse conditioned than COND_MAX.
+    The values of a row with an error are unspecified.
 
-    The arithmetic is lift_detection's, applied elementwise; the matrix
-    products are stacked np.matmul calls, which round exactly as `@` on each
-    matrix does.
+    Each row takes four steps, elementwise over the stack:
+    1. the box is a uniform density over its area, with covariance
+       diag(w^2/12, h^2/12) in pixels;
+    2. the box center is back-projected to (x, y, z) = z K^-1 (cx, cy, 1),
+       and the projection is linearized there:
+       J = [[fx/z, 0, -fx x/z^2], [0, fy/z, -fy y/z^2]];
+    3. the pixel covariance is pulled back through the closed-form right
+       pseudo-inverse J+ = J' (J J')^-1, to S = J+ C J+', and the depth
+       variance S[2, 2] gains the mean of the two lateral ones;
+    4. mean and covariance are rotated into the world, R p + t and R S R',
+       and the covariance is symmetrized as (A + A') / 2.
+    The matrix products are stacked np.matmul calls, which round exactly as
+    `@` on each matrix does, so a row does not depend on the others.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     z = np.asarray(z, dtype=np.float64).reshape(-1)
@@ -324,7 +228,7 @@ def lift_detections(
         J[:, 1, 2] = -cam.fy * y_cam * inv_z2
         m00, m01, m02 = J[:, 0, 0], J[:, 0, 1], J[:, 0, 2]
         m10, m11, m12 = J[:, 1, 0], J[:, 1, 1], J[:, 1, 2]
-        # closed-form pseudo-inverse J.T @ (J @ J.T)^-1, as jacobian_pseudoinverse
+        # step 3: closed-form pseudo-inverse; an ill-conditioned Gram matrix J @ J.T is refused
         a = m00 * m00 + m01 * m01 + m02 * m02
         b = m00 * m10 + m01 * m11 + m02 * m12
         c = m10 * m10 + m11 * m11 + m12 * m12
@@ -349,7 +253,7 @@ def lift_detections(
         cov2d = np.zeros((n, 2, 2))
         cov2d[:, 0, 0] = bw * bw / 12.0
         cov2d[:, 1, 1] = bh * bh / 12.0
-        # backproject_covariance: depth variance, rotation, symmetrization
+        # depth variance, then step 4: rotation and symmetrization
         s = np.matmul(np.matmul(jp, cov2d), jp.transpose(0, 2, 1))
         s[:, 2, 2] += 0.5 * (s[:, 0, 0] + s[:, 1, 1])
         out = np.matmul(np.matmul(R, s), R.T)

@@ -9,14 +9,15 @@ global graph stores every node's Gaussian once, as such rows, and indexes
 each class's nodes by mean x. The fusion engine merges a few nodes per
 detection, one at a time, and at that size numpy's per-call cost outweighs
 the arithmetic: the engine reads and writes the float rows and finds
-candidates through the x index, with no numpy call per merge. Global node
-objects build their Gaussian3D from the rows on demand; the rows are the
-only store of node Gaussians, and `validate` checks them.
+candidates through the x index, with no numpy call per merge. A global
+node's `gaussian` is a Gaussian3D built from its rows each time it is read;
+the rows are the only store of node Gaussians, and `validate` checks them.
 
-Covariances are symmetric, and positive definite unless degenerate (log_det9
-is -inf). The lift and the moment merge give such rows by construction and
-are not checked again; what comes from outside is checked where it enters
-(covariance_problem: import_graph, LocalSSG built from nodes).
+Means and covariances are finite; covariances are symmetric, and positive
+definite unless degenerate (log_det9 is -inf). The lift and the moment merge
+give such rows by construction and are not checked again; what comes from
+outside is checked where it enters (gaussian_problem: import_graph, LocalSSG
+built from nodes).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .geometry import Gaussian3D
 
 logger = logging.getLogger(__name__)
 
-# relative rounding allowed below 0 in a covariance's leading 2x2 minor (covariance_problem)
+# relative rounding allowed below 0 in a covariance's leading 2x2 minor (gaussian_problem)
 _MINOR_SLACK = 4.0 * 2.0**-52
 
 # Determinant floor below which a covariance is treated as degenerate.
@@ -69,12 +70,15 @@ def log_det9(c) -> float:
     return math.log(d)
 
 
-def covariance_problem(cov) -> str | None:
-    """Why 9 row-major floats are not a covariance the merge gate can score,
-    or None if they are.
+def gaussian_problem(mean, cov) -> str | None:
+    """Why a 3-float mean and 9 row-major covariance floats are not a Gaussian
+    the merge gate can score, or None if they are.
 
-    A covariance must be exactly symmetric, and one whose determinant clears
-    DET_MIN must be positive definite: c00 > 0 and m = c00 c11 - c01 c10 > 0
+    Every entry must be finite: a NaN mean scores NaN against every query,
+    a non-finite covariance reads as degenerate (log_det9 is -inf), and an
+    infinite variance widens its class's trace bound for good. A covariance
+    must be exactly symmetric, and one whose determinant clears DET_MIN must
+    be positive definite: c00 > 0 and m = c00 c11 - c01 c10 > 0
     as well (Sylvester's criterion). The gate's cull and its log-det term
     assume both; a pair of covariances that are not positive definite can
     score B < 0 and merge at any distance. m may fall below 0 by its own
@@ -84,6 +88,10 @@ def covariance_problem(cov) -> str | None:
     A covariance whose determinant does not clear DET_MIN is degenerate, not
     wrong: integrate inserts it unmatched.
     """
+    if not all(map(math.isfinite, mean)):
+        return "mean is not finite"
+    if not all(map(math.isfinite, cov)):
+        return "covariance is not finite"
     c00, c01, c02, c10, c11, c12, c20, c21, c22 = cov
     if c01 != c10 or c02 != c20 or c12 != c21:
         return "covariance is not symmetric"
@@ -170,8 +178,8 @@ class LocalSSG:
     (from_columns). LocalSSG(frame_id, nodes, edges) takes them from the
     nodes, whose ids must be 0, 1, ... in order, and raises
     MergeContractError for a node with eval points without keys or with a
-    covariance the gate cannot score (covariance_problem); a degenerate
-    covariance is accepted.
+    Gaussian the gate cannot score (gaussian_problem, as import_graph); a
+    degenerate covariance is accepted.
     """
 
     def __init__(self, frame_id: int, nodes: list[ObjectNode], edges: list[RelationEdge]):
@@ -190,8 +198,8 @@ class LocalSSG:
         self.eval_seen = [node.eval_seen for node in nodes]
         self.row_means = [node.gaussian.mean.tolist() for node in nodes]
         self.row_covs = [node.gaussian.cov.reshape(9).tolist() for node in nodes]
-        for i, cov in enumerate(self.row_covs):
-            problem = covariance_problem(cov)
+        for i, (mean, cov) in enumerate(zip(self.row_means, self.row_covs)):
+            problem = gaussian_problem(mean, cov)
             if problem is not None:
                 raise MergeContractError(f"local node {i}: {problem}")
 
@@ -247,10 +255,10 @@ def resolve_predicate(edge: RelationEdge) -> int:
 
 class _GlobalNode(ObjectNode):
     """A node of a GlobalSSG. Its Gaussian is its row in the graph's row
-    lists; `gaussian` builds a Gaussian3D from that row on first read and
-    keeps it until the row changes. Write it through GlobalSSG.set_gaussian
-    or set_row. The node holds the graph's row lists, not the graph, so that
-    a graph and its nodes form no reference cycle.
+    lists, and nowhere else; `gaussian` builds a new Gaussian3D from that row
+    each time it is read. Write it through GlobalSSG.set_gaussian or set_row.
+    The node holds the graph's row lists, not the graph, so that a graph and
+    its nodes form no reference cycle.
 
     Its eval-point reservoir merges lazily (merge_eval_points): the held
     points and keys (_points, _keys) are followed by pending keyed chunks,
@@ -265,7 +273,7 @@ class _GlobalNode(ObjectNode):
 
     def __init__(self, row_means: list, row_covs: list, node_id: int, class_id: int, weight: int,
                  score_sum: float, eval_points: np.ndarray | None, eval_seen: int,
-                 eval_keys: np.ndarray | None, gaussian: Gaussian3D | None):
+                 eval_keys: np.ndarray | None):
         self.id = node_id
         self.class_id = class_id
         self.weight = weight
@@ -275,17 +283,10 @@ class _GlobalNode(ObjectNode):
         self.eval_seen = eval_seen
         self._row_means = row_means
         self._row_covs = row_covs
-        self._gaussian = gaussian
 
     @property
     def gaussian(self) -> Gaussian3D:
-        g = self._gaussian
-        if g is None:
-            g = self._gaussian = Gaussian3D(
-                mean=np.array(self._row_means[self.id]),
-                cov=np.array(self._row_covs[self.id]),
-            )
-        return g
+        return Gaussian3D(mean=np.array(self._row_means[self.id]), cov=np.array(self._row_covs[self.id]))
 
     # keyed, non-empty chunks (a tuple until the first, so that a node that
     # never defers a merge allocates no list), the points in them, and the
@@ -436,9 +437,10 @@ class GlobalSSG:
         """Add a node and return it; `logdet`, if given, is log_det9 of the
         covariance.
 
-        Precondition, not checked here: the covariance is symmetric, and
-        positive definite unless it is degenerate (log_det9 is -inf); see
-        covariance_problem. The gate scores pairs wrongly otherwise. Rows of
+        Precondition, not checked here: every mean and covariance entry is
+        finite, and the covariance is symmetric, and positive definite unless
+        it is degenerate (log_det9 is -inf); see gaussian_problem. The gate
+        scores pairs wrongly otherwise, and validate fails. Rows of
         the lift and of the moment merge meet it by construction;
         import_graph and a LocalSSG built from nodes check what comes from
         outside.
@@ -459,7 +461,7 @@ class GlobalSSG:
             self.row_logdets += [-math.inf] * grow
             self.row_traces += [0.0] * grow
         node = _GlobalNode(self.row_means, self.row_covs, nid, class_id, weight, score_sum,
-                           eval_points, eval_seen, eval_keys, gaussian)
+                           eval_points, eval_seen, eval_keys)
         self.nodes[nid] = node
         if class_id not in self._x_order:
             self._x_order[class_id] = ([], [])
@@ -469,9 +471,8 @@ class GlobalSSG:
         return node
 
     def set_gaussian(self, node_id: int, gaussian: Gaussian3D, logdet: float | None = None) -> None:
-        node = self.nodes[node_id]
+        """Store a node's new Gaussian as its rows; precondition as add_node's."""
         self._write(node_id, gaussian, logdet)
-        node._gaussian = gaussian
 
     def _write(self, nid: int, gaussian: Gaussian3D, logdet: float | None) -> None:
         cov = gaussian.cov.reshape(9).tolist()
@@ -481,10 +482,9 @@ class GlobalSSG:
     def set_row(self, node_id: int, mean: list[float], cov: list[float], logdet: float) -> None:
         """set_gaussian from a 3-float mean and a 9-float row-major covariance,
         which the graph keeps (the caller must not modify them afterwards),
-        and their log_det9."""
-        node = self.nodes[node_id]
-        self._place(node_id, node.class_id, mean, cov, logdet)
-        node._gaussian = None
+        and their log_det9. Precondition, not checked here, as add_node's: a
+        mean and covariance that gaussian_problem accepts."""
+        self._place(node_id, self.nodes[node_id].class_id, mean, cov, logdet)
 
     def accumulate_edge(self, subject_id: int, object_id: int, votes: dict[int, list]) -> RelationEdge:
         if subject_id == object_id:
@@ -526,6 +526,7 @@ class GlobalSSG:
             assert xs == sorted(xs) and xs == [self.row_means[i][0] for i in ids], "x order broken"
             bound = self._trace_bound[cid]
             assert all(c[0] + c[4] + c[8] <= bound for c in (self.row_covs[i] for i in ids)), "trace bound"
+            assert not ids or math.isfinite(bound), f"class {cid} trace bound is not finite"
         for (s, o), edge in self.edges.items():
             assert (s, o) == (edge.subject_id, edge.object_id), "edge key mismatch"
             assert s != o, f"self loop on {s}"
@@ -537,10 +538,9 @@ class GlobalSSG:
             assert node.weight >= 1
             assert nid < self.next_id
             mean, cov = self.row_means[nid], self.row_covs[nid]
+            assert all(map(math.isfinite, mean + cov)), f"node {nid} row is not finite"
             assert self.row_logdets[nid] == log_det9(cov), "log-determinant out of sync"
             assert self.row_traces[nid] == cov[0] + cov[4] + cov[8], "trace out of sync"
-            np.testing.assert_array_equal(node.gaussian.mean, mean)
-            np.testing.assert_array_equal(node.gaussian.cov.reshape(9), cov)
             # the held reservoir and the pending chunks, read without compacting them
             held, keys, pending = node._points, node._keys, node._pending
             size = 0 if held is None else len(held)
@@ -647,8 +647,8 @@ def export_graph(g: GlobalSSG, vocab: ClassVocabulary) -> dict:
             "class_id": n.class_id,
             "weight": n.weight,
             "score_sum": n.score_sum,
-            "mean": [float(v) for v in n.gaussian.mean],
-            "cov": [float(v) for v in n.gaussian.cov.reshape(9)],
+            "mean": [float(v) for v in g.row_means[nid]],
+            "cov": [float(v) for v in g.row_covs[nid]],
         }
         if n.eval_points is not None:
             # float64 first, so that an integer array still writes floats
@@ -676,8 +676,9 @@ def export_graph(g: GlobalSSG, vocab: ClassVocabulary) -> dict:
 def import_graph(doc: dict) -> tuple[GlobalSSG, ClassVocabulary]:
     """The graph and vocabulary of a document written by export_graph.
 
-    StreamFormatError for a malformed document, including a node covariance
-    the merge gate cannot score (covariance_problem).
+    StreamFormatError for a malformed document, including a node Gaussian
+    the merge gate cannot score (gaussian_problem): a mean or covariance
+    entry that is not finite, or a covariance that is not one.
     """
     try:
         vocab = ClassVocabulary(
@@ -687,13 +688,15 @@ def import_graph(doc: dict) -> tuple[GlobalSSG, ClassVocabulary]:
         g = GlobalSSG()
         for rec in doc["nodes"]:
             pts = rec.get("eval_points")
-            cov = np.array(rec["cov"], dtype=np.float64).reshape(3, 3)
-            problem = covariance_problem(cov.reshape(9).tolist())
+            gaussian = Gaussian3D(
+                mean=np.array(rec["mean"], dtype=np.float64), cov=np.array(rec["cov"], dtype=np.float64)
+            )
+            problem = gaussian_problem(gaussian.mean.tolist(), gaussian.cov.reshape(9).tolist())
             if problem is not None:
                 raise ValueError(f"node {rec['id']}: {problem}")
             g.add_node(
                 class_id=int(rec["class_id"]),
-                gaussian=Gaussian3D(mean=np.array(rec["mean"], dtype=np.float64), cov=cov),
+                gaussian=gaussian,
                 weight=int(rec["weight"]),
                 score_sum=float(rec["score_sum"]),
                 eval_points=None if pts is None else np.array(pts, dtype=np.float64).reshape(-1, 3),

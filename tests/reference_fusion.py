@@ -1,5 +1,11 @@
 """Reference implementations kept as oracles for the fusion engine.
 
+`lift_detection` here is the step-by-step lift, one detection at a time:
+box to 2D Gaussian, back-projected mean, projection Jacobian, its closed-form
+pseudo-inverse, and the back-projected covariance. geometry.lift_detections,
+the one lift of the package, must equal it bit for bit row by row, and raise
+the same errors with the same messages.
+
 `integrate` here is the plain per-query form of the engine's algorithm:
 every query scans every live same-class candidate with the vectorized numpy
 Hellinger kernel, merges go through the numpy moment merge, and point
@@ -33,9 +39,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scenefuse.errors import MergeContractError
+from scenefuse.errors import InvalidDepthError, MergeContractError
 from scenefuse.fusion import FusionConfig, MergeEvent
-from scenefuse.geometry import CameraIntrinsics, CameraPose, Gaussian3D
+from scenefuse.geometry import (
+    BoundingBox2D,
+    CameraIntrinsics,
+    CameraPose,
+    Gaussian3D,
+    Z_MIN,
+    _check_box,
+    _check_depth,
+    _check_gram,
+)
 from scenefuse.graph import (
     DET_MIN,
     ClassVocabulary,
@@ -59,6 +74,134 @@ def validate_pose(pose: CameraPose, tol: float = 1e-9) -> None:
     det = np.linalg.det(R)
     if abs(det - 1.0) > tol:
         raise ValueError(f"rotation must be proper (det {det:.12f} != +1)")
+
+
+@dataclass(frozen=True)
+class Gaussian2D:
+    mean: np.ndarray
+    cov: np.ndarray
+
+
+@dataclass(frozen=True)
+class ProjectionJacobian:
+    """2x3 linearization of perspective projection at a camera-frame point."""
+
+    matrix: np.ndarray
+    z: float
+
+
+def symmetrize(a: np.ndarray) -> np.ndarray:
+    """(A + A.T)/2 — suppresses floating-point asymmetry before det/solve use."""
+    return (a + a.T) * 0.5
+
+
+def bbox_to_gaussian2d(bbox: BoundingBox2D) -> Gaussian2D:
+    """Model a box as the moments of a uniform density over its area.
+
+    A uniform distribution over width W has variance W^2/12, so the box maps
+    to mean = center, cov = diag(W^2/12, H^2/12).
+    """
+    _check_box(bbox.width, bbox.height)
+    cov = np.array(
+        [[bbox.width * bbox.width / 12.0, 0.0], [0.0, bbox.height * bbox.height / 12.0]]
+    )
+    return Gaussian2D(mean=bbox.center.copy(), cov=cov)
+
+
+def backproject_mean(
+    p: np.ndarray, z: float, cam: CameraIntrinsics, pose: CameraPose
+) -> np.ndarray:
+    """Back-project pixel p at depth z into the world frame.
+
+    Returns R @ (K^-1 @ (px, py, 1)) * z + t.
+    """
+    if not (z > 0.0) or not math.isfinite(z):
+        raise InvalidDepthError(f"depth must be positive finite, got {z}")
+    px, py = float(p[0]), float(p[1])
+    cam_pt = np.array(
+        [(px - cam.cx) / cam.fx * z, (py - cam.cy) / cam.fy * z, z]
+    )
+    return pose.rotation @ cam_pt + pose.translation
+
+
+def projection_jacobian(cam_point: np.ndarray, cam: CameraIntrinsics) -> ProjectionJacobian:
+    """Linearize perspective projection at a camera-frame point (x, y, z).
+
+    J = [[fx/z, 0, -fx*x/z^2],
+         [0, fy/z, -fy*y/z^2]]
+    """
+    x, y, z = float(cam_point[0]), float(cam_point[1]), float(cam_point[2])
+    if not (z >= Z_MIN) or not math.isfinite(z):
+        raise InvalidDepthError(f"evaluation depth {z} below minimum {Z_MIN}")
+    inv_z = 1.0 / z
+    inv_z2 = inv_z * inv_z
+    J = np.array(
+        [
+            [cam.fx * inv_z, 0.0, -cam.fx * x * inv_z2],
+            [0.0, cam.fy * inv_z, -cam.fy * y * inv_z2],
+        ]
+    )
+    return ProjectionJacobian(matrix=J, z=z)
+
+
+def jacobian_pseudoinverse(J: ProjectionJacobian) -> np.ndarray:
+    """Right pseudo-inverse J+ = J.T @ (J @ J.T)^-1, closed form.
+
+    The 2x2 Gram matrix is inverted by adjugate; its condition number is
+    checked first so a rank-deficient J fails loudly instead of amplifying
+    noise. Satisfies J @ J+ = I_2 for well-conditioned inputs.
+    """
+    m = J.matrix
+    # Gram matrix entries: [[a, b], [b, c]]
+    a = m[0, 0] * m[0, 0] + m[0, 1] * m[0, 1] + m[0, 2] * m[0, 2]
+    b = m[0, 0] * m[1, 0] + m[0, 1] * m[1, 1] + m[0, 2] * m[1, 2]
+    c = m[1, 0] * m[1, 0] + m[1, 1] * m[1, 1] + m[1, 2] * m[1, 2]
+    tr = a + c
+    disc = math.sqrt(max((a - c) * (a - c) + 4.0 * b * b, 0.0))
+    _check_gram(0.5 * (tr - disc), 0.5 * (tr + disc))
+    det = a * c - b * b
+    inv = np.array([[c, -b], [-b, a]]) / det
+    return m.T @ inv
+
+
+def backproject_covariance(
+    cov2d: np.ndarray, J: ProjectionJacobian, pose: CameraPose
+) -> np.ndarray:
+    """Pull a 2D pixel covariance back into a world-frame 3D covariance.
+
+    Sigma'' = J+ @ cov2d @ J+.T is rank deficient along the viewing ray, so
+    the (3,3) entry gets the average of the (1,1) and (2,2) entries before
+    the camera-frame result is rotated into the world: R @ Sigma' @ R.T.
+    The output is explicitly symmetrized.
+    """
+    jp = jacobian_pseudoinverse(J)
+    s = jp @ np.asarray(cov2d, dtype=np.float64) @ jp.T
+    s[2, 2] += 0.5 * (s[0, 0] + s[1, 1])
+    R = pose.rotation
+    out = R @ s @ R.T
+    return symmetrize(out)
+
+
+def lift_detection(
+    bbox: BoundingBox2D,
+    z: float,
+    cam: CameraIntrinsics,
+    pose: CameraPose,
+) -> Gaussian3D:
+    """Lift one detection plus centroid depth into a world-frame Gaussian3D.
+
+    The projection Jacobian is evaluated at the back-projected camera-frame
+    point z*K^-1(p,1).
+    """
+    _check_depth(z)
+    g2 = bbox_to_gaussian2d(bbox)
+    px, py = float(bbox.center[0]), float(bbox.center[1])
+    x_cam = (px - cam.cx) / cam.fx * z
+    y_cam = (py - cam.cy) / cam.fy * z
+    cam_pt = np.array([x_cam, y_cam, z])
+    cov = backproject_covariance(g2.cov, projection_jacobian(cam_pt, cam), pose)
+    mean = pose.rotation @ cam_pt + pose.translation
+    return Gaussian3D(mean=mean, cov=cov)
 
 
 def export_graph(g: GlobalSSG, vocab: ClassVocabulary) -> dict:

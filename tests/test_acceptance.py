@@ -31,18 +31,14 @@ from scenefuse import (
     Relation2D,
     RelationEdge,
     SceneSpec,
-    backproject_covariance,
-    backproject_mean,
     bhattacharyya,
     compute_recalls,
     generate_scene,
     hellinger,
-    jacobian_pseudoinverse,
     lift_detection,
     match_objects,
     merge_gaussians,
     process_frame,
-    projection_jacobian,
     render_frames,
     resolve_predicate,
     sample_centroid_depth,
@@ -92,6 +88,9 @@ def _clean_scene_spec(seed: int) -> SceneSpec:
 
 
 def test_closed_form_examples_hold_at_tolerance():
+    # imported here, as below: tests/ is not on sys.path under perfbench/selftest.py
+    from reference_fusion import backproject_covariance, backproject_mean, jacobian_pseudoinverse, projection_jacobian
+
     t0 = time.perf_counter()
     checks: list[tuple[str, bool]] = []
 
@@ -233,6 +232,8 @@ def test_closed_form_examples_hold_at_tolerance():
 
 
 def test_pseudoinverse_identity_residual_stays_below_1e9():
+    from reference_fusion import jacobian_pseudoinverse, projection_jacobian
+
     rng = np.random.default_rng(2002)
     worst = 0.0
     for _ in range(1000):

@@ -16,7 +16,7 @@ import pytest
 
 from scenefuse.cli import main
 from scenefuse.evaluation import load_ground_truth
-from scenefuse.geometry import CameraIntrinsics, CameraPose
+from scenefuse.geometry import CameraIntrinsics, CameraPose, Gaussian3D
 from scenefuse.graph import ClassVocabulary, GlobalSSG, load_graph, save_graph
 from scenefuse.streams import Detection, FrameRecord, parse_frame_stream, write_frame_stream
 from scenefuse.synthetic import load_scene_spec, scene_vocab
@@ -373,6 +373,19 @@ def test_eval_vocab_mismatch_exit_4(tmp_path):
     save_graph(pred, GlobalSSG(), ClassVocabulary(("mug",), ("on",)))
     rc = main(["eval", "--pred", str(pred), "--gt", gt, "--report", str(tmp_path / "r.json")])
     assert rc == 4
+
+
+def test_eval_refuses_a_graph_with_non_finite_entries_exit_2(tmp_path, capsys):
+    spec = _write_spec(tmp_path)
+    _, gt = _synth(tmp_path, spec)
+    g = GlobalSSG()
+    g.add_node(class_id=0, gaussian=Gaussian3D(mean=np.array([np.nan, 0.0, 0.0]), cov=np.eye(3)))
+    pred = tmp_path / "nan_graph.json"
+    save_graph(pred, g, scene_vocab(load_scene_spec(spec)))
+    assert "NaN" in pred.read_text()
+    rc = main(["eval", "--pred", str(pred), "--gt", gt, "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "node 0: mean is not finite" in capsys.readouterr().err
 
 
 def test_eval_headline_row_has_five_numbers(tmp_path, capsys):

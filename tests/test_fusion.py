@@ -897,6 +897,18 @@ def test_node_built_local_graph_refuses_covariances_the_gate_cannot_score():
     local(np.outer(v, v))
 
 
+def test_node_built_local_graph_refuses_non_finite_entries():
+    # the check import_graph makes; the lift's own rows (from_columns) are not checked
+    for mean, cov, problem in (
+        ([math.nan, 0, 0], None, "mean is not finite"),
+        ([0, 0, math.inf], None, "mean is not finite"),
+        ([1, 0, 0], np.diag([math.inf, 1.0, 1.0]), "covariance is not finite"),
+        ([1, 0, 0], np.full((3, 3), math.nan), "covariance is not finite"),
+    ):
+        with pytest.raises(MergeContractError, match=f"local node 1: {problem}"):
+            LocalSSG(frame_id=0, nodes=[_node(0, 0, [0, 0, 0]), _node(1, 0, mean, cov)], edges=[])
+
+
 # -- graph bytes, and the two ways of building a local graph --------------------
 
 

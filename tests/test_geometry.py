@@ -3,6 +3,12 @@
 Expected values come from independent oracles: a homogeneous-coordinate
 back-projection (full matrix route, no shared code with the package) and
 step-by-step hand evaluation of the lift chain.
+
+The package has one lift, geometry.lift_detections (lift_detection is one
+row of it). The step-by-step helpers tested here live in
+tests/reference_fusion.py, where they make up the oracle that lift is held
+to bit for bit (tests/test_oracle.py); these tests pin that oracle to
+closed-form values.
 """
 
 from __future__ import annotations
@@ -12,18 +18,16 @@ import math
 import numpy as np
 import pytest
 
+import scenefuse
 from scenefuse.errors import InvalidDepthError, InvalidDetectionError, SingularJacobianError
-from scenefuse.geometry import (
-    BoundingBox2D,
-    CameraIntrinsics,
-    CameraPose,
-    Gaussian2D,
+from scenefuse.geometry import BoundingBox2D, CameraIntrinsics, CameraPose, lift_detection
+
+from reference_fusion import (
     ProjectionJacobian,
     backproject_covariance,
     backproject_mean,
     bbox_to_gaussian2d,
     jacobian_pseudoinverse,
-    lift_detection,
     projection_jacobian,
 )
 
@@ -332,3 +336,22 @@ def test_intrinsics_validation():
     with pytest.raises(ValueError):
         CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=0, height=480).validate()
     _cam(fx=500.0).validate()
+
+
+# ---------------------------------------------------------------------------
+# public surface
+# ---------------------------------------------------------------------------
+
+_STEP_BY_STEP_LIFT = (
+    "Gaussian2D", "ProjectionJacobian", "symmetrize", "bbox_to_gaussian2d", "backproject_mean",
+    "projection_jacobian", "jacobian_pseudoinverse", "backproject_covariance",
+)
+
+
+def test_public_names_resolve_and_the_step_by_step_lift_is_gone():
+    assert len(set(scenefuse.__all__)) == len(scenefuse.__all__)
+    for name in scenefuse.__all__:
+        assert getattr(scenefuse, name) is not None, name
+    for name in _STEP_BY_STEP_LIFT:
+        assert name not in scenefuse.__all__
+        assert not hasattr(scenefuse, name) and not hasattr(scenefuse.geometry, name), name

@@ -160,7 +160,9 @@ def test_set_gaussian_updates_rows():
     assert g.row_covs[1] == new.cov.reshape(9).tolist()
     assert g.row_logdets[1] == pytest.approx(math.log(27.0))
     assert g.row_traces[1] == 9.0
-    assert g.nodes[1].gaussian is new
+    # the rows are the node's only store: its Gaussian is rebuilt from them
+    assert g.nodes[1].gaussian.mean.tobytes() == new.mean.tobytes()
+    assert g.nodes[1].gaussian.cov.tobytes() == new.cov.tobytes()
     g.set_row(1, [1.0, 2.0, 3.0], (np.eye(3) * 2.0).reshape(9).tolist(), math.log(8.0))
     np.testing.assert_array_equal(g.nodes[1].gaussian.mean, [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(g.nodes[1].gaussian.cov, np.eye(3) * 2.0)
@@ -801,6 +803,37 @@ def test_import_refuses_covariances_the_gate_cannot_score():
         doc["nodes"][1]["cov"] = cov
         loaded, _ = import_graph(doc)
         assert loaded.row_logdets[1] == -math.inf
+
+
+def test_import_refuses_non_finite_means_and_covariances():
+    # a NaN mean scores NaN against every query of its class, and an infinite
+    # variance reads as degenerate and sets its class's trace bound to inf
+    g = GlobalSSG()
+    g.add_node(class_id=0, gaussian=Gaussian3D(mean=np.zeros(3), cov=np.eye(3)))
+    g.add_node(class_id=0, gaussian=Gaussian3D(mean=np.array([1.0, 0, 0]), cov=np.eye(3)))
+    good = export_graph(g, _vocab())
+    nan_entry = [1.0, math.nan, 0, math.nan, 1.0, 0, 0, 0, 1.0]
+    for key, value, problem in (
+        ("mean", [math.nan, 0.0, 0.0], "mean is not finite"),
+        ("cov", [math.inf, 0, 0, 0, 1.0, 0, 0, 0, 1.0], "covariance is not finite"),
+        ("cov", nan_entry, "covariance is not finite"),
+    ):
+        doc = json.loads(json.dumps(good))
+        doc["nodes"][1][key] = value
+        with pytest.raises(StreamFormatError, match=f"node 1: {problem}"):
+            import_graph(doc)
+
+
+def test_validate_catches_non_finite_rows_built_by_hand():
+    g = GlobalSSG()
+    g.add_node(class_id=0, gaussian=Gaussian3D(mean=np.array([math.nan, 0, 0]), cov=np.eye(3)))
+    with pytest.raises(AssertionError, match="node 0 row is not finite"):
+        g.validate()
+    g = GlobalSSG()
+    g.add_node(class_id=3, gaussian=Gaussian3D(mean=np.zeros(3), cov=np.diag([math.inf, 1.0, 1.0])))
+    assert g.trace_bound(3) == math.inf
+    with pytest.raises(AssertionError, match="class 3 trace bound is not finite"):
+        g.validate()
 
 
 def test_load_graph_rejects_non_json(tmp_path):

@@ -4,8 +4,8 @@
 scalar kernels; tests/reference_fusion.py keeps the per-query algorithm that
 scans every live candidate with the vectorized numpy kernel. Both must make
 the same decisions in the same order and leave byte-identical graphs, eval
-keys included. The batched lift must likewise equal the
-per-detection lift bit for bit and drop the same detections, and the
+keys included. The batched lift must likewise equal the reference's
+step-by-step lift bit for bit and drop the same detections, and the
 per-frame evaluation-point pass must equal the per-detection one bit for bit.
 
 The per-frame checks around the merge have references too: the one-pass
@@ -304,13 +304,18 @@ def test_batched_lift_matches_per_detection_lift(batch):
     for k, ((cx, cy, w, h), zk) in enumerate(zip(boxes.tolist(), z.tolist())):
         box = BoundingBox2D(center=np.array([cx, cy]), width=w, height=h, score=1.0, class_id=0)
         try:
-            g = lift_detection(box, zk, cam, pose)
+            g = reference_fusion.lift_detection(box, zk, cam, pose)
         except (InvalidDepthError, InvalidDetectionError, SingularJacobianError) as exc:
             assert type(errors[k]) is type(exc) and str(errors[k]) == str(exc)
+            with pytest.raises(type(exc)) as one:  # the one-row lift raises the row's error
+                lift_detection(box, zk, cam, pose)
+            assert type(one.value) is type(exc) and str(one.value) == str(exc)
             continue
         assert errors[k] is None
-        np.testing.assert_array_equal(means[k], g.mean)
-        np.testing.assert_array_equal(covs[k], g.cov)
+        one = lift_detection(box, zk, cam, pose)
+        for mean, cov in ((means[k], covs[k]), (one.mean, one.cov)):
+            np.testing.assert_array_equal(mean, g.mean)
+            np.testing.assert_array_equal(cov, g.cov)
 
 
 # -- the one-pass frame reader against the per-field walk ----------------------
@@ -608,7 +613,7 @@ def test_lifted_rows_integrate_as_hand_built_nodes(stream):
             box = BoundingBox2D(center=np.array([det.cx, det.cy]), width=det.w, height=det.h,
                                 score=det.score, class_id=det.class_id)
             try:
-                lifted.append((det, lift_detection(box, z, frame.camera, frame.pose)))
+                lifted.append((det, reference_fusion.lift_detection(box, z, frame.camera, frame.pose)))
             except (InvalidDepthError, InvalidDetectionError, SingularJacobianError):
                 continue
         hand = LocalSSG(
