@@ -42,7 +42,6 @@ from .fusion import (
     build_local_graph,
     hellinger,
     integrate,
-    merge_gaussians,
     process_frame,
 )
 from .streams import (
@@ -111,7 +110,6 @@ __all__ = [
     "build_local_graph",
     "hellinger",
     "integrate",
-    "merge_gaussians",
     "process_frame",
     "DepthCache",
     "Detection",

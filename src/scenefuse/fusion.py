@@ -39,9 +39,7 @@ from .graph import (
     DET_MIN,
     GlobalSSG,
     LocalSSG,
-    ObjectNode,
     RelationEdge,
-    _aes_keys,
     log_det9,
     merge_point_reservoirs,
     top_keys,
@@ -134,60 +132,6 @@ def hellinger(a: Gaussian3D, b: Gaussian3D) -> float:
     records (MergeEvent.distance) has exactly this distance of the two
     Gaussians it merged."""
     return _accel.hellinger_of(bhattacharyya(a, b))
-
-
-def merge_moments(
-    w_a: float, mean_a: np.ndarray, cov_a: np.ndarray, w_b: float, mean_b: np.ndarray, cov_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moment-matched mean and covariance of the two-component mixture."""
-    mean, cov = merge_moments_into(
-        float(w_a), np.asarray(mean_a, dtype=np.float64).reshape(3).tolist(),
-        np.asarray(cov_a, dtype=np.float64).reshape(9).tolist(),
-        float(w_b), np.asarray(mean_b, dtype=np.float64).reshape(3).tolist(),
-        np.asarray(cov_b, dtype=np.float64).reshape(9).tolist(),
-    )
-    return np.array(mean), np.array(cov).reshape(3, 3)
-
-
-def merge_gaussians(
-    a: ObjectNode,
-    b: ObjectNode,
-    *,
-    eval_point_cap: int = 256,
-    rng: np.random.Generator | None = None,
-) -> ObjectNode:
-    """Merge two nodes of the same class into one (id and class taken from a).
-
-    Weight and score sums add; the Gaussian is the moment-matched mixture
-    with mixture weights proportional to the node weights; evaluation-point
-    reservoirs are merged under the cap. A side with eval points but no keys
-    first gets A-ES keys from rng (a's first, then b's; see
-    merge_point_reservoirs); that is the only use of rng.
-    """
-    if a.class_id != b.class_id:
-        raise MergeContractError(f"cannot merge class {a.class_id} with class {b.class_id}")
-    if a.weight < 1 or b.weight < 1:
-        raise MergeContractError("node weights must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    mean, cov = merge_moments(
-        float(a.weight), a.gaussian.mean, a.gaussian.cov, float(b.weight), b.gaussian.mean, b.gaussian.cov
-    )
-    keys_a = _aes_keys(a.eval_points, a.eval_keys, a.eval_seen, rng)
-    keys_b = _aes_keys(b.eval_points, b.eval_keys, b.eval_seen, rng)
-    points, keys, seen = merge_point_reservoirs(
-        a.eval_points, keys_a, a.eval_seen, b.eval_points, keys_b, b.eval_seen, eval_point_cap
-    )
-    return ObjectNode(
-        id=a.id,
-        class_id=a.class_id,
-        gaussian=Gaussian3D(mean=mean, cov=cov),
-        weight=a.weight + b.weight,
-        score_sum=a.score_sum + b.score_sum,
-        eval_points=points,
-        eval_seen=seen,
-        eval_keys=keys,
-    )
 
 
 def _frame_eval_points(
@@ -534,7 +478,7 @@ def integrate(
                     gnode.merge_eval_points(points[i], keys[i], seen[i], cfg.eval_point_cap)
                 gnode.weight += weight[i]
                 gnode.score_sum += score[i]
-                global_graph.set_row(gid, mean, cov, log_det9(cov))
+                global_graph.set_row(gid, mean, cov)
                 events.append(MergeEvent(gid, -(i + 1), dg, local.frame_id))
                 gid_of[i] = gid
                 merged_into_global = True

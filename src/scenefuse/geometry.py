@@ -157,6 +157,12 @@ def _check_gram(lo: float, hi: float) -> None:
         )
 
 
+def _check_lifted(mean: np.ndarray, cov: np.ndarray) -> None:
+    """A lifted row must be finite: a box extent of about 1e154 px squares to inf."""
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise InvalidDetectionError("lifted Gaussian is not finite")
+
+
 def lift_detection(
     bbox: BoundingBox2D,
     z: float,
@@ -186,9 +192,10 @@ def lift_detections(
     centroid depths. Returns the world-frame means (n, 3), the covariances
     (n, 3, 3) and, per row, None or the row's error: InvalidDepthError for a
     depth that is not finite or below Z_MIN, InvalidDetectionError for an
-    extent that is not positive and finite, SingularJacobianError for a
-    projection Jacobian whose Gram matrix is worse conditioned than COND_MAX.
-    The values of a row with an error are unspecified.
+    extent that is not positive and finite or a lifted mean or covariance
+    that is not finite, SingularJacobianError for a projection Jacobian whose
+    Gram matrix is worse conditioned than COND_MAX. The values of a row with
+    an error are unspecified.
 
     Each row takes four steps, elementwise over the stack:
     1. the box is a uniform density over its area, with covariance
@@ -260,4 +267,11 @@ def lift_detections(
         covs = (out + out.transpose(0, 2, 1)) * 0.5
         cam_pts = np.stack([x_cam, y_cam, z], axis=1)
         means = np.matmul(R, cam_pts[:, :, None])[:, :, 0] + pose.translation
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        for k, error in enumerate(errors):
+            if error is None:
+                try:
+                    _check_lifted(means[k], covs[k])
+                except InvalidDetectionError as exc:
+                    errors[k] = exc
     return means, covs, errors

@@ -11,11 +11,14 @@ detection, one at a time, and at that size numpy's per-call cost outweighs
 the arithmetic: the engine reads and writes the float rows and finds
 candidates through the x index, with no numpy call per merge. A global
 node's `gaussian` is a Gaussian3D built from its rows each time it is read;
-the rows are the only store of node Gaussians, and `validate` checks them.
+the rows are the only store of node Gaussians. The graph derives each row's
+log-determinant and trace itself, where it stores the row, and `validate`
+checks them all. Eval points without keys get them where they enter the
+graph (add_node); no merge draws a key.
 
 Means and covariances are finite; covariances are symmetric, and positive
-definite unless degenerate (log_det9 is -inf). The lift and the moment merge
-give such rows by construction and are not checked again; what comes from
+definite unless degenerate (log_det9 is -inf). The lift (which refuses a
+row that is not finite) and the moment merge give such rows; what comes from
 outside is checked where it enters (gaussian_problem: import_graph, LocalSSG
 built from nodes).
 """
@@ -41,29 +44,19 @@ _MINOR_SLACK = 4.0 * 2.0**-52
 # Determinant floor below which a covariance is treated as degenerate.
 DET_MIN = 1e-30
 
-# Eval points that enter a GlobalSSG without keys (GlobalSSG.add_node, and so
-# import_graph) draw their keys from np.random.default_rng((ENTRY_KEY_SEED, node_id)).
+# seeds, with a node id, the entry keys of its eval points (_aes_keys)
 ENTRY_KEY_SEED = 2006
 
 
-def det3x3(a: np.ndarray) -> float:
-    """Closed-form determinant of a 3x3 matrix (no LAPACK round trip)."""
-    return det9(np.asarray(a, dtype=np.float64).reshape(9).tolist())
-
-
 def det9(c) -> float:
-    """det3x3 of 9 row-major floats, by first-row cofactor expansion."""
+    """Determinant of a 3x3 matrix given as 9 row-major floats, by first-row
+    cofactor expansion."""
     c00, c01, c02, c10, c11, c12, c20, c21, c22 = c
     return c00 * (c11 * c22 - c12 * c21) - c01 * (c10 * c22 - c12 * c20) + c02 * (c10 * c21 - c11 * c20)
 
 
-def log_det3x3(a: np.ndarray) -> float:
-    """log det of a 3x3 matrix; -inf marks a degenerate covariance."""
-    return log_det9(np.asarray(a, dtype=np.float64).reshape(9).tolist())
-
-
 def log_det9(c) -> float:
-    """log_det3x3 of 9 row-major floats."""
+    """log det9 of 9 row-major floats; -inf marks a degenerate covariance."""
     d = det9(c)
     if not (d > DET_MIN) or not math.isfinite(d):
         return -math.inf
@@ -394,8 +387,9 @@ class GlobalSSG:
 
     # -- mutation ----------------------------------------------------------
 
-    def _place(self, nid: int, class_id: int, mean: list[float], cov: list[float], logdet: float) -> None:
-        """Store a node's row; keep its class's x order and trace bound."""
+    def _place(self, nid: int, class_id: int, mean: list[float], cov: list[float]) -> None:
+        """Store a node's row with its log_det9 and trace; keep its class's x
+        order and trace bound."""
         xs, ids = self._x_order[class_id]
         old = self.row_means[nid]
         x = mean[0]
@@ -419,7 +413,7 @@ class GlobalSSG:
             self._trace_bound[class_id] = trace
         self.row_means[nid] = mean
         self.row_covs[nid] = cov
-        self.row_logdets[nid] = logdet
+        self.row_logdets[nid] = log_det9(cov)
         self.row_traces[nid] = trace
 
     def add_node(
@@ -431,11 +425,9 @@ class GlobalSSG:
         eval_points: np.ndarray | None = None,
         eval_seen: int = 0,
         node_id: int | None = None,
-        logdet: float | None = None,
         eval_keys: np.ndarray | None = None,
     ) -> ObjectNode:
-        """Add a node and return it; `logdet`, if given, is log_det9 of the
-        covariance.
+        """Add a node and return it; the graph derives its row's log_det9 and trace.
 
         Precondition, not checked here: every mean and covariance entry is
         finite, and the covariance is symmetric, and positive definite unless
@@ -445,14 +437,14 @@ class GlobalSSG:
         import_graph and a LocalSSG built from nodes check what comes from
         outside.
 
-        Eval points without keys get A-ES keys (see merge_point_reservoirs)
-        from the generator seeded (ENTRY_KEY_SEED, id), so that they do not
-        depend on the order nodes are added in.
+        Eval points without keys get their A-ES keys here, where they enter
+        the graph (_aes_keys, seeded by the node id, so that they do not
+        depend on the order nodes are added in); no merge draws a key.
         """
         nid = self.next_id if node_id is None else node_id
         if nid in self.nodes:
             raise ValueError(f"node id {nid} already present")
-        eval_keys = _aes_keys(eval_points, eval_keys, eval_seen, (ENTRY_KEY_SEED, nid))
+        eval_keys = _aes_keys(eval_points, eval_keys, eval_seen, nid)
         if nid >= len(self.row_means):
             grow = nid + 1 - len(self.row_means)
             # extended in place, never replaced: the nodes hold these lists
@@ -466,25 +458,21 @@ class GlobalSSG:
         if class_id not in self._x_order:
             self._x_order[class_id] = ([], [])
             self._trace_bound[class_id] = -math.inf
-        self._write(nid, gaussian, logdet)
+        self._place(nid, class_id, gaussian.mean.tolist(), gaussian.cov.reshape(9).tolist())
         self.next_id = max(self.next_id, nid + 1)
         return node
 
-    def set_gaussian(self, node_id: int, gaussian: Gaussian3D, logdet: float | None = None) -> None:
+    def set_gaussian(self, node_id: int, gaussian: Gaussian3D) -> None:
         """Store a node's new Gaussian as its rows; precondition as add_node's."""
-        self._write(node_id, gaussian, logdet)
+        self.set_row(node_id, gaussian.mean.tolist(), gaussian.cov.reshape(9).tolist())
 
-    def _write(self, nid: int, gaussian: Gaussian3D, logdet: float | None) -> None:
-        cov = gaussian.cov.reshape(9).tolist()
-        ld = log_det9(cov) if logdet is None else logdet
-        self._place(nid, self.nodes[nid].class_id, gaussian.mean.tolist(), cov, ld)
-
-    def set_row(self, node_id: int, mean: list[float], cov: list[float], logdet: float) -> None:
+    def set_row(self, node_id: int, mean: list[float], cov: list[float]) -> None:
         """set_gaussian from a 3-float mean and a 9-float row-major covariance,
-        which the graph keeps (the caller must not modify them afterwards),
-        and their log_det9. Precondition, not checked here, as add_node's: a
-        mean and covariance that gaussian_problem accepts."""
-        self._place(node_id, self.nodes[node_id].class_id, mean, cov, logdet)
+        which the graph keeps (the caller must not modify them afterwards);
+        the graph derives their log_det9 and trace. Precondition, not checked
+        here, as add_node's: a mean and covariance that gaussian_problem
+        accepts."""
+        self._place(node_id, self.nodes[node_id].class_id, mean, cov)
 
     def accumulate_edge(self, subject_id: int, object_id: int, votes: dict[int, list]) -> RelationEdge:
         if subject_id == object_id:
@@ -583,9 +571,8 @@ def merge_point_reservoirs(
 
     A side with points must have their keys; either side may be None or
     empty, and is then no more than a count. Points that come without keys
-    are keyed where they enter (GlobalSSG.add_node, fusion.merge_gaussians)
-    by A-ES keys u ** (1 / w), u uniform, with each point standing for
-    w = seen / len >= 1 originals.
+    get them where they enter a graph, in GlobalSSG.add_node (_aes_keys),
+    never here.
     """
     if points_a is None or len(points_a) == 0:
         return (
@@ -617,14 +604,14 @@ def top_keys(keys: np.ndarray, cap: int) -> np.ndarray:
     return keep
 
 
-def _aes_keys(points: np.ndarray | None, keys: np.ndarray | None, seen: int, seed) -> np.ndarray | None:
-    """keys; or, for points that come without them, A-ES keys from
-    np.random.default_rng(seed) (a Generator is used as it is), each point
-    standing for max(seen, k) / k originals of the k."""
+def _aes_keys(points: np.ndarray | None, keys: np.ndarray | None, seen: int, node_id: int) -> np.ndarray | None:
+    """The keys node `node_id`'s eval points enter a graph with (add_node):
+    keys; or, for k points that come without them, A-ES keys u ** (k / seen')
+    with seen' = max(seen, k) and u from default_rng((ENTRY_KEY_SEED, node_id))."""
     if keys is not None or points is None or len(points) == 0:
         return keys
     k = len(points)
-    return np.random.default_rng(seed).random(k) ** (k / max(seen, k))
+    return np.random.default_rng((ENTRY_KEY_SEED, node_id)).random(k) ** (k / max(seen, k))
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +663,11 @@ def export_graph(g: GlobalSSG, vocab: ClassVocabulary) -> dict:
 def import_graph(doc: dict) -> tuple[GlobalSSG, ClassVocabulary]:
     """The graph and vocabulary of a document written by export_graph.
 
-    StreamFormatError for a malformed document, including a node Gaussian
-    the merge gate cannot score (gaussian_problem): a mean or covariance
-    entry that is not finite, or a covariance that is not one.
+    StreamFormatError for a malformed document, including one that
+    GlobalSSG.validate would reject: a node Gaussian the merge gate cannot
+    score (gaussian_problem: a mean or covariance entry that is not finite,
+    or a covariance that is not one), a node weight below 1, an edge with no
+    votes, a vote count below 1, a self-loop or a dangling edge.
     """
     try:
         vocab = ClassVocabulary(
@@ -692,12 +681,15 @@ def import_graph(doc: dict) -> tuple[GlobalSSG, ClassVocabulary]:
                 mean=np.array(rec["mean"], dtype=np.float64), cov=np.array(rec["cov"], dtype=np.float64)
             )
             problem = gaussian_problem(gaussian.mean.tolist(), gaussian.cov.reshape(9).tolist())
+            weight = int(rec["weight"])
+            if problem is None and weight < 1:
+                problem = f"weight {weight} is below 1"
             if problem is not None:
                 raise ValueError(f"node {rec['id']}: {problem}")
             g.add_node(
                 class_id=int(rec["class_id"]),
                 gaussian=gaussian,
-                weight=int(rec["weight"]),
+                weight=weight,
                 score_sum=float(rec["score_sum"]),
                 eval_points=None if pts is None else np.array(pts, dtype=np.float64).reshape(-1, 3),
                 eval_seen=int(rec.get("eval_points_seen", len(pts) if pts is not None else 0)),
@@ -705,8 +697,10 @@ def import_graph(doc: dict) -> tuple[GlobalSSG, ClassVocabulary]:
             )
         for rec in doc["edges"]:
             votes = {int(pid): [int(c), float(s)] for pid, (c, s) in rec["votes"].items()}
+            if not votes or min(c for c, _ in votes.values()) < 1:
+                raise ValueError(f"edge {rec['subject']}->{rec['object']}: no votes, or a vote count below 1")
             g.accumulate_edge(int(rec["subject"]), int(rec["object"]), votes)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidEdgeError) as exc:
         raise StreamFormatError(f"malformed graph document: {exc}") from exc
     return g, vocab
 

@@ -50,13 +50,14 @@ from scenefuse.geometry import (
     _check_box,
     _check_depth,
     _check_gram,
+    _check_lifted,
 )
 from scenefuse.graph import (
     DET_MIN,
     ClassVocabulary,
     GlobalSSG,
     LocalSSG,
-    log_det3x3,
+    log_det9,
     resolve_predicate,
 )
 
@@ -199,8 +200,10 @@ def lift_detection(
     x_cam = (px - cam.cx) / cam.fx * z
     y_cam = (py - cam.cy) / cam.fy * z
     cam_pt = np.array([x_cam, y_cam, z])
-    cov = backproject_covariance(g2.cov, projection_jacobian(cam_pt, cam), pose)
-    mean = pose.rotation @ cam_pt + pose.translation
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge extent overflows; _check_lifted refuses it
+        cov = backproject_covariance(g2.cov, projection_jacobian(cam_pt, cam), pose)
+        mean = pose.rotation @ cam_pt + pose.translation
+    _check_lifted(mean, cov)
     return Gaussian3D(mean=mean, cov=cov)
 
 
@@ -312,8 +315,8 @@ def frame_eval_points(dets, maps, means, cam, pose, cap, rng):
     return points, keys, seen
 
 
-def log_det3x3_batch(a: np.ndarray) -> np.ndarray:
-    """log_det3x3 over a stack of (n, 3, 3) matrices, same cofactor order."""
+def log_det9_batch(a: np.ndarray) -> np.ndarray:
+    """log_det9 over a stack of (n, 3, 3) matrices, same cofactor order."""
     d = (
         a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
         - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
@@ -459,7 +462,7 @@ def integrate(
                 carried=[node.id],
             )
         )
-    q_logdets = log_det3x3_batch(q_covs)
+    q_logdets = log_det9_batch(q_covs)
     class_ids = np.array([s.class_id for s in slots], dtype=np.int64)
     local_by_class = {int(cid): np.nonzero(class_ids == cid)[0] for cid in set(class_ids.tolist())}
     alive = np.zeros(n, dtype=bool)
@@ -554,7 +557,7 @@ def integrate(
                     other.eval_points, other.eval_keys, other.eval_seen,
                     cfg.eval_point_cap,
                 )
-            q_logdets[i] = log_det3x3(q_covs[i])
+            q_logdets[i] = log_det9(q_covs[i].reshape(9).tolist())
             slot.weight += other.weight
             slot.score_sum += other.score_sum
             slot.eval_points = points

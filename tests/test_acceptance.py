@@ -26,6 +26,7 @@ from scenefuse import (
     FusionConfig,
     Gaussian3D,
     GlobalSSG,
+    LocalSSG,
     NoiseModel,
     ObjectNode,
     Relation2D,
@@ -35,9 +36,9 @@ from scenefuse import (
     compute_recalls,
     generate_scene,
     hellinger,
+    integrate,
     lift_detection,
     match_objects,
-    merge_gaussians,
     process_frame,
     render_frames,
     resolve_predicate,
@@ -46,7 +47,7 @@ from scenefuse import (
 )
 from scenefuse.cli import _execute_run
 from scenefuse.evaluation import GroundTruthInstance, GroundTruthScene, collect_eval_points
-from scenefuse.fusion import merge_moments
+from scenefuse._accel import merge_moments_into
 from scenefuse.streams import DepthMap, RunConfig
 from scenefuse.synthetic import _look_at, orbit_frames
 
@@ -79,6 +80,17 @@ def _fuse(frames, cfg=None, seed_pair=None, record=False) -> GlobalSSG:
         res = process_frame(f, g, cfg, rng=rng, record_eval_points=record)
         assert not res.skipped
     return g
+
+
+def _merged_node(a: Gaussian3D, w_a: int, b: Gaussian3D, w_b: int) -> ObjectNode:
+    """The node integrate makes of a global node (a, weight w_a) and a local
+    one (b, weight w_b), with a gate (0.99) that lets the pair merge."""
+    g = GlobalSSG()
+    g.add_node(0, a, weight=w_a)
+    local = LocalSSG(frame_id=0, nodes=[ObjectNode(id=0, class_id=0, gaussian=b, weight=w_b)], edges=[])
+    _, events = integrate(local, g, FusionConfig(hellinger_threshold=0.99))
+    assert len(events) == 1 and len(g.nodes) == 1
+    return g.nodes[0]
 
 
 def _clean_scene_spec(seed: int) -> SceneSpec:
@@ -153,20 +165,14 @@ def test_closed_form_examples_hold_at_tolerance():
     checks.append(("H of the scaled pair matches 0.53333 to 5e-5", bool(abs(h_scale - 0.53333) < 5e-5)))
     checks.append(("H is exactly 0.0 on an identical pair", hellinger(ga, ga) == 0.0))
 
-    even = merge_gaussians(
-        ObjectNode(id=0, class_id=1, gaussian=ga, weight=1, score_sum=0.5),
-        ObjectNode(id=1, class_id=1, gaussian=gb, weight=1, score_sum=0.25),
-    )
+    even = _merged_node(ga, 1, gb, 1)
     checks.append(
         ("1:1 merge of the shifted pair gives ((1,0,0), diag(2,1,1), w=2)",
          even.weight == 2
          and np.array_equal(even.gaussian.mean, [1.0, 0.0, 0.0])
          and np.array_equal(even.gaussian.cov, np.diag([2.0, 1.0, 1.0])))
     )
-    skewed = merge_gaussians(
-        ObjectNode(id=0, class_id=2, gaussian=ga, weight=3),
-        ObjectNode(id=1, class_id=2, gaussian=Gaussian3D(mean=[4.0, 0.0, 0.0], cov=np.eye(3)), weight=1),
-    )
+    skewed = _merged_node(ga, 3, Gaussian3D(mean=[4.0, 0.0, 0.0], cov=np.eye(3)), 1)
     checks.append(
         ("3:1 merge gives ((1,0,0), diag(4,1,1), w=4)",
          skewed.weight == 4
@@ -263,7 +269,10 @@ def test_merge_agrees_with_monte_carlo_moment_oracle():
         b = Gaussian3D(mean=rng.uniform(-2, 2, 3), cov=_random_spd(rng))
         w_a = float(rng.uniform(0.5, 8.0))
         w_b = float(rng.uniform(0.5, 8.0))
-        mean, cov = merge_moments(w_a, a.mean, a.cov, w_b, b.mean, b.cov)
+        mean, cov = merge_moments_into(
+            w_a, a.mean.tolist(), a.cov.reshape(9).tolist(), w_b, b.mean.tolist(), b.cov.reshape(9).tolist()
+        )
+        mean, cov = np.array(mean), np.array(cov).reshape(3, 3)
         mc_mean, mc_cov = mixture_moment_oracle(a, w_a, b, w_b, 1_000_000, rng=np.random.default_rng([404, k]))
         worst_cov = max(worst_cov, float(np.linalg.norm(cov - mc_cov) / np.linalg.norm(mc_cov)))
         worst_mean = max(worst_mean, float(np.max(np.abs(mean - mc_mean))))

@@ -74,7 +74,7 @@ def _synth(tmp_path, spec_path):
 
 
 def _headline_numbers(report_path):
-    doc = json.loads(open(report_path).read())
+    doc = json.loads(Path(report_path).read_text())
     return (
         doc["relationship_recall"],
         doc["object_recall"],
@@ -171,6 +171,26 @@ def test_run_corrupt_stream_exit_2(tmp_path):
     rc = main(["run", "--input", str(stream), "--output", str(tmp_path / "g.json")])
     assert rc == 2
     assert not (tmp_path / "g.json").exists()
+
+
+def test_run_drops_a_detection_whose_lift_overflows(tmp_path):
+    # a finite box extent of 1e160 px squares to inf in the lift: that
+    # detection is dropped, not fused as a node with a NaN covariance
+    frame = {
+        "frame_id": 0,
+        "camera": {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480},
+        "pose": {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 0]},
+        "detections": [{"class_id": 0, "score": 0.9, "centroid_depth": 2.0,
+                        "bbox": {"cx": 320.0, "cy": 240.0, "w": 1e160, "h": 40.0}}],
+        "relations": [],
+    }
+    stream = tmp_path / "huge_box.jsonl"
+    stream.write_text(json.dumps(frame) + "\n")
+    out = tmp_path / "g.json"
+    assert main(["run", "--input", str(stream), "--output", str(out)]) == 0
+    g, _ = load_graph(out)
+    assert len(g.nodes) == 0
+    g.validate()
 
 
 # Runs in a fresh interpreter: fuses a stream through the CLI, checks that
@@ -386,6 +406,13 @@ def test_eval_refuses_a_graph_with_non_finite_entries_exit_2(tmp_path, capsys):
     rc = main(["eval", "--pred", str(pred), "--gt", gt, "--report", str(tmp_path / "r.json")])
     assert rc == 2
     assert "node 0: mean is not finite" in capsys.readouterr().err
+    # a weight below 1 would make the next merge into the node divide by zero
+    g = GlobalSSG()
+    g.add_node(class_id=0, gaussian=Gaussian3D(mean=np.zeros(3), cov=np.eye(3)), weight=-1)
+    save_graph(pred, g, scene_vocab(load_scene_spec(spec)))
+    rc = main(["eval", "--pred", str(pred), "--gt", gt, "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "node 0: weight -1 is below 1" in capsys.readouterr().err
 
 
 def test_eval_headline_row_has_five_numbers(tmp_path, capsys):

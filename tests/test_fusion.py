@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from scenefuse.fusion import (
     build_local_graph,
     hellinger,
     integrate,
-    merge_gaussians,
     process_frame,
 )
 from scenefuse.geometry import CameraIntrinsics, CameraPose, Gaussian3D
@@ -29,12 +29,10 @@ from scenefuse.graph import (
     LocalSSG,
     ObjectNode,
     RelationEdge,
-    _aes_keys,
     export_graph,
     import_graph,
     load_graph,
     log_det9,
-    merge_point_reservoirs,
     save_graph,
 )
 from scenefuse.streams import DepthMap, Detection, FrameRecord, Relation2D
@@ -190,7 +188,6 @@ def test_best_match_agrees_with_scalar_distance():
     # public hellinger, and give its distances and the vectorized reference's
     # bit for bit
     from scenefuse import _accel
-    from scenefuse.graph import log_det3x3
 
     rng = np.random.default_rng(41)
     for _ in range(50):
@@ -202,10 +199,10 @@ def test_best_match_agrees_with_scalar_distance():
         a_covs = np.array([g.cov for g in a]).reshape(na, 3, 3)
         b_means = np.array([g.mean for g in b]).reshape(nb, 3)
         b_covs = np.array([g.cov for g in b]).reshape(nb, 3, 3)
-        a_lds = np.array([log_det3x3(g.cov) for g in a])
-        b_lds = np.array([log_det3x3(g.cov) for g in b])
+        a_lds = np.array([log_det9(g.cov.reshape(9).tolist()) for g in a])
+        b_lds = np.array([log_det9(g.cov.reshape(9).tolist()) for g in b])
         bi_a, bd_a, bi_b, bd_b = _accel.best_match(
-            query.mean.tolist(), query.cov.reshape(9).tolist(), log_det3x3(query.cov),
+            query.mean.tolist(), query.cov.reshape(9).tolist(), log_det9(query.cov.reshape(9).tolist()),
             a_means.tolist(), a_covs.reshape(na, 9).tolist(), a_lds.tolist(), list(range(na)),
             b_means.tolist(), b_covs.reshape(nb, 9).tolist(), b_lds.tolist(), list(range(nb)),
             1e-30,
@@ -224,7 +221,7 @@ def test_best_match_agrees_with_scalar_distance():
             assert bd_b == min(ref_b)
         # the vectorized numpy kernel kept as the reference must agree
         ref = best_match_np(
-            query.mean, query.cov, log_det3x3(query.cov),
+            query.mean, query.cov, log_det9(query.cov.reshape(9).tolist()),
             a_means, a_covs, a_lds, np.arange(na, dtype=np.int64),
             b_means, b_covs, b_lds, np.arange(nb, dtype=np.int64),
             1e-30,
@@ -334,8 +331,29 @@ def test_merge_kernel_paths_agree():
 # -- moment merging ----------------------------------------------------------
 
 
+def _merge_into_global(a: ObjectNode, b: ObjectNode):
+    """The global node integrate makes of global node a and local node b,
+    with a gate (0.99) that lets the pair merge."""
+    g = GlobalSSG()
+    g.add_node(class_id=a.class_id, gaussian=a.gaussian, weight=a.weight, score_sum=a.score_sum)
+    _, events = integrate(LocalSSG(frame_id=0, nodes=[replace(b, id=0)], edges=[]), g,
+                          FusionConfig(hellinger_threshold=0.99))
+    assert len(events) == 1 and list(g.nodes) == [0]
+    return g.nodes[0]
+
+
+def _merge_rows(wa, a: Gaussian3D, wb, b: Gaussian3D):
+    """The engine's moment merge of (a, weight wa) and (b, weight wb), as arrays."""
+    from scenefuse import _accel
+
+    mean, cov = _accel.merge_moments_into(
+        float(wa), a.mean.tolist(), a.cov.reshape(9).tolist(), float(wb), b.mean.tolist(), b.cov.reshape(9).tolist()
+    )
+    return np.array(mean), np.array(cov).reshape(3, 3)
+
+
 def test_merge_equal_weights():
-    k = merge_gaussians(_node(0, 0, [0, 0, 0]), _node(1, 0, [2, 0, 0]))
+    k = _merge_into_global(_node(0, 0, [0, 0, 0]), _node(1, 0, [2, 0, 0]))
     np.testing.assert_array_equal(k.gaussian.mean, [1.0, 0.0, 0.0])
     np.testing.assert_array_equal(k.gaussian.cov, np.diag([2.0, 1.0, 1.0]))
     assert k.weight == 2
@@ -347,7 +365,7 @@ def test_merge_identical_fixed_point():
     g = _g([0.5, -0.25, 2.0], np.diag([1.0, 0.5, 0.25]))
     a = ObjectNode(id=0, class_id=1, gaussian=g, weight=3, score_sum=2.0)
     b = ObjectNode(id=1, class_id=1, gaussian=g, weight=5, score_sum=4.0)
-    k = merge_gaussians(a, b)
+    k = _merge_into_global(a, b)
     np.testing.assert_array_equal(k.gaussian.mean, g.mean)
     np.testing.assert_array_equal(k.gaussian.cov, g.cov)
     assert k.weight == 8
@@ -355,7 +373,7 @@ def test_merge_identical_fixed_point():
 
 
 def test_merge_weighted_three_to_one():
-    k = merge_gaussians(_node(0, 0, [0, 0, 0], w=3), _node(1, 0, [4, 0, 0], w=1))
+    k = _merge_into_global(_node(0, 0, [0, 0, 0], w=3), _node(1, 0, [4, 0, 0], w=1))
     np.testing.assert_array_equal(k.gaussian.mean, [1.0, 0.0, 0.0])
     np.testing.assert_array_equal(k.gaussian.cov, np.diag([4.0, 1.0, 1.0]))
     assert k.weight == 4
@@ -364,64 +382,39 @@ def test_merge_weighted_three_to_one():
 def test_merge_commutative():
     rng = np.random.default_rng(4)
     for _ in range(100):
-        a = ObjectNode(id=0, class_id=2, gaussian=_random_gauss(rng), weight=int(rng.integers(1, 8)),
-                       score_sum=float(rng.random()))
-        b = ObjectNode(id=1, class_id=2, gaussian=_random_gauss(rng), weight=int(rng.integers(1, 8)),
-                       score_sum=float(rng.random()))
-        k1 = merge_gaussians(a, b)
-        k2 = merge_gaussians(b, a)
-        assert k1.weight == k2.weight
-        np.testing.assert_allclose(k1.gaussian.mean, k2.gaussian.mean, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(k1.gaussian.cov, k2.gaussian.cov, rtol=0, atol=1e-12)
-
-
-def test_merge_class_mismatch_rejected():
-    with pytest.raises(MergeContractError):
-        merge_gaussians(_node(0, 0, [0, 0, 0]), _node(1, 1, [0, 0, 0]))
+        a, wa = _random_gauss(rng), int(rng.integers(1, 8))
+        b, wb = _random_gauss(rng), int(rng.integers(1, 8))
+        m1, c1 = _merge_rows(wa, a, wb, b)
+        m2, c2 = _merge_rows(wb, b, wa, a)
+        np.testing.assert_allclose(m1, m2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c1, c2, rtol=0, atol=1e-12)
 
 
 def test_merge_result_psd():
     rng = np.random.default_rng(12)
     for _ in range(200):
-        a = ObjectNode(id=0, class_id=0, gaussian=_random_gauss(rng, 3.0), weight=int(rng.integers(1, 20)))
-        b = ObjectNode(id=1, class_id=0, gaussian=_random_gauss(rng, 3.0), weight=int(rng.integers(1, 20)))
-        k = merge_gaussians(a, b)
-        np.testing.assert_array_equal(k.gaussian.cov, k.gaussian.cov.T)
-        assert np.linalg.eigvalsh(k.gaussian.cov).min() > 0.0
+        a, wa = _random_gauss(rng, 3.0), int(rng.integers(1, 20))
+        b, wb = _random_gauss(rng, 3.0), int(rng.integers(1, 20))
+        _, cov = _merge_rows(wa, a, wb, b)
+        np.testing.assert_array_equal(cov, cov.T)
+        assert np.linalg.eigvalsh(cov).min() > 0.0
 
 
 def test_merge_matches_mixture_moments_monte_carlo():
     rng = np.random.default_rng(21)
-    a = ObjectNode(id=0, class_id=0, gaussian=_g([1.0, -0.5, 2.0], np.diag([0.5, 1.0, 2.0])), weight=2)
-    b = ObjectNode(id=1, class_id=0, gaussian=_g([2.0, 1.5, 1.0], np.diag([1.5, 0.3, 0.8])), weight=3)
-    k = merge_gaussians(a, b)
+    a, wa = _g([1.0, -0.5, 2.0], np.diag([0.5, 1.0, 2.0])), 2
+    b, wb = _g([2.0, 1.5, 1.0], np.diag([1.5, 0.3, 0.8])), 3
+    mean, cov = _merge_rows(wa, a, wb, b)
     n = 1_000_000
-    pick_a = rng.random(n) < a.weight / (a.weight + b.weight)
+    pick_a = rng.random(n) < wa / (wa + wb)
     samples = np.empty((n, 3))
-    samples[pick_a] = rng.multivariate_normal(a.gaussian.mean, a.gaussian.cov, size=int(pick_a.sum()))
-    samples[~pick_a] = rng.multivariate_normal(b.gaussian.mean, b.gaussian.cov, size=int((~pick_a).sum()))
+    samples[pick_a] = rng.multivariate_normal(a.mean, a.cov, size=int(pick_a.sum()))
+    samples[~pick_a] = rng.multivariate_normal(b.mean, b.cov, size=int((~pick_a).sum()))
     emp_mean = samples.mean(axis=0)
     centered = samples - emp_mean
     emp_cov = centered.T @ centered / n
-    assert np.linalg.norm(k.gaussian.mean - emp_mean) / np.linalg.norm(k.gaussian.mean) < 0.01
-    assert np.linalg.norm(k.gaussian.cov - emp_cov) / np.linalg.norm(k.gaussian.cov) < 0.01
-
-
-def test_merge_point_reservoirs_through_nodes():
-    # keyless sides are keyed from rng, a's points first, then merged by key
-    rng = np.random.default_rng(3)
-    a = ObjectNode(id=0, class_id=0, gaussian=_g([0, 0, 0]), weight=1,
-                   eval_points=np.zeros((200, 3)), eval_seen=200)
-    b = ObjectNode(id=1, class_id=0, gaussian=_g([1, 0, 0]), weight=1,
-                   eval_points=np.ones((200, 3)), eval_seen=400)
-    k = merge_gaussians(a, b, eval_point_cap=256, rng=rng)
-    assert k.eval_points.shape == (256, 3)
-    assert k.eval_seen == 600
-    again = np.random.default_rng(3)
-    ka, kb = _aes_keys(a.eval_points, None, 200, again), _aes_keys(b.eval_points, None, 400, again)
-    points, keys, _ = merge_point_reservoirs(a.eval_points, ka, 200, b.eval_points, kb, 400, 256)
-    assert k.eval_points.tobytes() == points.tobytes() and k.eval_keys.tobytes() == keys.tobytes()
-    assert rng.bit_generator.state == again.bit_generator.state
+    assert np.linalg.norm(mean - emp_mean) / np.linalg.norm(mean) < 0.01
+    assert np.linalg.norm(cov - emp_cov) / np.linalg.norm(cov) < 0.01
 
 
 # -- local graph construction -------------------------------------------------

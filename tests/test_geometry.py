@@ -346,12 +346,16 @@ _STEP_BY_STEP_LIFT = (
     "Gaussian2D", "ProjectionJacobian", "symmetrize", "bbox_to_gaussian2d", "backproject_mean",
     "projection_jacobian", "jacobian_pseudoinverse", "backproject_covariance",
 )
+# the object-level merge and the numpy determinant wrappers: the engine merges
+# rows (_accel.merge_moments_into) and takes log-dets of rows (graph.log_det9)
+_MERGE_FORK = ("merge_gaussians", "merge_moments", "det3x3", "log_det3x3")
 
 
 def test_public_names_resolve_and_the_step_by_step_lift_is_gone():
     assert len(set(scenefuse.__all__)) == len(scenefuse.__all__)
     for name in scenefuse.__all__:
         assert getattr(scenefuse, name) is not None, name
-    for name in _STEP_BY_STEP_LIFT:
+    modules = (scenefuse, scenefuse.geometry, scenefuse.fusion, scenefuse.graph)
+    for name in _STEP_BY_STEP_LIFT + _MERGE_FORK:
         assert name not in scenefuse.__all__
-        assert not hasattr(scenefuse, name) and not hasattr(scenefuse.geometry, name), name
+        assert not any(hasattr(module, name) for module in modules), name

@@ -9,19 +9,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from scenefuse.errors import InvalidEdgeError, MergeContractError, StreamFormatError
-from scenefuse.fusion import merge_gaussians
 from scenefuse.geometry import Gaussian3D
 from scenefuse.graph import (
     ENTRY_KEY_SEED,
     ClassVocabulary,
     GlobalSSG,
-    ObjectNode,
     RelationEdge,
-    det3x3,
+    det9,
     export_graph,
     import_graph,
     load_graph,
-    log_det3x3,
     log_det9,
     merge_point_reservoirs,
     resolve_predicate,
@@ -64,15 +61,15 @@ def test_det3x3_matches_numpy():
     rng = np.random.default_rng(3)
     for _ in range(200):
         a = rng.normal(size=(3, 3))
-        assert det3x3(a) == pytest.approx(np.linalg.det(a), rel=1e-10)
+        assert det9(a.reshape(9).tolist()) == pytest.approx(np.linalg.det(a), rel=1e-10)
 
 
 def test_log_det_degenerate_is_minus_inf():
-    assert log_det3x3(np.zeros((3, 3))) == -math.inf
-    assert log_det3x3(-np.eye(3)) == -math.inf
+    assert log_det9([0.0] * 9) == -math.inf
+    assert log_det9((-np.eye(3)).reshape(9).tolist()) == -math.inf
     # just below the determinant floor
-    assert log_det3x3(np.eye(3) * 1e-11) == -math.inf
-    assert log_det3x3(np.eye(3)) == 0.0
+    assert log_det9((np.eye(3) * 1e-11).reshape(9).tolist()) == -math.inf
+    assert log_det9(np.eye(3).reshape(9).tolist()) == 0.0
 
 
 # -- vocabulary --------------------------------------------------------------
@@ -163,9 +160,13 @@ def test_set_gaussian_updates_rows():
     # the rows are the node's only store: its Gaussian is rebuilt from them
     assert g.nodes[1].gaussian.mean.tobytes() == new.mean.tobytes()
     assert g.nodes[1].gaussian.cov.tobytes() == new.cov.tobytes()
-    g.set_row(1, [1.0, 2.0, 3.0], (np.eye(3) * 2.0).reshape(9).tolist(), math.log(8.0))
+    # the graph derives a row's log-det and trace from its covariance
+    cov = [2.0, 0.5, 0.0, 0.5, 2.0, 0.0, 0.0, 0.0, 1.5]
+    g.set_row(1, [1.0, 2.0, 3.0], cov)
     np.testing.assert_array_equal(g.nodes[1].gaussian.mean, [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(g.nodes[1].gaussian.cov, np.eye(3) * 2.0)
+    assert g.nodes[1].gaussian.cov.reshape(9).tolist() == cov
+    assert g.row_logdets[1] == log_det9(cov)
+    assert g.row_traces[1] == 5.5
     g.validate()
 
 
@@ -438,20 +439,20 @@ def _successive_inclusion(w: np.ndarray, cap: int) -> np.ndarray:
 
 
 def test_reservoir_merge_keyless_sides_match_successive_sampling():
-    # with a larger cap, the A-ES keys merge_gaussians gives two keyless sides
-    # select as successive weighted draws without replacement do, in
+    # with a larger cap, the entry keys (A-ES) that add_node gives two keyless
+    # sides select as successive weighted draws without replacement do, in
     # proportion to seen/len
-    rng = np.random.default_rng(23)
     a = np.zeros((4, 3))
     a[:, 0] = np.arange(4)
     b = np.zeros((5, 3))
     b[:, 0] = np.arange(4, 9)
-    node_a = ObjectNode(id=0, class_id=0, gaussian=_gauss([0, 0, 0]), eval_points=a, eval_seen=10)
-    node_b = ObjectNode(id=1, class_id=0, gaussian=_gauss([1, 0, 0]), eval_points=b, eval_seen=5)
     trials, cap = 20000, 4
     counts = np.zeros(9)
+    g = GlobalSSG()
     for _ in range(trials):
-        points = merge_gaussians(node_a, node_b, eval_point_cap=cap, rng=rng).eval_points
+        node_a = g.add_node(class_id=0, gaussian=_gauss([0, 0, 0]), eval_points=a, eval_seen=10)
+        node_b = g.add_node(class_id=0, gaussian=_gauss([1, 0, 0]), eval_points=b, eval_seen=5)
+        points, _, _ = merge_point_reservoirs(a, node_a.eval_keys, 10, b, node_b.eval_keys, 5, cap)
         counts[points[:, 0].astype(int)] += 1
     p = _successive_inclusion(np.array([10 / 4] * 4 + [5 / 5] * 5), cap)
     assert p.sum() == pytest.approx(cap)
@@ -474,7 +475,7 @@ def test_moved_nodes_keep_the_x_order_among_equal_x():
     for step in range(200):
         nid = int(rng.integers(45))
         x = float(rng.choice(shared + [0.5, 1.5]))  # to a shared x, or a new one
-        g.set_row(nid, [x, float(step), 0.0], list(cov), log_det9(cov))
+        g.set_row(nid, [x, float(step), 0.0], list(cov))
         g.validate()
         assert sorted(g.x_range(0, x, x)) == [i for i in sorted(g.nodes) if g.row_means[i][0] == x]
 
@@ -822,6 +823,21 @@ def test_import_refuses_non_finite_means_and_covariances():
         doc["nodes"][1][key] = value
         with pytest.raises(StreamFormatError, match=f"node 1: {problem}"):
             import_graph(doc)
+
+
+@pytest.mark.parametrize("section, i, key, value, problem", [
+    ("nodes", 0, "weight", 0, "node 0: weight 0 is below 1"),
+    ("nodes", 0, "weight", -1, "node 0: weight -1 is below 1"),  # would divide by zero in the next merge
+    ("edges", 0, "votes", {}, "edge 0->1: no votes, or a vote count below 1"),
+    ("edges", 0, "votes", {"0": [0, 1.6]}, "edge 0->1: no votes, or a vote count below 1"),
+    ("edges", 1, "object", 2, "self loop on node 2"),
+    ("edges", 1, "object", 7, "dangling edge 2->7"),
+])
+def test_import_refuses_what_validate_rejects(section, i, key, value, problem):
+    doc = export_graph(_populated_graph(), _vocab())
+    doc[section][i][key] = value
+    with pytest.raises(StreamFormatError, match=f"malformed graph document: {problem}"):
+        import_graph(doc)
 
 
 def test_validate_catches_non_finite_rows_built_by_hand():

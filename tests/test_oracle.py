@@ -226,7 +226,7 @@ def test_queue_log_dets_match_reference_bit_for_bit():
     covs[::89] *= 1e-12  # determinant below the guard
     covs[::83, 1, 1] = np.nan
     ours = np.array([log_det9(c) for c in covs.reshape(-1, 9).tolist()])
-    assert ours.tobytes() == reference_fusion.log_det3x3_batch(covs).tobytes()
+    assert ours.tobytes() == reference_fusion.log_det9_batch(covs).tobytes()
 
 
 @st.composite
@@ -285,7 +285,7 @@ def lift_batches(draw):
     pose = CameraPose(rotation=_rotation(draw(quaternions)),
                       translation=np.array(draw(st.tuples(unit, unit, unit))) * 10.0)
     n = draw(st.integers(0, 12))
-    extent = st.one_of(st.floats(0.5, 500.0), st.sampled_from([0.0, -1.0, 1e-3, math.inf, math.nan]))
+    extent = st.one_of(st.floats(0.5, 500.0), st.sampled_from([0.0, -1.0, 1e-3, 1e155, 1e160, math.inf, math.nan]))
     depth = st.one_of(st.floats(0.01, 50.0), st.sampled_from([0.0, 5e-5, 1e-4, 1e-3, math.inf, math.nan]))
     boxes = [
         (draw(st.floats(-5000.0, 5000.0)), draw(st.floats(-5000.0, 5000.0)), draw(extent), draw(extent))
