@@ -10,7 +10,9 @@ Exit codes, shared by every subcommand:
   5  scene generation failure
 
 ``run`` streams a JSON Lines detection file through the fusion engine a
-frame at a time, on one thread, and writes the final graph as JSON.
+frame at a time, on one thread, and writes the final graph as JSON. It loads
+neither the evaluation nor the synthetic module: the subcommands that use
+them import them when they start.
 ``--bench`` times the parse, lift, and merge stages of every frame and writes
 mean/median/p99 per stage plus end-to-end FPS next to the output graph; it
 keeps a running sum and a fixed-size histogram per stage, not the times, so
@@ -47,16 +49,9 @@ from .errors import (
     SceneFuseError,
     StreamFormatError,
 )
-from .evaluation import (
-    compute_recalls,
-    load_ground_truth,
-    match_objects,
-    report_to_obj,
-)
 from .fusion import FusionConfig, process_frame
 from .graph import ClassVocabulary, GlobalSSG, load_graph, save_graph, to_dot
 from .streams import DepthCache, RunConfig, load_run_config, parse_frame_stream
-from .synthetic import load_scene_spec, scene_vocab, synthesize_dataset
 
 log = logging.getLogger(__name__)
 
@@ -88,9 +83,22 @@ def _timed_frames(path):
 
 
 def _vocab_for_run(cfg: RunConfig, g: GlobalSSG) -> ClassVocabulary:
-    """Config-supplied vocabulary, or generic names wide enough for the graph."""
+    """Config-supplied vocabulary, or generic names wide enough for the graph.
+
+    ConfigError if the config's vocabulary does not name every class id of
+    the graph's nodes and every predicate id of its votes: the graph file
+    would hold ids that load_graph refuses, and to_dot could not name them.
+    """
     if cfg.vocab_objects is not None and cfg.vocab_predicates is not None:
-        return ClassVocabulary(tuple(cfg.vocab_objects), tuple(cfg.vocab_predicates))
+        vocab = ClassVocabulary(tuple(cfg.vocab_objects), tuple(cfg.vocab_predicates))
+        class_ids = (g.nodes[nid].class_id for nid in sorted(g.nodes))
+        predicate_ids = (p for key in sorted(g.edges) for p in sorted(g.edges[key].votes))
+        for kind, ids, names in (("class", class_ids, vocab.object_classes),
+                                 ("predicate", predicate_ids, vocab.predicates)):
+            for i in ids:
+                if i >= len(names):
+                    raise ConfigError(f"{kind} id {i} is outside the config's vocabulary of {len(names)} names")
+        return vocab
     n_cls = 1 + max((n.class_id for n in g.nodes.values()), default=-1)
     n_pred = 0
     for edge in g.edges.values():
@@ -284,6 +292,8 @@ def _headline_row(report) -> str:
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import compute_recalls, load_ground_truth, match_objects, report_to_obj
+
     pred, vocab = load_graph(args.pred)
     gt = load_ground_truth(args.gt)
     match = match_objects(pred, gt)
@@ -303,6 +313,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synthetic import load_scene_spec, synthesize_dataset
+
     spec = load_scene_spec(args.spec)
     scene = synthesize_dataset(
         spec, args.out_frames, args.out_gt, depth_dir=args.depth_dir
@@ -332,6 +344,9 @@ def _parse_thresholds(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    from .evaluation import compute_recalls, load_ground_truth, match_objects, report_to_obj
+    from .synthetic import load_scene_spec, synthesize_dataset
+
     thresholds = _parse_thresholds(args.thresholds)
     base = load_run_config(args.config) if args.config else RunConfig()
     base.record_eval_points = True

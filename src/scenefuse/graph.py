@@ -660,47 +660,111 @@ def export_graph(g: GlobalSSG, vocab: ClassVocabulary) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    """A document's integer as it stands: json reads one as an int, and a bool is not one."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def _real(value, what: str) -> float:
+    """A document's number as a float: json reads one as an int or a float, and a bool is neither."""
+    if type(value) not in (float, int):
+        raise ValueError(f"{what} {value!r} is not a number")
+    return float(value)
+
+
+def _score(value, what: str) -> float:
+    score = _real(value, what)
+    if not math.isfinite(score):
+        raise ValueError(f"{what} {score} is not finite")
+    return score
+
+
+def _reals(value, n: int, what: str) -> list[float]:
+    if type(value) is not list or len(value) != n:
+        raise ValueError(f"{what} is not a list of {n} numbers")
+    return [_real(v, what) for v in value]
+
+
+def _vocab_id(value, names: tuple[str, ...], what: str) -> int:
+    i = _integer(value, what)
+    if not 0 <= i < len(names):
+        raise ValueError(f"{what} {i} is outside the vocabulary's {len(names)} names")
+    return i
+
+
 def import_graph(doc: dict) -> tuple[GlobalSSG, ClassVocabulary]:
     """The graph and vocabulary of a document written by export_graph.
 
-    StreamFormatError for a malformed document, including one that
-    GlobalSSG.validate would reject: a node Gaussian the merge gate cannot
-    score (gaussian_problem: a mean or covariance entry that is not finite,
-    or a covariance that is not one), a node weight below 1, an edge with no
-    votes, a vote count below 1, a self-loop or a dangling edge.
+    StreamFormatError for a malformed document: a value of the wrong JSON
+    type (nothing is coerced, so a weight of 2.7 or "5", or a class_id of
+    true, is refused rather than read as 2, 5 or 1), a non-finite score, a
+    negative node id, a class or predicate id outside the document's own
+    vocabulary, or anything GlobalSSG.validate would reject: a node Gaussian
+    the merge gate cannot score (gaussian_problem: a mean or covariance
+    entry that is not finite, or a covariance that is not one), a node
+    weight below 1, an edge with no votes, a vote count below 1, a self-loop
+    or a dangling edge.
     """
     try:
-        vocab = ClassVocabulary(
-            object_classes=tuple(doc["vocab"]["objects"]),
-            predicates=tuple(doc["vocab"]["predicates"]),
-        )
+        objects, predicates = doc["vocab"]["objects"], doc["vocab"]["predicates"]
+        for names in (objects, predicates):
+            if type(names) is not list or not all(type(name) is str for name in names):
+                raise ValueError("vocabulary is not two lists of names")
+        vocab = ClassVocabulary(object_classes=tuple(objects), predicates=tuple(predicates))
         g = GlobalSSG()
         for rec in doc["nodes"]:
-            pts = rec.get("eval_points")
-            gaussian = Gaussian3D(
-                mean=np.array(rec["mean"], dtype=np.float64), cov=np.array(rec["cov"], dtype=np.float64)
-            )
-            problem = gaussian_problem(gaussian.mean.tolist(), gaussian.cov.reshape(9).tolist())
-            weight = int(rec["weight"])
+            nid = _integer(rec["id"], "node id")
+            if nid < 0:
+                raise ValueError(f"node id {nid} is negative")
+            where = f"node {nid}"
+            class_id = _vocab_id(rec["class_id"], vocab.object_classes, f"{where}: class_id")
+            weight = _integer(rec["weight"], f"{where}: weight")
+            score_sum = _score(rec["score_sum"], f"{where}: score_sum")
+            mean = _reals(rec["mean"], 3, f"{where}: mean")
+            cov = _reals(rec["cov"], 9, f"{where}: covariance")
+            problem = gaussian_problem(mean, cov)
             if problem is None and weight < 1:
                 problem = f"weight {weight} is below 1"
             if problem is not None:
-                raise ValueError(f"node {rec['id']}: {problem}")
+                raise ValueError(f"{where}: {problem}")
+            pts = rec.get("eval_points")
+            if pts is not None:
+                if type(pts) is not list or not all(
+                    type(p) is list and len(p) == 3 and all(type(v) in (float, int) for v in p) for p in pts
+                ):
+                    raise ValueError(f"{where}: eval_points is not a list of 3-number points")
+                pts = np.array(pts, dtype=np.float64).reshape(-1, 3)
+            seen = rec.get("eval_points_seen", 0 if pts is None else len(pts))
             g.add_node(
-                class_id=int(rec["class_id"]),
-                gaussian=gaussian,
+                class_id=class_id,
+                gaussian=Gaussian3D(mean=np.array(mean), cov=np.array(cov)),
                 weight=weight,
-                score_sum=float(rec["score_sum"]),
-                eval_points=None if pts is None else np.array(pts, dtype=np.float64).reshape(-1, 3),
-                eval_seen=int(rec.get("eval_points_seen", len(pts) if pts is not None else 0)),
-                node_id=int(rec["id"]),
+                score_sum=score_sum,
+                eval_points=pts,
+                eval_seen=_integer(seen, f"{where}: eval_points_seen"),
+                node_id=nid,
             )
         for rec in doc["edges"]:
-            votes = {int(pid): [int(c), float(s)] for pid, (c, s) in rec["votes"].items()}
+            where = f"edge {rec['subject']}->{rec['object']}"
+            if type(rec["votes"]) is not dict:
+                raise ValueError(f"{where}: votes is not an object")
+            votes = {}
+            for key, vote in rec["votes"].items():
+                # the key as export_graph writes the id, so "01" or " 1" is refused
+                pid = _vocab_id(int(key), vocab.predicates, f"{where}: predicate")
+                if str(pid) != key:
+                    raise ValueError(f"{where}: predicate key {key!r} is not an id as written")
+                if type(vote) is not list or len(vote) != 2:
+                    raise ValueError(f"{where}: vote {vote!r} is not a [count, score] pair")
+                count = _integer(vote[0], f"{where}: vote count")
+                votes[pid] = [count, _score(vote[1], f"{where}: vote score")]
             if not votes or min(c for c, _ in votes.values()) < 1:
-                raise ValueError(f"edge {rec['subject']}->{rec['object']}: no votes, or a vote count below 1")
-            g.accumulate_edge(int(rec["subject"]), int(rec["object"]), votes)
-    except (KeyError, TypeError, ValueError, InvalidEdgeError) as exc:
+                raise ValueError(f"{where}: no votes, or a vote count below 1")
+            subject = _integer(rec["subject"], f"{where}: subject")
+            g.accumulate_edge(subject, _integer(rec["object"], f"{where}: object"), votes)
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidEdgeError) as exc:
         raise StreamFormatError(f"malformed graph document: {exc}") from exc
     return g, vocab
 

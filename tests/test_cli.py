@@ -193,16 +193,52 @@ def test_run_drops_a_detection_whose_lift_overflows(tmp_path):
     g.validate()
 
 
+def test_run_with_a_vocabulary_narrower_than_the_stream_exit_3(tmp_path, capsys):
+    # the graph was written, and then --export-dot died with an IndexError
+    frame = {
+        "frame_id": 0,
+        "camera": {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480},
+        "pose": {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 0]},
+        "detections": [
+            {"class_id": 1, "score": 0.9, "centroid_depth": 2.0, "bbox": {"cx": 200.0, "cy": 240.0, "w": 40.0, "h": 40.0}},
+            {"class_id": 3, "score": 0.9, "centroid_depth": 2.0, "bbox": {"cx": 400.0, "cy": 240.0, "w": 40.0, "h": 40.0}},
+        ],
+        "relations": [{"subject": 0, "object": 1, "predicate": 2, "score": 0.8}],
+    }
+    stream = tmp_path / "frames.jsonl"
+    stream.write_text(json.dumps(frame) + "\n")
+    out, dot = tmp_path / "g.json", tmp_path / "g.dot"
+    for objects, predicates, problem in (
+        (["a", "b"], ["on", "near", "under"], "class id 3 is outside the config's vocabulary of 2 names"),
+        (["a", "b", "c", "d"], ["on", "near"], "predicate id 2 is outside the config's vocabulary of 2 names"),
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"vocab": {"objects": objects, "predicates": predicates}}))
+        rc = main(["run", "--input", str(stream), "--config", str(cfg), "--output", str(out),
+                   "--export-dot", str(dot)])
+        assert rc == 3
+        assert problem in capsys.readouterr().err
+        assert not out.exists() and not dot.exists()
+
+
 # Runs in a fresh interpreter: fuses a stream through the CLI, checks that
-# scipy was never imported, then scores the graph, which may import it.
+# neither scipy nor the evaluation and synthetic modules were imported, then
+# scores the graph, which may import them.
 COLD_START_SCRIPT = """
 import sys
+OFF_PATH = ("scenefuse.evaluation", "scenefuse.synthetic")
+def off_path_loaded():
+    return [m for m in OFF_PATH if m in sys.modules]
 import scenefuse
+assert not off_path_loaded(), off_path_loaded()
+assert set(scenefuse.__all__) <= set(dir(scenefuse)) and not off_path_loaded()
 from scenefuse.cli import main
+assert not off_path_loaded(), off_path_loaded()
 assert "orjson" not in sys.modules  # the first parse loads it, not an import
 frames, gt_path, cfg, out = sys.argv[1:]
 assert main(["run", "--input", frames, "--config", cfg, "--output", out]) == 0
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not off_path_loaded(), off_path_loaded()
 from scenefuse.evaluation import load_ground_truth, match_objects
 from scenefuse.graph import load_graph
 pred, _ = load_graph(out)

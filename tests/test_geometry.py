@@ -359,3 +359,13 @@ def test_public_names_resolve_and_the_step_by_step_lift_is_gone():
     for name in _STEP_BY_STEP_LIFT + _MERGE_FORK:
         assert name not in scenefuse.__all__
         assert not any(hasattr(module, name) for module in modules), name
+    # evaluation and synthetic names load on first use, as their submodule's own objects
+    from scenefuse import evaluation, synthetic
+
+    submodules = {"evaluation": evaluation, "synthetic": synthetic}
+    assert set(scenefuse._LAZY) <= set(scenefuse.__all__) and set(scenefuse._LAZY.values()) == set(submodules)
+    for name, module in scenefuse._LAZY.items():
+        assert getattr(scenefuse, name) is getattr(submodules[module], name), name
+    assert set(scenefuse.__all__) <= set(dir(scenefuse))
+    with pytest.raises(AttributeError, match="module 'scenefuse' has no attribute 'no_such_name'"):
+        scenefuse.no_such_name

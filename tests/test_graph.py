@@ -832,6 +832,20 @@ def test_import_refuses_non_finite_means_and_covariances():
     ("edges", 0, "votes", {"0": [0, 1.6]}, "edge 0->1: no votes, or a vote count below 1"),
     ("edges", 1, "object", 2, "self loop on node 2"),
     ("edges", 1, "object", 7, "dangling edge 2->7"),
+    # nothing is coerced: each of these loaded as 2, 5, class 1 and NaN
+    ("nodes", 0, "weight", 2.7, "node 0: weight 2.7 is not an integer"),
+    ("nodes", 0, "weight", "5", "node 0: weight '5' is not an integer"),
+    ("nodes", 0, "class_id", True, "node 0: class_id True is not an integer"),
+    ("nodes", 0, "score_sum", "nan", "node 0: score_sum 'nan' is not a number"),
+    ("nodes", 0, "score_sum", math.nan, "node 0: score_sum nan is not finite"),
+    ("nodes", 1, "mean", [1, "0", 0], "node 1: mean '0' is not a number"),
+    # ids lie inside the document's own vocabulary: to_dot raised IndexError
+    # on the first and named the second after the last class
+    ("nodes", 0, "class_id", 3, "node 0: class_id 3 is outside the vocabulary's 3 names"),
+    ("nodes", 0, "class_id", -1, "node 0: class_id -1 is outside the vocabulary's 3 names"),
+    ("edges", 0, "votes", {"3": [1, 0.5]}, "edge 0->1: predicate 3 is outside the vocabulary's 3 names"),
+    ("edges", 0, "votes", {"0": [1.0, 0.5]}, "edge 0->1: vote count 1.0 is not an integer"),
+    ("nodes", 1, "id", -1, "node id -1 is negative"),  # raised IndexError
 ])
 def test_import_refuses_what_validate_rejects(section, i, key, value, problem):
     doc = export_graph(_populated_graph(), _vocab())
