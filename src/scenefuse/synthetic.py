@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -543,6 +544,19 @@ def _apply_noise(
     return out, kept_sources
 
 
+def _depth_block(n: int, height: int, width: int) -> np.ndarray:
+    """One float32 array of n height x width depth maps, in an anonymous
+    memory mapping of its own.
+
+    Allocated one by one, a trajectory's maps would lie on the heap among the
+    frame records made alongside them, which outlive them, so the heap could
+    not give their space back once the caller drops the maps; the mapping
+    goes back to the system when the last map that views it is dropped.
+    """
+    buf = mmap.mmap(-1, n * height * width * 4, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=np.float32).reshape(n, height, width)
+
+
 def render_frames(
     scene: SyntheticScene, *, with_depth_maps: bool = False, depth_ref_pattern: str = "depth/{:06d}.frdp"
 ) -> tuple[list[FrameRecord], dict[str, DepthMap]]:
@@ -555,12 +569,16 @@ def render_frames(
     rng = np.random.default_rng([scene.spec.seed, 1])
     frames: list[FrameRecord] = []
     depth_maps: dict[str, DepthMap] = {}
+    if with_depth_maps and scene.trajectory:
+        depth_block = _depth_block(len(scene.trajectory), scene.camera.height, scene.camera.width)
     zero_noise = scene.spec.noise.is_zero()
     for fid, pose in enumerate(scene.trajectory):
         dets, sources = _ideal_detections(scene, pose)
         if with_depth_maps:
             ref = depth_ref_pattern.format(fid)
-            depth_maps[ref] = _render_depth_map(scene, pose)
+            rendered = _render_depth_map(scene, pose)
+            depth_block[fid] = rendered.values
+            depth_maps[ref] = DepthMap(width=rendered.width, height=rendered.height, values=depth_block[fid])
             dets = [replace(d, depth_ref=ref) for d in dets]
         if not zero_noise:
             dets, sources = _apply_noise(dets, sources, scene, rng)

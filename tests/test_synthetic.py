@@ -363,6 +363,22 @@ def test_depth_map_values_are_surface_depths():
     assert dm.values.dtype == np.float32
 
 
+def test_render_frames_depth_maps_are_the_per_frame_renders_in_one_block():
+    scene = generate_scene(SceneSpec(seed=3, n_objects=6, n_classes=3, n_frames=5,
+                                     image_width=32, image_height=24, focal=25.0))
+    frames, maps = render_frames(scene, with_depth_maps=True)
+    assert list(maps) == [f"depth/{fid:06d}.frdp" for fid in range(5)]
+    for pose, dm in zip(scene.trajectory, maps.values()):
+        alone = _render_depth_map(scene, pose)
+        assert (dm.width, dm.height) == (32, 24)
+        assert dm.values.dtype == np.float32 and dm.values.shape == (24, 32)
+        assert dm.values.tobytes() == alone.values.tobytes()
+    block = {id(dm.values.base) for dm in maps.values()}
+    assert len(block) == 1  # views of one mapping, released with the last map
+    scene.trajectory = []
+    assert render_frames(scene, with_depth_maps=True) == ([], {})
+
+
 def test_synthesize_dataset_writes_everything(tmp_path):
     spec = SceneSpec(seed=3, n_objects=6, n_classes=3, n_frames=8,
                      image_width=80, image_height=60, focal=60.0)
