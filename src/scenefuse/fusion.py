@@ -35,15 +35,8 @@ from ._accel import best_match, merge_moments_into
 from .errors import DegenerateCovarianceError, MergeContractError, MissingDepthError, SceneFuseError
 from .geometry import CameraIntrinsics, CameraPose, Gaussian3D, Z_MIN, lift_detections
 from .geometry import lift_detection  # noqa: F401  (fusion.lift_detection: perfbench's tracer wraps it)
-from .graph import (
-    DET_MIN,
-    GlobalSSG,
-    LocalSSG,
-    RelationEdge,
-    log_det9,
-    merge_point_reservoirs,
-    top_keys,
-)
+from .graph import DET_MIN, GlobalSSG, LocalSSG, RelationEdge, log_det9, top_keys
+from .graph import merge_point_reservoirs  # noqa: F401  (fusion.merge_point_reservoirs: perfbench's tracer wraps it)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .streams import DepthMap, Detection, FrameRecord
@@ -142,6 +135,7 @@ def _frame_eval_points(
     pose: CameraPose,
     cap: int,
     rng: np.random.Generator,
+    floors: list[float] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[int]]:
     """Evaluation points of a frame's detections, in one pass over their windows.
 
@@ -159,24 +153,31 @@ def _frame_eval_points(
     largest keys (ties to the earlier pixel), in pixel order; all its valid
     pixels count as offered. A detection with no map or no valid pixel
     offers its mean as its one point; those keys are drawn after the
-    pixels'. The world transform is written out per coordinate so that a
-    point rounds the same however many points share the pass.
+    pixels'. The world transform is elementwise, so that a point rounds the
+    same however many points share the pass.
+
+    floors[k], if given, is the floor of the reservoir detection k's points
+    go to (_GlobalNode.eval_floor): pixels whose keys are at or below it are
+    dropped before they are back-projected, as that reservoir could never
+    keep them. They still count as offered, and the keys drawn are the same.
     """
     n = len(boxes)
     groups = list({id(m): m for m in maps if m is not None}.values())  # distinct maps
     limits = np.array([(0, 0) if m is None else (m.width, m.height) for m in maps], dtype=np.float64)
     limits = limits.reshape(n, 2)
     quarter = boxes[:, 2:] / 4.0
-    lo = np.clip(np.ceil(boxes[:, :2] - quarter), 0.0, limits).astype(np.int64)
-    hi = np.clip(np.ceil(boxes[:, :2] + quarter), 0.0, limits).astype(np.int64)
-    extent = np.maximum(hi - lo, 0)
-    cols = extent[:, 0]
-    area = cols * extent[:, 1]
-    # every window pixel, in detection order and row-major within a window
-    det = np.repeat(np.arange(n), area)
-    row, col = np.divmod(np.arange(len(det)) - (np.cumsum(area) - area)[det], cols[det])
-    v = lo[det, 1] + row
-    u = lo[det, 0] + col
+    lo = np.minimum(np.maximum(np.ceil(boxes[:, :2] - quarter), 0.0), limits).astype(np.int64)
+    hi = np.minimum(np.maximum(np.ceil(boxes[:, :2] + quarter), 0.0), limits).astype(np.int64)
+    cols, rows = np.maximum(hi - lo, 0).T
+    # every window pixel, in detection order and row-major within a window,
+    # laid out row by row: a row's pixels share v, and u counts up from its lo
+    row_det = np.repeat(np.arange(n), rows)
+    row_len = cols[row_det]
+    row_v = lo[row_det, 1] + (np.arange(len(row_det)) - (np.cumsum(rows) - rows)[row_det])
+    row_u0 = lo[row_det, 0] - (np.cumsum(row_len) - row_len)
+    det = np.repeat(row_det, row_len)
+    v = np.repeat(row_v, row_len)
+    u = np.arange(len(det)) + np.repeat(row_u0, row_len)
     if len(groups) == 1:
         d = groups[0].values[v, u].astype(np.float64, copy=False)
     else:
@@ -192,10 +193,17 @@ def _frame_eval_points(
     keys = rng.random(len(det) + offered.count(0))
     fallback_keys = keys[len(det):]
     keys = keys[: len(det)]
-    if max(offered, default=0) > cap:
+    held = offered  # per detection, the valid pixels its reservoir can still keep
+    if floors is not None:
+        above = keys > np.array(floors)[det]
+        if not above.all():
+            kept = above.nonzero()[0]
+            valid, det, keys = valid[kept], det[kept], keys[kept]
+            held = np.bincount(det, minlength=n).tolist()
+    if max(held, default=0) > cap:
         keep = np.ones(len(det), dtype=bool)
         start = 0
-        for m in offered:
+        for m in held:
             if m > cap:
                 keep[start:start + m] = False
                 keep[start + top_keys(keys[start:start + m], cap)] = True
@@ -205,16 +213,18 @@ def _frame_eval_points(
     d = d[valid]
     x = (u[valid].astype(np.float64) - cam.cx) / cam.fx * d
     y = (v[valid].astype(np.float64) - cam.cy) / cam.fy * d
-    r, t = pose.rotation, pose.translation
-    pts = np.empty((len(d), 3))
-    for i in range(3):
-        pts[:, i] = x * r[i, 0] + y * r[i, 1] + d * r[i, 2] + t[i]
+    r = pose.rotation
+    # column i is x * r[i, 0] + y * r[i, 1] + d * r[i, 2] + t[i], summed left to right
+    pts = np.multiply.outer(x, r[:, 0])
+    pts += np.multiply.outer(y, r[:, 1])
+    pts += np.multiply.outer(d, r[:, 2])
+    pts += pose.translation
     points: list[np.ndarray] = []
     point_keys: list[np.ndarray] = []
     start = f = 0
     for k, m in enumerate(offered):
         if m:
-            stop = start + min(m, cap)
+            stop = start + min(held[k], cap)
             points.append(pts[start:stop].copy())
             point_keys.append(keys[start:stop].copy())
             start = stop
@@ -223,6 +233,48 @@ def _frame_eval_points(
             point_keys.append(fallback_keys[f:f + 1].copy())
             f += 1
     return points, point_keys, [max(m, 1) for m in offered]
+
+
+class _EvalSources(NamedTuple):
+    """What build_local_graph lifted a local graph's nodes from: per detection
+    lifted, its index, the detection and the depth map its centroid depth
+    came from (or None); the positions in lifts of the nodes' detections;
+    and per detection lifted, its box (cx, cy, w, h) and its lifted mean."""
+
+    lifts: "list[tuple[int, Detection, DepthMap | None]]"
+    kept: list[int]
+    boxes: np.ndarray
+    means: np.ndarray
+
+
+def _eval_point_pass(
+    local: LocalSSG,
+    cam: CameraIntrinsics,
+    pose: CameraPose,
+    cfg: FusionConfig,
+    depth_provider: Callable[[str], "DepthMap"] | None,
+    rng: np.random.Generator | None,
+    floors: list[float] | None = None,
+) -> tuple[list[np.ndarray], list[np.ndarray], list[int]]:
+    """_frame_eval_points over the detections build_local_graph lifted the
+    local graph from, with keys from rng (default_rng(0) if None). A
+    detection whose centroid depth came with it reads its depth_ref's map, if
+    any; one that cannot be read gives no map."""
+    lifts, kept, boxes, means = local.eval_sources
+    maps: list["DepthMap | None"] = []
+    for k in kept:
+        _, det, depth_map = lifts[k]
+        if depth_map is None and depth_provider is not None and det.depth_ref is not None:
+            try:
+                depth_map = depth_provider(det.depth_ref)
+            except (SceneFuseError, OSError):
+                depth_map = None
+        maps.append(depth_map)
+    if len(kept) < len(lifts):
+        boxes, means = boxes[kept], means[kept]
+    if rng is None:
+        rng = np.random.default_rng(0)
+    return _frame_eval_points(boxes, maps, means, cam, pose, cfg.eval_point_cap, rng, floors)
 
 
 def build_local_graph(
@@ -246,8 +298,6 @@ def build_local_graph(
     """
     from .streams import sample_centroid_depth
 
-    if rng is None:
-        rng = np.random.default_rng(0)
     lifts: list[tuple[int, "Detection", "DepthMap | None"]] = []
     depths: list[float] = []
     for det_idx, det in enumerate(frame.detections):
@@ -292,22 +342,6 @@ def build_local_graph(
         if len(kept) < len(lifts):
             row_means = [row_means[k] for k in kept]
             row_covs = [row_covs[k] for k in kept]
-    points: list[np.ndarray | None] = [None] * len(kept)
-    keys: list[np.ndarray | None] = [None] * len(kept)
-    seen = [0] * len(kept)
-    if record_eval_points and kept:
-        maps: list["DepthMap | None"] = []
-        for k in kept:
-            _, det, depth_map = lifts[k]
-            if depth_map is None and depth_provider is not None and det.depth_ref is not None:
-                try:
-                    depth_map = depth_provider(det.depth_ref)
-                except (SceneFuseError, OSError):
-                    depth_map = None
-            maps.append(depth_map)
-        points, keys, seen = _frame_eval_points(
-            boxes[kept], maps, means[kept], cam, pose, cfg.eval_point_cap, rng
-        )
     best: dict[tuple[int, int], tuple[int, float]] = {}
     for rel in frame.relations:
         s = index_map.get(rel.subject)
@@ -322,7 +356,16 @@ def build_local_graph(
         RelationEdge(subject_id=s, object_id=o, votes={pid: [1, score]})
         for (s, o), (pid, score) in ranked
     ]
-    return LocalSSG.from_columns(frame.frame_id, edges, class_ids, scores, row_means, row_covs, points, keys, seen)
+    n = len(kept)
+    local = LocalSSG.from_columns(frame.frame_id, edges, class_ids, scores, row_means, row_covs,
+                                  [None] * n, [None] * n, [0] * n)
+    if kept:
+        local.eval_sources = _EvalSources(lifts, kept, boxes, means)
+        if record_eval_points:
+            local.eval_points, local.eval_keys, local.eval_seen = _eval_point_pass(
+                local, cam, pose, cfg, depth_provider, rng,
+            )
+    return local
 
 
 # Relative slack on the cull bound and the scorer's early reject, for rounding
@@ -373,13 +416,18 @@ def integrate(
     bound), queued peers from a scan of the queue. The scorer, given the
     same bound, stops early on a pair that cannot pass the gate either.
 
-    Eval points merged into a global node go to its lazy reservoir
-    (_GlobalNode.merge_eval_points); queued peers merge theirs eagerly. Every
-    merge is by the points' keys, which the local graph carries (LocalSSG),
-    so integrate draws no random numbers.
+    Eval-point reservoirs play no part in the decisions. Once every local
+    node is placed, each one's reservoir merges into its global node's lazy
+    reservoir (_merge_reservoirs), in merge order: the local nodes each root
+    carried (the root, then the queued peers it absorbed, in absorb order),
+    root by root, in the order the roots left the queue; a node a root
+    created gets that root's first. The merges are by the points' keys,
+    which the local graph carries (LocalSSG), so integrate draws no random
+    numbers; and merges by key are associative, so this keeps the points,
+    in the order, that merging at every decision would.
 
     integrate reads only the local graph's columns, never its `nodes` view,
-    and leaves them as they are.
+    and leaves them as they are; it sets local.placement to the merge order.
     """
     cls = local.class_ids
     n = len(cls)
@@ -389,21 +437,17 @@ def integrate(
             raise MergeContractError("local graph has edges but no nodes")
         return global_graph, events
 
-    # working state of the queue, per local node: the local graph's columns
-    # (copied where a merge of queued peers changes them), the Gaussian's
-    # log det and trace, and the node that absorbed it (itself while it is a
-    # root) or, for a root that left the queue, its global id
+    # working state of the queue, per local node: the local graph's rows and
+    # sums (copied where a merge of queued peers changes them), the
+    # Gaussian's log det and trace, and the global node it ends in
     weight = list(local.weights)
     score = list(local.score_sums)
-    points = list(local.eval_points)
-    keys = list(local.eval_keys)
-    seen = list(local.eval_seen)
     qm = list(local.row_means)
     qc = list(local.row_covs)
     qld = [log_det9(c) for c in qc]
     qtr = [c[0] + c[4] + c[8] for c in qc]
-    absorbed_by = list(range(n))
     gid_of = [0] * n
+    placement: list[tuple[int, int]] = []  # (local node, global id), in merge order
     peers_of: dict[int, list[int]] = {}
     for i, cid in enumerate(cls):
         peers_of.setdefault(cid, []).append(i)
@@ -415,15 +459,12 @@ def integrate(
     gm, gc, gld = global_graph.row_means, global_graph.row_covs, global_graph.row_logdets
     gtr = global_graph.row_traces
 
-    def insert(i: int) -> None:
-        gid_of[i] = global_graph.add_node(
+    def insert(i: int) -> int:
+        return global_graph.add_node(
             class_id=cls[i],
             gaussian=Gaussian3D(mean=np.array(qm[i]), cov=np.array(qc[i])),
             weight=weight[i],
             score_sum=score[i],
-            eval_points=points[i],
-            eval_seen=seen[i],
-            eval_keys=keys[i],
         ).id
 
     while queue:
@@ -435,10 +476,12 @@ def integrate(
                 local.frame_id,
                 i,
             )
-            insert(i)
+            gid_of[i] = insert(i)
+            placement.append((i, gid_of[i]))
             continue
         ci = cls[i]
-        merged_into_global = False
+        carried = [i]  # the root, then the queued peers it absorbs
+        gid = -1
         while True:
             m, tr = qm[i], qtr[i]
             m0, m1, m2 = m
@@ -472,50 +515,60 @@ def integrate(
                 gid = cand_g[best_g]
                 gnode = global_graph.nodes[gid]
                 mean, cov = merge_moments_into(float(gnode.weight), gm[gid], gc[gid], float(weight[i]), m, qc[i])
-                if points[i] is None and gnode._points is None:
-                    gnode.eval_seen += seen[i]  # no points on either side (runs without eval points)
-                else:
-                    gnode.merge_eval_points(points[i], keys[i], seen[i], cfg.eval_point_cap)
                 gnode.weight += weight[i]
                 gnode.score_sum += score[i]
                 global_graph.set_row(gid, mean, cov)
                 events.append(MergeEvent(gid, -(i + 1), dg, local.frame_id))
-                gid_of[i] = gid
-                merged_into_global = True
                 break
             j = cand_q[best_q]
             queue.remove(j)
             alive[j] = False
             mean, cov = merge_moments_into(float(weight[i]), m, qc[i], float(weight[j]), qm[j], qc[j])
-            if points[i] is None and points[j] is None:
-                seen[i] += seen[j]
-            else:
-                points[i], keys[i], seen[i] = merge_point_reservoirs(
-                    points[i], keys[i], seen[i], points[j], keys[j], seen[j], cfg.eval_point_cap,
-                )
             qm[i], qc[i], qld[i], qtr[i] = mean, cov, log_det9(cov), cov[0] + cov[4] + cov[8]
             weight[i] += weight[j]
             score[i] += score[j]
-            absorbed_by[j] = i
+            carried.append(j)
             events.append(MergeEvent(-(i + 1), -(j + 1), dq, local.frame_id))
             if qld[i] == _NEG_INF:
                 break
-        if not merged_into_global:
-            insert(i)
+        if gid < 0:
+            gid = insert(i)
+        for k in carried:
+            gid_of[k] = gid
+            placement.append((k, gid))
 
+    _merge_reservoirs(global_graph, placement, local.eval_points, local.eval_keys, local.eval_seen,
+                      cfg.eval_point_cap)
+    local.placement = placement
     for edge in local.edges:
         s, o = edge.subject_id, edge.object_id
         if not (0 <= s < n and 0 <= o < n):
             raise MergeContractError(f"edge references unknown local node {o if 0 <= s < n else s}")
-        while absorbed_by[s] != s:
-            s = absorbed_by[s]
-        while absorbed_by[o] != o:
-            o = absorbed_by[o]
         s, o = gid_of[s], gid_of[o]
         if s == o:
             continue
         global_graph.accumulate_edge(s, o, edge.votes)
     return global_graph, events
+
+
+def _merge_reservoirs(
+    global_graph: GlobalSSG,
+    placement: list[tuple[int, int]],
+    points: list[np.ndarray | None],
+    keys: list[np.ndarray | None],
+    seen: list[int],
+    cap: int,
+) -> None:
+    """Merge local node k's eval-point reservoir (points[k], keys[k],
+    seen[k]) into global node g's, for each (k, g) of placement in turn."""
+    nodes = global_graph.nodes
+    for k, gid in placement:
+        node = nodes[gid]
+        chunk, held = points[k], node._points
+        if chunk is None and (held is None or len(held)):
+            node.eval_seen += seen[k]  # nothing to merge, and no empty held reservoir to clear
+        else:
+            node.merge_eval_points(chunk, keys[k], seen[k], cap)
 
 
 def process_frame(
@@ -528,6 +581,14 @@ def process_frame(
     record_eval_points: bool = False,
 ) -> FrameResult:
     """Lift one frame and integrate it, reporting per-stage wall time.
+
+    With record_eval_points, the frame's eval points are recorded after
+    integrate has placed its nodes: the pass (_eval_point_pass) draws the
+    keys build_local_graph(record_eval_points=True) would, and drops the
+    pixels that the reservoir they go to can no longer keep (its floor), so
+    that they are never back-projected. The graph is the one that
+    build_local_graph(record_eval_points=True) and integrate would give.
+    lift_seconds covers the pass.
 
     A frame whose construction fails outright is skipped with a warning and
     leaves the state untouched; integrate itself is total for any local
@@ -544,10 +605,7 @@ def process_frame(
         result.skip_reason = str(exc)
         return result
     try:
-        local = build_local_graph(
-            frame, frame.camera, frame.pose, cfg,
-            depth_provider=depth_provider, record_eval_points=record_eval_points, rng=rng,
-        )
+        local = build_local_graph(frame, frame.camera, frame.pose, cfg, depth_provider=depth_provider)
     except SceneFuseError as exc:
         log.warning("frame %d skipped: %s", frame.frame_id, exc)
         result.skipped = True
@@ -557,9 +615,16 @@ def process_frame(
     t1 = time.perf_counter()
     _, events = integrate(local, state, cfg)
     t2 = time.perf_counter()
+    if record_eval_points and local.placement:
+        nodes, cap = state.nodes, cfg.eval_point_cap
+        floors = [0.0] * len(local.placement)
+        for k, gid in local.placement:
+            floors[k] = nodes[gid].eval_floor(cap)
+        points, keys, seen = _eval_point_pass(local, frame.camera, frame.pose, cfg, depth_provider, rng, floors)
+        _merge_reservoirs(state, local.placement, points, keys, seen, cap)
     result.lifted = len(local.class_ids)
     result.dropped = len(frame.detections) - result.lifted
     result.merge_events = events
-    result.lift_seconds = t1 - t0
+    result.lift_seconds = t1 - t0 + time.perf_counter() - t2
     result.merge_seconds = t2 - t1
     return result

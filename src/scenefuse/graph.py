@@ -173,7 +173,15 @@ class LocalSSG:
     MergeContractError for a node with eval points without keys or with a
     Gaussian the gate cannot score (gaussian_problem, as import_graph); a
     degenerate covariance is accepted.
+
+    Two attributes are not columns. eval_sources is what build_local_graph
+    lifted the nodes from, which the eval-point pass reads (None for a graph
+    built from nodes). placement is set by integrate: (local node, global
+    node) pairs in the order their eval-point reservoirs merge.
     """
+
+    eval_sources = None
+    placement: list[tuple[int, int]] | None = None
 
     def __init__(self, frame_id: int, nodes: list[ObjectNode], edges: list[RelationEdge]):
         for i, node in enumerate(nodes):
@@ -262,6 +270,13 @@ class _GlobalNode(ObjectNode):
     (GlobalSSG.add_node keys those that come without); whoever assigns
     eval_points must assign their eval_keys too before the node is merged
     into.
+
+    When a compaction leaves exactly `cap` points held, their smallest key is
+    the node's floor (eval_floor); otherwise the floor is -inf. The held
+    points come before every point merged later, so a later point whose key
+    is at or below the floor can never be kept (ties go to the earlier
+    point): merging it changes nothing but eval_seen. The setters clear the
+    floor, and a merge under another cap voids it.
     """
 
     def __init__(self, row_means: list, row_covs: list, node_id: int, class_id: int, weight: int,
@@ -282,11 +297,17 @@ class _GlobalNode(ObjectNode):
         return Gaussian3D(mean=np.array(self._row_means[self.id]), cov=np.array(self._row_covs[self.id]))
 
     # keyed, non-empty chunks (a tuple until the first, so that a node that
-    # never defers a merge allocates no list), the points in them, and the
-    # cap they are compacted to
+    # never defers a merge allocates no list), the points in them, the cap
+    # they are compacted to, and the floor of the held reservoir under it
     _pending: list[tuple[np.ndarray, np.ndarray]] | tuple = ()
     _pending_n = 0
     _cap = 0
+    _floor = -math.inf
+
+    def eval_floor(self, cap: int) -> float:
+        """The key at or below which no point merged under `cap` can be kept;
+        -inf unless the held reservoir is full under that cap."""
+        return self._floor if cap == self._cap else -math.inf
 
     @property
     def eval_points(self) -> np.ndarray | None:
@@ -299,6 +320,7 @@ class _GlobalNode(ObjectNode):
         if self._pending:
             self._compact()
         self._points = points
+        self._floor = -math.inf
 
     @property
     def eval_keys(self) -> np.ndarray | None:
@@ -311,6 +333,7 @@ class _GlobalNode(ObjectNode):
         if self._pending:
             self._compact()
         self._keys = keys
+        self._floor = -math.inf
 
     def merge_eval_points(self, points: np.ndarray | None, keys: np.ndarray | None, seen: int,
                           cap: int) -> None:
@@ -328,15 +351,15 @@ class _GlobalNode(ObjectNode):
         else:
             if keys is None or (held is not None and len(held) and self._keys is None):
                 raise MergeContractError(f"node {self.id}: eval points without keys cannot be merged")
-            if not self._pending:
-                self._pending = [(points, keys)]
-            elif cap == self._cap:
+            if cap != self._cap:
+                if self._pending:
+                    self._compact()
+                self._cap, self._floor = cap, -math.inf
+            if self._pending:
                 self._pending.append((points, keys))
             else:
-                self._compact()
                 self._pending = [(points, keys)]
             self._pending_n += len(points)
-            self._cap = cap
             if self._pending_n + (0 if self._points is None else len(self._points)) > 2 * cap:
                 self._compact()
         self.eval_seen += seen
@@ -353,6 +376,7 @@ class _GlobalNode(ObjectNode):
             keep = top_keys(keys, self._cap)
             points, keys = points.take(keep, axis=0), keys.take(keep)
         self._points, self._keys = points, keys
+        self._floor = keys.min() if len(keys) == self._cap else -math.inf
         self._pending = ()
         self._pending_n = 0
 
@@ -533,6 +557,9 @@ class GlobalSSG:
             held, keys, pending = node._points, node._keys, node._pending
             size = 0 if held is None else len(held)
             pieces = pending if size == 0 and keys is None else [(held, keys), *pending]
+            floor = node._floor
+            assert floor == -math.inf or (size == node._cap and floor == keys.min()), \
+                f"node {nid}: eval floor is not the smallest key of a full held reservoir"
             if pending:
                 assert node._pending_n == sum(len(p) for p, _ in pending), "pending count out of sync"
                 total = size + node._pending_n
@@ -541,6 +568,7 @@ class GlobalSSG:
                 size = total if size == 0 and len(pending) == 1 else min(total, node._cap)
             if eval_point_cap is not None:
                 assert size <= eval_point_cap, "eval point cap exceeded"
+            assert node.eval_seen >= size, f"node {nid}: holds {size} eval points but has seen {node.eval_seen}"
             for points, k in pieces:
                 assert k is not None, "eval points without keys"
                 assert k.shape == (0 if points is None else len(points),), "eval keys do not match eval points"
@@ -704,8 +732,9 @@ def import_graph(doc: dict) -> tuple[GlobalSSG, ClassVocabulary]:
     vocabulary, or anything GlobalSSG.validate would reject: a node Gaussian
     the merge gate cannot score (gaussian_problem: a mean or covariance
     entry that is not finite, or a covariance that is not one), a node
-    weight below 1, an edge with no votes, a vote count below 1, a self-loop
-    or a dangling edge.
+    weight below 1, an eval_points_seen below the node's number of eval
+    points, an edge with no votes, a vote count below 1, a self-loop or a
+    dangling edge.
     """
     try:
         objects, predicates = doc["vocab"]["objects"], doc["vocab"]["predicates"]
@@ -736,14 +765,17 @@ def import_graph(doc: dict) -> tuple[GlobalSSG, ClassVocabulary]:
                 ):
                     raise ValueError(f"{where}: eval_points is not a list of 3-number points")
                 pts = np.array(pts, dtype=np.float64).reshape(-1, 3)
-            seen = rec.get("eval_points_seen", 0 if pts is None else len(pts))
+            held = 0 if pts is None else len(pts)
+            seen = _integer(rec.get("eval_points_seen", held), f"{where}: eval_points_seen")
+            if seen < held:
+                raise ValueError(f"{where}: eval_points_seen {seen} is below its {held} eval points")
             g.add_node(
                 class_id=class_id,
                 gaussian=Gaussian3D(mean=np.array(mean), cov=np.array(cov)),
                 weight=weight,
                 score_sum=score_sum,
                 eval_points=pts,
-                eval_seen=_integer(seen, f"{where}: eval_points_seen"),
+                eval_seen=seen,
                 node_id=nid,
             )
         for rec in doc["edges"]:

@@ -432,12 +432,15 @@ def write_depth_map(path, depth: DepthMap | np.ndarray) -> None:
 
 
 def read_depth_map(path) -> DepthMap:
-    """Read a raw depth map. The payload is read from the file straight into
-    the (read-only) array: no bytes object is sliced or copied, and the array
-    is aligned, which a view at the 13-byte header's offset would not be (an
-    unaligned array takes numpy's slower path on every fancy index)."""
-    with open(path, "rb") as f:
-        header = f.read(_DEPTH_HEADER.size)
+    """Read a raw depth map from a str or os.PathLike path. The payload is
+    read from the file straight into the (read-only) array: no bytes object
+    is sliced or copied, and the array is aligned, which a view at the
+    13-byte header's offset would not be (an unaligned array takes numpy's
+    slower path on every fancy index). The file is read by descriptor, with
+    no buffered file object."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        header = os.pread(fd, _DEPTH_HEADER.size, 0)
         if len(header) < _DEPTH_HEADER.size:
             raise StreamFormatError(f"{path}: truncated depth header")
         magic, version, w, h = _DEPTH_HEADER.unpack(header)
@@ -445,12 +448,14 @@ def read_depth_map(path) -> DepthMap:
             raise StreamFormatError(f"{path}: bad magic {magic!r}")
         if version != _DEPTH_VERSION:
             raise StreamFormatError(f"{path}: unsupported version {version}")
-        size = os.fstat(f.fileno()).st_size - _DEPTH_HEADER.size
+        size = os.fstat(fd).st_size - _DEPTH_HEADER.size
         expected = 4 * w * h
         if size != expected:
             raise StreamFormatError(f"{path}: payload is {size} bytes, header implies {expected}")
         values = np.empty((h, w), dtype="<f4")
-        got = f.readinto(values)
+        got = os.preadv(fd, [values], _DEPTH_HEADER.size)
+    finally:
+        os.close(fd)
     if got != expected:
         raise StreamFormatError(f"{path}: payload is {got} bytes, header implies {expected}")
     values.flags.writeable = False
@@ -486,16 +491,16 @@ class DepthCache:
     """
 
     def __init__(self, root: Path | str | None):
-        self.root = Path(root) if root is not None else None
+        self.root = os.fspath(root) if root is not None else None
         self._ref: str | None = None
         self._map: DepthMap | None = None
 
     def __call__(self, ref: str) -> DepthMap:
         if ref != self._ref:
             self._ref = self._map = None  # let the old map go before the new one is read
-            path = Path(ref)
-            if not path.is_absolute() and self.root is not None:
-                path = self.root / path
+            path = ref
+            if self.root is not None and not os.path.isabs(ref):
+                path = os.path.join(self.root, ref)
             self._map = read_depth_map(path)
             self._ref = ref
         return self._map

@@ -532,24 +532,34 @@ def _reservoir_scripts(draw):
 def test_lazy_reservoir_merges_equal_the_eager_chain(script):
     # a global node's merge_eval_points defers keyed chunks; whatever is read,
     # and at the end, it must hold what the chain of merge_point_reservoirs
-    # calls would, bit for bit
+    # calls would, bit for bit; and so must a node that is only handed the
+    # points above its floor
     cap, (points, keys, seen), steps = script
     g = GlobalSSG()
     node = g.add_node(class_id=0, gaussian=_gauss([0, 0, 0]), eval_points=points, eval_keys=keys, eval_seen=seen)
+    floored = g.add_node(class_id=0, gaussian=_gauss([1, 0, 0]), eval_points=points, eval_keys=node.eval_keys,
+                         eval_seen=seen)
     eager = (points, node.eval_keys, seen)
     for step in steps:
         if step[0] == "merge":
             _, points, keys, seen, merge_cap = step
             node.merge_eval_points(points, keys, seen, merge_cap)
+            if points is None:
+                floored.merge_eval_points(points, keys, seen, merge_cap)
+            else:
+                above = keys > floored.eval_floor(merge_cap)
+                floored.merge_eval_points(points[above], keys[above], seen, merge_cap)
             if eager[0] is None and points is None:
                 eager = (None, eager[1], eager[2] + seen)
             else:
                 eager = merge_point_reservoirs(*eager, points, keys, seen, merge_cap)
-            assert node.eval_seen == eager[2]
+            assert node.eval_seen == floored.eval_seen == eager[2]
         elif step[0] == "points":
             _same_array(node.eval_points, eager[0])
+            _same_array(floored.eval_points, eager[0])
         elif step[0] == "keys":
             _same_array(node.eval_keys, eager[1])
+            _same_array(floored.eval_keys, eager[1])
         else:
             pending = list(node._pending)
             g.validate()
@@ -559,10 +569,89 @@ def test_lazy_reservoir_merges_equal_the_eager_chain(script):
                 with pytest.raises(AssertionError, match="eval point cap exceeded"):
                     g.validate(eval_point_cap=cap)
             assert list(node._pending) == pending  # validate does not compact
-    _same_array(node.eval_points, eager[0])
-    _same_array(node.eval_keys, eager[1])
-    assert node.eval_seen == eager[2]
+    for n in (node, floored):
+        _same_array(n.eval_points, eager[0])
+        _same_array(n.eval_keys, eager[1])
+        assert n.eval_seen == eager[2]
     g.validate()
+
+
+def test_validate_checks_eval_seen_covers_the_points_held():
+    g = GlobalSSG()
+    node = g.add_node(class_id=0, gaussian=_gauss([0, 0, 0]), eval_points=np.zeros((3, 3)), eval_seen=3)
+    g.validate()
+    node.eval_seen = 2
+    with pytest.raises(AssertionError, match="node 0: holds 3 eval points but has seen 2"):
+        g.validate()
+
+
+def _full_node(cap, keys):
+    """A graph with one node whose held reservoir was compacted from keys."""
+    g = GlobalSSG()
+    node = g.add_node(class_id=0, gaussian=_gauss([0, 0, 0]))
+    node.merge_eval_points(np.arange(3.0 * len(keys)).reshape(-1, 3), np.array(keys), len(keys), cap)
+    node.merge_eval_points(np.full((1, 3), -1.0), np.array([0.0]), 1, cap)
+    node._compact()
+    return g, node
+
+
+def test_eval_floor_is_the_smallest_key_of_a_full_held_reservoir():
+    g, node = _full_node(3, [0.2, 0.9, 0.4, 0.6, 0.4])
+    _same_array(node.eval_keys, np.array([0.9, 0.4, 0.6]))
+    assert node.eval_floor(3) == 0.4 and node.eval_floor(4) == -math.inf
+    g.validate(eval_point_cap=3)
+    # a chunk whose keys are all at or below the floor changes only eval_seen
+    points, keys, seen = node.eval_points.copy(), node.eval_keys.copy(), node.eval_seen
+    node.merge_eval_points(np.full((4, 3), 7.0), np.array([0.4, 0.1, 0.4, 0.0]), 6, 3)
+    _same_array(node.eval_points, points)
+    _same_array(node.eval_keys, keys)
+    assert node.eval_seen == seen + 6 and node.eval_floor(3) == 0.4
+    # one key above it is kept, and raises the floor
+    node.merge_eval_points(np.full((1, 3), 8.0), np.array([0.5]), 1, 3)
+    _same_array(node.eval_keys, np.array([0.9, 0.6, 0.5]))
+    assert node.eval_floor(3) == 0.5
+    g.validate(eval_point_cap=3)
+    # a held reservoir below the cap has no floor
+    _, short = _full_node(8, [0.2, 0.9, 0.4])
+    assert short.eval_floor(8) == -math.inf
+
+
+def test_eval_point_setters_clear_the_floor():
+    for setter in ("eval_points", "eval_keys"):
+        g, node = _full_node(2, [0.3, 0.7, 0.5])
+        assert node.eval_floor(2) == 0.5
+        setattr(node, setter, getattr(node, setter)[:1])
+        assert node.eval_floor(2) == -math.inf
+        other = "eval_keys" if setter == "eval_points" else "eval_points"
+        setattr(node, other, getattr(node, other)[:1])
+        g.validate()
+
+
+def test_a_merge_under_another_cap_voids_the_floor_until_it_compacts():
+    g, node = _full_node(2, [0.3, 0.7, 0.5])
+    assert node.eval_floor(2) == 0.5
+    # under cap 4 the held points no longer fill the reservoir
+    node.merge_eval_points(np.full((1, 3), 5.0), np.array([0.1]), 1, 4)
+    assert node.eval_floor(4) == node.eval_floor(2) == -math.inf
+    g.validate()
+    node._compact()
+    assert node.eval_floor(4) == -math.inf  # three points held under cap 4
+    node.merge_eval_points(np.full((2, 3), 6.0), np.array([0.2, 0.05]), 2, 4)
+    node._compact()
+    _same_array(node.eval_keys, np.array([0.7, 0.5, 0.1, 0.2]))
+    assert node.eval_floor(4) == 0.1 and node.eval_floor(2) == -math.inf
+    g.validate(eval_point_cap=4)
+
+
+def test_validate_checks_the_eval_floor():
+    g, node = _full_node(2, [0.3, 0.7, 0.5])
+    node._floor = 0.3  # not the smallest held key
+    with pytest.raises(AssertionError, match="node 0: eval floor is not the smallest key of a full held reservoir"):
+        g.validate()
+    g, node = _full_node(4, [0.3, 0.7, 0.5])
+    node._floor = 0.3  # three points held under cap 4
+    with pytest.raises(AssertionError, match="eval floor"):
+        g.validate()
 
 
 def test_lazy_reservoir_holds_at_most_twice_the_cap_plus_a_chunk():
@@ -846,6 +935,11 @@ def test_import_refuses_non_finite_means_and_covariances():
     ("edges", 0, "votes", {"3": [1, 0.5]}, "edge 0->1: predicate 3 is outside the vocabulary's 3 names"),
     ("edges", 0, "votes", {"0": [1.0, 0.5]}, "edge 0->1: vote count 1.0 is not an integer"),
     ("nodes", 1, "id", -1, "node id -1 is negative"),  # raised IndexError
+    # node 2 holds two eval points: a count seen below that loaded and validated
+    ("nodes", 2, "eval_points_seen", 1, "node 2: eval_points_seen 1 is below its 2 eval points"),
+    ("nodes", 2, "eval_points_seen", 0, "node 2: eval_points_seen 0 is below its 2 eval points"),
+    ("nodes", 2, "eval_points_seen", -3, "node 2: eval_points_seen -3 is below its 2 eval points"),
+    ("nodes", 0, "eval_points_seen", -1, "node 0: eval_points_seen -1 is below its 0 eval points"),
 ])
 def test_import_refuses_what_validate_rejects(section, i, key, value, problem):
     doc = export_graph(_populated_graph(), _vocab())

@@ -19,6 +19,7 @@ bytes.
 
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from scipy.spatial.transform import Rotation
 from scenefuse.errors import (
     FrameParseError, InvalidDepthError, InvalidDetectionError, SingularJacobianError, StreamOrderError,
 )
-from scenefuse.fusion import FusionConfig, _frame_eval_points, build_local_graph, integrate
+from scenefuse import fusion
+from scenefuse.fusion import FusionConfig, _frame_eval_points, build_local_graph, integrate, process_frame
 from scenefuse.geometry import (
     BoundingBox2D,
     CameraIntrinsics,
@@ -38,7 +40,9 @@ from scenefuse.geometry import (
     lift_detection,
     lift_detections,
 )
-from scenefuse.graph import ClassVocabulary, GlobalSSG, LocalSSG, ObjectNode, RelationEdge, export_graph, log_det9
+from scenefuse.graph import (
+    ClassVocabulary, GlobalSSG, LocalSSG, ObjectNode, RelationEdge, export_graph, load_graph, log_det9, save_graph,
+)
 from scenefuse.streams import (
     ID_LIMIT, DepthMap, Detection, FrameRecord, Relation2D, _read_frame, _walk_frame,
     frame_to_obj, parse_frame_stream,
@@ -274,6 +278,178 @@ def test_frame_eval_points_match_per_detection_reference(frame):
         assert p.shape == rp.shape and p.tobytes() == rp.tobytes()
         assert k.shape == rk.shape == (len(p),) and k.tobytes() == rk.tobytes()
     assert len(points) == len(keys) == len(dets)
+
+
+# one small camera for the recorded streams: 24 x 18 px, so that windows hold
+# tens of pixels and a cap of a few points is full after a frame or two
+_REC_CAM = CameraIntrinsics(fx=20.0, fy=20.0, cx=12.0, cy=9.0, width=24, height=18)
+
+
+def _rec_map(seed: int, invalid: float, fill: float) -> DepthMap:
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(1.0, 4.0, (18, 24))
+    values[rng.random((18, 24)) < invalid] = fill
+    return DepthMap(width=24, height=18, values=values.astype(np.float32))
+
+
+@st.composite
+def recorded_streams(draw):
+    """(frames, maps, caps, reads, reload_at): frames of repeated boxes, with one
+    depth map each (some pixels invalid, or all), so that boxes of one
+    anchor merge as queued peers and into global nodes, and windows exceed
+    small caps. Some detections carry their centroid depth, some only a
+    depth_ref, some a ref that cannot be read, and some are below the
+    confidence threshold. caps[f] is frame f's eval_point_cap, so the cap
+    also grows and shrinks. Before frame f, every node's eval points are read
+    if reads[f], which compacts their reservoirs as scoring a graph would;
+    the graphs are saved and loaded before frame reload_at."""
+    pose = CameraPose(rotation=_rotation(draw(quaternions)),
+                      translation=np.array(draw(st.tuples(unit, unit, unit))))
+    anchors = draw(st.lists(st.tuples(
+        st.integers(0, 1), st.integers(1, 23), st.integers(1, 17), st.integers(2, 16), st.integers(2, 16),
+        st.sampled_from([2.0, 2.5, 3.0]),
+    ), min_size=1, max_size=4))
+    n_frames = draw(st.integers(1, 5))
+    caps = [draw(st.sampled_from([1, 3, 3, 8, 64])) for _ in range(n_frames)]
+    frames, maps = [], {}
+    for f in range(n_frames):
+        ref = f"d{f}"
+        maps[ref] = _rec_map(draw(st.integers(0, 2 ** 16)), draw(st.sampled_from([0.0, 0.2, 1.0])),
+                             draw(st.sampled_from([0.0, math.nan])))
+        dets = []
+        for _ in range(draw(st.integers(0, 6))):
+            cid, cx, cy, w, h, z = draw(st.sampled_from(anchors))
+            dets.append(Detection(
+                class_id=cid, score=draw(st.sampled_from([0.6, 0.8, 0.9, 1.0])),
+                cx=cx + draw(st.sampled_from([0.0, 0.0, 0.5, -1.0])), cy=float(cy), w=float(w), h=float(h),
+                centroid_depth=draw(st.sampled_from([z, z, None])),
+                depth_ref=draw(st.sampled_from([ref, ref, None, "missing"])),
+            ))
+        relations = []
+        for _ in range(draw(st.integers(0, 3)) if len(dets) >= 2 else 0):
+            s, o = draw(st.integers(0, len(dets) - 1)), draw(st.integers(0, len(dets) - 1))
+            relations.append(Relation2D(s, o, draw(st.integers(0, 1)), draw(st.floats(0.1, 1.0))))
+        frames.append(FrameRecord(f, _REC_CAM, pose, dets, relations))
+    reads = [draw(st.booleans()) for _ in range(n_frames)]
+    return frames, maps, caps, reads, draw(st.integers(1, n_frames))
+
+
+def _record_three_ways(frames, maps, caps, reads, reload_at, seed=7):
+    """Fuse the frames with eval points three ways, each from its own
+    generator seeded alike: process_frame; build_local_graph(record_eval_points
+    =True) then integrate; and the same local graphs through the reference
+    integrate, whose reservoirs merge eagerly at every decision. Checks the
+    events agree frame by frame and the graphs, keys and generators at the
+    end, and returns the graphs and the process_frame events."""
+    def provider(ref):
+        if ref not in maps:
+            raise FileNotFoundError(ref)
+        return maps[ref]
+
+    graphs = [GlobalSSG(), GlobalSSG(), GlobalSSG()]
+    rngs = [np.random.default_rng(seed) for _ in graphs]
+    vocab = ClassVocabulary(("c0", "c1", "c2", "c3", "c4"), ("p0", "p1"))
+    events = []
+    for f, frame in enumerate(frames):
+        if reads[f]:
+            for g in graphs:
+                for node in g.nodes.values():
+                    node.eval_points
+        if f == reload_at:
+            with tempfile.TemporaryDirectory() as tmp:
+                for k, g in enumerate(graphs):
+                    save_graph(f"{tmp}/g{k}.json", g, vocab)
+                graphs = [load_graph(f"{tmp}/g{k}.json")[0] for k in range(len(graphs))]
+        cfg = FusionConfig(eval_point_cap=caps[f])
+        res = process_frame(frame, graphs[0], cfg, rng=rngs[0], depth_provider=provider, record_eval_points=True)
+        assert not res.skipped
+        for g, rng, fuse in ((graphs[1], rngs[1], integrate), (graphs[2], rngs[2], reference_fusion.integrate)):
+            local = build_local_graph(frame, frame.camera, frame.pose, cfg, depth_provider=provider,
+                                      record_eval_points=True, rng=rng)
+            _, ev = fuse(local, g, cfg)
+            assert [e[:2] for e in ev] == [e[:2] for e in res.merge_events]
+        events.append(res.merge_events)
+    for g in graphs:
+        g.validate(eval_point_cap=max(caps))
+    docs = [json.dumps(export_graph(g, vocab)) for g in graphs]
+    assert docs[0] == docs[1] == docs[2]
+    for nid, node in graphs[0].nodes.items():
+        for other in graphs[1:]:
+            assert node.eval_keys.tobytes() == other.nodes[nid].eval_keys.tobytes()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
+    return graphs, events
+
+
+@SETTINGS
+@given(recorded_streams())
+def test_recording_after_the_decisions_matches_recording_in_the_lift(stream):
+    # process_frame records eval points after integrate has placed the nodes,
+    # and back-projects only pixels above their reservoir's floor; the graph,
+    # eval keys included, and the generator's state must be those of
+    # recording in build_local_graph and merging at every decision
+    _record_three_ways(*stream)
+
+
+def _merge_order_stream():
+    """(frames, maps, caps, reads): one stream that holds each case the
+    hypothesis streams may miss. Queued peers; a root that absorbs a peer and
+    then merges into the node another root created in the same frame; full
+    reservoirs whose floors drop pixels; a cap that grows; reads between
+    frames; and nodes of one-pixel windows, whose reservoirs a wrong floor
+    would thin out."""
+    pose = CameraPose(rotation=np.eye(3), translation=np.zeros(3))
+
+    def det(cid, score, cx, w, h, z, cy=9.0):
+        return Detection(class_id=cid, score=score, cx=cx, cy=cy, w=w, h=h, centroid_depth=z, depth_ref="d")
+
+    frames = []
+    for f in range(8):
+        dets = [det(0, 0.9, 7.0, 10.0, 13.0, 3.0), det(0, 1.0, 13.0, 14.0, 11.0, 2.0),
+                det(0, 1.0, 11.0, 3.0, 6.0, 3.0),
+                det(1, 0.9, 18.0 + 0.5 * (f % 2), 8.0, 8.0, 2.5, cy=4.0), det(1, 0.8, 18.0, 8.0, 8.0, 2.5, cy=4.0),
+                det(2, 0.9, 4.0, 2.0, 2.0, 2.0, cy=14.0), det(3, 0.9, 9.0, 2.0, 2.0, 2.0, cy=15.0),
+                det(4, 0.9, 14.0, 2.0, 2.0, 2.0, cy=16.0)]
+        frames.append(FrameRecord(f, _REC_CAM, pose, dets, [Relation2D(3, 1, 0, 0.9), Relation2D(0, 4, 1, 0.5)]))
+    caps = [2, 2, 2, 12, 12, 12, 12, 12]
+    reads = [False, False, True, False, False, False, True, True]
+    return frames, {"d": _rec_map(3, 0.2, math.nan)}, caps, reads
+
+
+def test_recording_after_the_decisions_on_every_merge_order():
+    # the graph of _merge_order_stream, also loaded and fused on, must be the
+    # same three ways, from each of a few seeds: a floor taken too early, or
+    # kept across the cap's change, drops a one-pixel node's point for about
+    # every other seed
+    stream = _merge_order_stream()
+    for seed in range(1, 4):
+        _record_three_ways(*stream, reload_at=2, seed=seed)
+    graphs, events = _record_three_ways(*stream, reload_at=2, seed=0)
+    first = events[0]
+    assert any(e.kept_id < 0 for e in first)  # queued peers
+    # frame 0: the root that absorbed local node 0 merged into global node 0, created that frame
+    assert (first[1].kept_id, first[1].absorbed_id) == (0, -3) and first[0].absorbed_id == -1
+    # windows larger than the cap; reservoirs full at the end, but for the one-pixel nodes'
+    held = [(n.class_id, len(n.eval_points), n.eval_seen) for n in graphs[0].nodes.values()]
+    assert max(seen for _, _, seen in held) > 8 * 12
+    assert sorted(k for c, k, _ in held if c < 2) == [12, 12]
+    assert all(2 < k < 8 for c, k, _ in held if c >= 2) and len(held) == 5
+    # floors were in force: process_frame back-projected fewer points
+    counted = []
+    original = fusion._frame_eval_points
+
+    def counting(*args):
+        points, keys, seen = original(*args)
+        counted.append(sum(len(p) for p in points))
+        return points, keys, seen
+
+    fusion._frame_eval_points = counting
+    try:
+        _record_three_ways(*stream, reload_at=2, seed=0)
+    finally:
+        fusion._frame_eval_points = original
+    # per frame: process_frame's pass, then build_local_graph's for integrate and for the reference
+    assert len(counted) == 3 * len(stream[0]) and counted[1::3] == counted[2::3]
+    assert sum(counted[0::3]) < sum(counted[1::3])
 
 
 @st.composite

@@ -317,6 +317,40 @@ def test_depth_bad_magic_version_truncation(tmp_path):
         read_depth_map(p)
 
 
+class _PathLike:
+    """An os.PathLike that is not a pathlib.Path."""
+
+    def __init__(self, path):
+        self._path = str(path)
+
+    def __fspath__(self):
+        return self._path
+
+    def __str__(self):
+        return self._path
+
+
+def test_depth_reads_from_str_and_pathlike_with_the_same_messages(tmp_path):
+    p = tmp_path / "d.frdp"
+    write_depth_map(p, np.arange(6, dtype=np.float32).reshape(2, 3))
+    for path in (p, str(p), _PathLike(p)):
+        dm = read_depth_map(path)
+        assert (dm.width, dm.height) == (3, 2) and dm.values[1, 2] == 5.0 and not dm.values.flags.writeable
+    for raw, problem in (
+        (b"FRDP\x01", "truncated depth header"),
+        (struct.pack("<4sBII", b"XXXX", 1, 1, 1) + struct.pack("<f", 1.0), "bad magic b'XXXX'"),
+        (struct.pack("<4sBII", b"FRDP", 1, 2, 2) + struct.pack("<3f", 1.0, 2.0, 3.0),
+         "payload is 12 bytes, header implies 16"),
+    ):
+        p.write_bytes(raw)
+        for path in (p, str(p), _PathLike(p)):
+            with pytest.raises(StreamFormatError) as info:
+                read_depth_map(path)
+            assert str(info.value) == f"{p}: {problem}"
+    with pytest.raises(FileNotFoundError):
+        read_depth_map(str(tmp_path / "absent.frdp"))
+
+
 def test_depth_negative_value_preserved(tmp_path):
     p = tmp_path / "d.frdp"
     write_depth_map(p, np.array([[-1.0]], dtype=np.float32))
@@ -391,6 +425,25 @@ def test_depth_cache_resolves_and_caches(tmp_path):
     d2 = cache("depth/a.frdp")
     assert d1 is d2
     assert d1.values[0, 0] == 1.0
+
+
+def test_depth_cache_roots(tmp_path, monkeypatch):
+    sub = tmp_path / "depth"
+    sub.mkdir()
+    write_depth_map(sub / "a.frdp", np.full((2, 2), 3.0, dtype=np.float32))
+    # a str root and a Path root resolve a relative ref alike
+    for root in (tmp_path, str(tmp_path), _PathLike(tmp_path)):
+        assert DepthCache(root)("depth/a.frdp").values[0, 0] == 3.0
+    # no root: a relative ref is read from the working directory
+    monkeypatch.chdir(tmp_path)
+    assert DepthCache(None)("depth/a.frdp").values[0, 0] == 3.0
+    # an absolute ref ignores the root
+    other = tmp_path / "elsewhere"
+    other.mkdir()
+    for root in (other, str(other), None):
+        assert DepthCache(root)(str(sub / "a.frdp")).values[0, 0] == 3.0
+    with pytest.raises(FileNotFoundError):
+        DepthCache(other)("depth/a.frdp")
 
 
 def test_depth_cache_keeps_one_map(tmp_path, monkeypatch):

@@ -469,19 +469,35 @@ def test_benchmark_tracer_still_finds_the_engine(tmp_path):
     # fusion.best_match, GlobalSSG.set_gaussian, ...) and reads best_match's
     # candidate ids as its positional args 6 and 10; perfbench/run.py records
     # _accel.HAVE_NUMBA. A rename in the engine must fail here, not in a bench run.
+    # A second run records eval points from depth maps on disk, through the
+    # DepthCache and streams.read_depth_map that a room_depth replay reads.
     root = Path(__file__).resolve().parent.parent
     code = (
         "import json, sys, time; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
         "from tracer import Tracer\n"
         "tracer = Tracer(0.85); tracer.install()\n"
-        "from scenefuse import _accel, fusion, graph, synthetic\n"
+        "from scenefuse import _accel, fusion, graph, streams, synthetic\n"
+        "def calls():\n"
+        "    return {n: s['calls'] for n, s in tracer.summary()['spans'].items()}\n"
         "state, cfg = graph.GlobalSSG(), fusion.FusionConfig()\n"
         "for frame in synthetic.orbit_frames(5):\n"
         "    tracer.open_frame(time.perf_counter())\n"
         "    fusion.process_frame(frame, state, cfg)\n"
         "    tracer.close_frame(frame.frame_id, time.perf_counter())\n"
         "summary = tracer.summary()\n"
-        "print(json.dumps({'calls': {n: s['calls'] for n, s in summary['spans'].items()},\n"
+        "orbit = calls()\n"
+        "spec = synthetic.SceneSpec(seed=5, n_objects=6, n_classes=3, n_frames=4, image_width=160,\n"
+        "                           image_height=120, focal=125.0)\n"
+        "synthetic.synthesize_dataset(spec, 'room.jsonl', 'gt.json', depth_dir='depth')\n"
+        "state, depth = graph.GlobalSSG(), streams.DepthCache('.')\n"
+        "lifted = 0\n"
+        "for frame in streams.parse_frame_stream('room.jsonl'):\n"
+        "    tracer.open_frame(time.perf_counter())\n"
+        "    lifted += fusion.process_frame(frame, state, cfg, depth_provider=depth, record_eval_points=True).lifted\n"
+        "    tracer.close_frame(frame.frame_id, time.perf_counter())\n"
+        "room = {n: c - orbit[n] for n, c in calls().items()}\n"
+        "print(json.dumps({'calls': orbit, 'room': room, 'lifted': lifted,\n"
+        "                  'eval_points': sum(len(n.eval_points) for n in state.nodes.values()),\n"
         "                  'candidates': summary['candidates'], 'matches': summary['matches'],\n"
         "                  'have_numba': _accel.HAVE_NUMBA}))\n"
     )
@@ -496,3 +512,7 @@ def test_benchmark_tracer_still_finds_the_engine(tmp_path):
     assert calls["accel.merge_moments_into"] > 0 and calls["fusion.build_local_graph"] == 5
     assert out["candidates"] > 0 and out["matches"] > 0
     assert out["have_numba"] is False
+    room = out["room"]
+    assert room["frame"] == room["fusion.process_frame"] == room["fusion.integrate"] == 4
+    assert room["streams.read_depth_map"] == room["fusion.build_local_graph"] == 4
+    assert out["lifted"] > 4 and out["eval_points"] > out["lifted"]
