@@ -24,6 +24,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -296,10 +297,9 @@ def build_local_graph(
     highest score; the survivors are sorted by descending score and truncated
     to top_k_relations. Self-relations are dropped.
     """
-    from .streams import sample_centroid_depth
-
     lifts: list[tuple[int, "Detection", "DepthMap | None"]] = []
     depths: list[float] = []
+    coords: list[float] = []  # the boxes, (cx, cy, w, h) per detection lifted
     for det_idx, det in enumerate(frame.detections):
         if det.score < cfg.confidence_threshold:
             continue
@@ -309,6 +309,8 @@ def build_local_graph(
             if depth_provider is None or det.depth_ref is None:
                 log.debug("frame %d det %d: no depth source, dropped", frame.frame_id, det_idx)
                 continue
+            from .streams import sample_centroid_depth
+
             try:
                 depth_map = depth_provider(det.depth_ref)
                 z = sample_centroid_depth(det, depth_map)
@@ -320,6 +322,7 @@ def build_local_graph(
             continue
         lifts.append((det_idx, det, depth_map))
         depths.append(z)
+        coords += (det.cx, det.cy, det.w, det.h)
     # the columns of the local graph, one entry per detection kept
     index_map: dict[int, int] = {}  # detection index -> local node id
     kept: list[int] = []  # positions in lifts
@@ -328,7 +331,7 @@ def build_local_graph(
     row_means: list[list[float]] = []
     row_covs: list[list[float]] = []
     if lifts:
-        boxes = np.array([(det.cx, det.cy, det.w, det.h) for _, det, _ in lifts])
+        boxes = np.array(coords).reshape(-1, 4)
         means, covs, errors = lift_detections(boxes, np.array(depths), cam, pose)
         for k, (det_idx, det, _) in enumerate(lifts):
             if errors[k] is None:
@@ -412,8 +415,9 @@ def integrate(
     the reach of _gate_bound rules out, in the current state of both
     Gaussians, could never pass the gate, so only the others are scored and
     the decisions are those of scoring every candidate. Global candidates
-    come from the graph's x index (GlobalSSG.x_range with the class's trace
-    bound), queued peers from a scan of the queue. The scorer, given the
+    come from the graph's per-class view (GlobalSSG.x_order, searched as
+    x_range does, within the reach of the class's trace_bounds), queued
+    peers from a scan of the queue. The scorer, given the
     same bound, stops early on a pair that cannot pass the gate either.
 
     Eval-point reservoirs play no part in the decisions. Once every local
@@ -424,7 +428,8 @@ def integrate(
     created gets that root's first. The merges are by the points' keys,
     which the local graph carries (LocalSSG), so integrate draws no random
     numbers; and merges by key are associative, so this keeps the points,
-    in the order, that merging at every decision would.
+    in the order, that merging at every decision would. A merge of nothing
+    changes no reservoir, so a local graph without eval points merges none.
 
     integrate reads only the local graph's columns, never its `nodes` view,
     and leaves them as they are; it sets local.placement to the merge order.
@@ -458,6 +463,7 @@ def integrate(
     reach = 4.0 * bound
     gm, gc, gld = global_graph.row_means, global_graph.row_covs, global_graph.row_logdets
     gtr = global_graph.row_traces
+    x_order, trace_bounds = global_graph.x_order, global_graph.trace_bounds
 
     def insert(i: int) -> int:
         return global_graph.add_node(
@@ -480,6 +486,9 @@ def integrate(
             placement.append((i, gid_of[i]))
             continue
         ci = cls[i]
+        # the class's index, which changes only once the root is placed
+        order = x_order.get(ci)
+        class_bound = trace_bounds.get(ci)
         carried = [i]  # the root, then the queued peers it absorbs
         gid = -1
         while True:
@@ -493,16 +502,18 @@ def integrate(
                     if not (d0 * d0 + d1 * d1 + d2 * d2 > reach * (tr + qtr[j])):
                         cand_q.append(j)
             # the class's nodes within the bound's reach along x, then the bound itself
-            w2 = reach * (tr + global_graph.trace_bound(ci))
-            w = (math.sqrt(w2) * _SLAB_PAD if w2 > 0.0 else 0.0) + _ULP_PAD * abs(m0)
             cand_g = []
-            for g in global_graph.x_range(ci, m0 - w, m0 + w):
-                n0, n1, n2 = gm[g]
-                d0, d1, d2 = n0 - m0, n1 - m1, n2 - m2
-                if not (d0 * d0 + d1 * d1 + d2 * d2 > reach * (tr + gtr[g])):
-                    cand_g.append(g)
-            if len(cand_g) > 1:
-                cand_g.sort()  # candidate order is ascending id
+            if order is not None:
+                xs, ids = order
+                w2 = reach * (tr + class_bound)
+                w = (math.sqrt(w2) * _SLAB_PAD if w2 > 0.0 else 0.0) + _ULP_PAD * abs(m0)
+                for g in ids[bisect_left(xs, m0 - w):bisect_right(xs, m0 + w)]:
+                    n0, n1, n2 = gm[g]
+                    d0, d1, d2 = n0 - m0, n1 - m1, n2 - m2
+                    if not (d0 * d0 + d1 * d1 + d2 * d2 > reach * (tr + gtr[g])):
+                        cand_g.append(g)
+                if len(cand_g) > 1:
+                    cand_g.sort()  # candidate order is ascending id
             best_q, dq, best_g, dg = best_match(
                 m, qc[i], qld[i],
                 qm, qc, qld, cand_q,
@@ -517,7 +528,7 @@ def integrate(
                 mean, cov = merge_moments_into(float(gnode.weight), gm[gid], gc[gid], float(weight[i]), m, qc[i])
                 gnode.weight += weight[i]
                 gnode.score_sum += score[i]
-                global_graph.set_row(gid, mean, cov)
+                global_graph.store_row(gid, ci, mean, cov)
                 events.append(MergeEvent(gid, -(i + 1), dg, local.frame_id))
                 break
             j = cand_q[best_q]
@@ -537,8 +548,9 @@ def integrate(
             gid_of[k] = gid
             placement.append((k, gid))
 
-    _merge_reservoirs(global_graph, placement, local.eval_points, local.eval_keys, local.eval_seen,
-                      cfg.eval_point_cap)
+    if any(local.eval_seen) or any(p is not None for p in local.eval_points):
+        _merge_reservoirs(global_graph, placement, local.eval_points, local.eval_keys, local.eval_seen,
+                          cfg.eval_point_cap)
     local.placement = placement
     for edge in local.edges:
         s, o = edge.subject_id, edge.object_id
@@ -563,12 +575,11 @@ def _merge_reservoirs(
     seen[k]) into global node g's, for each (k, g) of placement in turn."""
     nodes = global_graph.nodes
     for k, gid in placement:
-        node = nodes[gid]
-        chunk, held = points[k], node._points
-        if chunk is None and (held is None or len(held)):
-            node.eval_seen += seen[k]  # nothing to merge, and no empty held reservoir to clear
+        chunk = points[k]
+        if chunk is None:
+            nodes[gid].eval_seen += seen[k]  # a merge of nothing adds only its count
         else:
-            node.merge_eval_points(chunk, keys[k], seen[k], cap)
+            nodes[gid].merge_eval_points(chunk, keys[k], seen[k], cap)
 
 
 def process_frame(

@@ -37,6 +37,7 @@ from .errors import (
 Z_MIN = 1e-4
 # Condition-number ceiling for J @ J.T before the pseudo-inverse is refused.
 COND_MAX = 1e12
+_HALF_COND_MAX = 0.5 * COND_MAX  # lift_detections' sufficient test for it
 
 _IDENTITY3 = np.eye(3)
 
@@ -210,50 +211,64 @@ def lift_detections(
        and the covariance is symmetrized as (A + A') / 2.
     The matrix products are stacked np.matmul calls, which round exactly as
     `@` on each matrix does, so a row does not depend on the others.
+
+    The elementwise operations are those of the steps, in the same order,
+    with shortcuts that change no result. A row's depth and extents go to
+    the checks that word their errors only when a plain range test fails.
+    The Gram matrix J J' = [[a, b], [b, c]] leaves out the products with J's
+    structural zeros: with fx, fy, z > 0 each is +0.0, which changes nothing
+    but a -0.0, and b = J02 J12 + 0.0 keeps even that. As hi / lo <=
+    tr^2 / det for the Gram matrix's eigenvalues, the exact check on lo and
+    hi runs only when tr^2 < COND_MAX det / 2 fails on some row; the factor
+    1/2 covers the computed lo's relative error of about eps tr^2 / det, at
+    most about 1e-4 where the test holds. A finite sum of all means and
+    covariances shows every entry finite; if the sum is not, from a row that
+    is not or from finite rows whose sum overflows, each row is checked.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     z = np.asarray(z, dtype=np.float64).reshape(-1)
     n = len(z)
     errors: list[Exception | None] = [None] * n
     for k, ((w, h), zk) in enumerate(zip(boxes[:, 2:].tolist(), z.tolist())):
-        try:
-            _check_depth(zk)
-            _check_box(w, h)
-        except (InvalidDepthError, InvalidDetectionError) as exc:
-            errors[k] = exc
+        if not (Z_MIN <= zk < math.inf and 0.0 < w < math.inf and 0.0 < h < math.inf):
+            try:
+                _check_depth(zk)
+                _check_box(w, h)
+            except (InvalidDepthError, InvalidDetectionError) as exc:
+                errors[k] = exc
     px, py, bw, bh = boxes.T
     R = pose.rotation
     with np.errstate(all="ignore"):  # rows with an error may divide by zero
-        x_cam = (px - cam.cx) / cam.fx * z
-        y_cam = (py - cam.cy) / cam.fy * z
+        cam_pts = np.empty((n, 3))
+        cam_pts[:, 0] = x_cam = (px - cam.cx) / cam.fx * z
+        cam_pts[:, 1] = y_cam = (py - cam.cy) / cam.fy * z
+        cam_pts[:, 2] = z
         inv_z = 1.0 / z
         inv_z2 = inv_z * inv_z
         J = np.zeros((n, 2, 3))
-        J[:, 0, 0] = cam.fx * inv_z
-        J[:, 0, 2] = -cam.fx * x_cam * inv_z2
-        J[:, 1, 1] = cam.fy * inv_z
-        J[:, 1, 2] = -cam.fy * y_cam * inv_z2
-        m00, m01, m02 = J[:, 0, 0], J[:, 0, 1], J[:, 0, 2]
-        m10, m11, m12 = J[:, 1, 0], J[:, 1, 1], J[:, 1, 2]
+        J[:, 0, 0] = m00 = cam.fx * inv_z
+        J[:, 0, 2] = m02 = -cam.fx * x_cam * inv_z2
+        J[:, 1, 1] = m11 = cam.fy * inv_z
+        J[:, 1, 2] = m12 = -cam.fy * y_cam * inv_z2
         # step 3: closed-form pseudo-inverse; an ill-conditioned Gram matrix J @ J.T is refused
-        a = m00 * m00 + m01 * m01 + m02 * m02
-        b = m00 * m10 + m01 * m11 + m02 * m12
-        c = m10 * m10 + m11 * m11 + m12 * m12
-        tr = a + c
-        disc = np.sqrt(np.maximum((a - c) * (a - c) + 4.0 * b * b, 0.0))
-        lo = 0.5 * (tr - disc)
-        hi = 0.5 * (tr + disc)
-        for k in np.flatnonzero((lo <= 0.0) | (hi / lo > COND_MAX)).tolist():
-            if errors[k] is None:
-                try:
-                    _check_gram(float(lo[k]), float(hi[k]))
-                except SingularJacobianError as exc:
-                    errors[k] = exc
+        a = m00 * m00 + m02 * m02
+        b = m02 * m12 + 0.0
+        c = m11 * m11 + m12 * m12
         det = a * c - b * b
+        tr = a + c
+        if not (tr * tr < _HALF_COND_MAX * det).all():
+            disc = np.sqrt(np.maximum((a - c) * (a - c) + 4.0 * b * b, 0.0))
+            lo = 0.5 * (tr - disc)
+            hi = 0.5 * (tr + disc)
+            for k in np.flatnonzero((lo <= 0.0) | (hi / lo > COND_MAX)).tolist():
+                if errors[k] is None:
+                    try:
+                        _check_gram(float(lo[k]), float(hi[k]))
+                    except SingularJacobianError as exc:
+                        errors[k] = exc
         inv = np.empty((n, 2, 2))
         inv[:, 0, 0] = c
-        inv[:, 0, 1] = -b
-        inv[:, 1, 0] = -b
+        inv[:, 0, 1] = inv[:, 1, 0] = -b
         inv[:, 1, 1] = a
         inv /= det[:, None, None]
         jp = np.matmul(J.transpose(0, 2, 1), inv)
@@ -265,9 +280,9 @@ def lift_detections(
         s[:, 2, 2] += 0.5 * (s[:, 0, 0] + s[:, 1, 1])
         out = np.matmul(np.matmul(R, s), R.T)
         covs = (out + out.transpose(0, 2, 1)) * 0.5
-        cam_pts = np.stack([x_cam, y_cam, z], axis=1)
         means = np.matmul(R, cam_pts[:, :, None])[:, :, 0] + pose.translation
-    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        finite = math.isfinite(means.sum() + covs.sum())
+    if not finite:
         for k, error in enumerate(errors):
             if error is None:
                 try:

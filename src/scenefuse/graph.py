@@ -9,12 +9,13 @@ global graph stores every node's Gaussian once, as such rows, and indexes
 each class's nodes by mean x. The fusion engine merges a few nodes per
 detection, one at a time, and at that size numpy's per-call cost outweighs
 the arithmetic: the engine reads and writes the float rows and finds
-candidates through the x index, with no numpy call per merge. A global
-node's `gaussian` is a Gaussian3D built from its rows each time it is read;
-the rows are the only store of node Gaussians. The graph derives each row's
-log-determinant and trace itself, where it stores the row, and `validate`
-checks them all. Eval points without keys get them where they enter the
-graph (add_node); no merge draws a key.
+candidates through the per-class view of the x index (GlobalSSG.x_order and
+trace_bounds, read but never written by the engine), with no numpy call per
+merge. A global node's `gaussian` is a Gaussian3D built from its rows each
+time it is read; the rows are the only store of node Gaussians. The graph
+derives each row's log-determinant and trace itself, where it stores the
+row, and `validate` checks them all. Eval points without keys get them where
+they enter the graph (add_node); no merge draws a key.
 
 Means and covariances are finite; covariances are symmetric, and positive
 definite unless degenerate (log_det9 is -inf). The lift (which refuses a
@@ -345,8 +346,8 @@ class _GlobalNode(ObjectNode):
         """
         held = self._points
         if points is None or len(points) == 0:
-            if held is None or len(held) == 0:  # compaction skips an empty held reservoir
-                self._points = None if points is None else points.copy()
+            if points is not None and (held is None or len(held) == 0):  # compaction skips an empty one
+                self._points = points.copy()
                 self._keys = None if keys is None else keys.copy()
         else:
             if keys is None or (held is not None and len(held) and self._keys is None):
@@ -390,12 +391,13 @@ class GlobalSSG:
 
     Node Gaussians are stored once, as Python floats indexed by node id:
     row_means[i] (3 floats), row_covs[i] (9 floats, row-major), row_logdets[i]
-    and the covariance trace row_traces[i]. The fusion engine reads and writes
-    these rows directly; a node's `gaussian` is built from its row when read.
-    Per class, node ids are also kept in order of mean x, with an upper bound
-    on the covariance traces, so that the engine can find the nodes near a
-    point (`x_range`, `trace_bound`); this order is the only index of nodes
-    by class.
+    and the covariance trace row_traces[i]. The fusion engine reads these
+    rows and the per-class view directly and writes rows through store_row;
+    a node's `gaussian` is built from its row when read. The per-class view
+    is the only index of nodes by class: x_order[class_id] is (xs, ids), the
+    class's node ids in order of mean x and their xs, and
+    trace_bounds[class_id] an upper bound on their covariance traces. Only
+    the graph writes it; x_range and trace_bound read it for other callers.
     """
 
     def __init__(self):
@@ -406,15 +408,15 @@ class GlobalSSG:
         self.row_covs: list[list[float] | None] = []
         self.row_logdets: list[float] = []
         self.row_traces: list[float] = []
-        self._x_order: dict[int, tuple[list[float], list[int]]] = {}
-        self._trace_bound: dict[int, float] = {}
+        self.x_order: dict[int, tuple[list[float], list[int]]] = {}
+        self.trace_bounds: dict[int, float] = {}
 
     # -- mutation ----------------------------------------------------------
 
-    def _place(self, nid: int, class_id: int, mean: list[float], cov: list[float]) -> None:
-        """Store a node's row with its log_det9 and trace; keep its class's x
-        order and trace bound."""
-        xs, ids = self._x_order[class_id]
+    def store_row(self, nid: int, class_id: int, mean: list[float], cov: list[float]) -> None:
+        """set_row of node `nid`, whose class id the caller holds; also keeps
+        the class's x order and trace bound."""
+        xs, ids = self.x_order[class_id]
         old = self.row_means[nid]
         x = mean[0]
         if old is None:
@@ -433,8 +435,8 @@ class GlobalSSG:
                 xs.insert(k, x)
                 ids.insert(k, nid)
         trace = cov[0] + cov[4] + cov[8]
-        if trace > self._trace_bound[class_id]:
-            self._trace_bound[class_id] = trace
+        if trace > self.trace_bounds[class_id]:
+            self.trace_bounds[class_id] = trace
         self.row_means[nid] = mean
         self.row_covs[nid] = cov
         self.row_logdets[nid] = log_det9(cov)
@@ -479,10 +481,10 @@ class GlobalSSG:
         node = _GlobalNode(self.row_means, self.row_covs, nid, class_id, weight, score_sum,
                            eval_points, eval_seen, eval_keys)
         self.nodes[nid] = node
-        if class_id not in self._x_order:
-            self._x_order[class_id] = ([], [])
-            self._trace_bound[class_id] = -math.inf
-        self._place(nid, class_id, gaussian.mean.tolist(), gaussian.cov.reshape(9).tolist())
+        if class_id not in self.x_order:
+            self.x_order[class_id] = ([], [])
+            self.trace_bounds[class_id] = -math.inf
+        self.store_row(nid, class_id, gaussian.mean.tolist(), gaussian.cov.reshape(9).tolist())
         self.next_id = max(self.next_id, nid + 1)
         return node
 
@@ -496,7 +498,7 @@ class GlobalSSG:
         the graph derives their log_det9 and trace. Precondition, not checked
         here, as add_node's: a mean and covariance that gaussian_problem
         accepts."""
-        self._place(node_id, self.nodes[node_id].class_id, mean, cov)
+        self.store_row(node_id, self.nodes[node_id].class_id, mean, cov)
 
     def accumulate_edge(self, subject_id: int, object_id: int, votes: dict[int, list]) -> RelationEdge:
         if subject_id == object_id:
@@ -515,7 +517,7 @@ class GlobalSSG:
 
     def x_range(self, class_id: int, lo: float, hi: float) -> list[int]:
         """Ids of the class's nodes whose mean x lies in [lo, hi], in x order."""
-        entry = self._x_order.get(class_id)
+        entry = self.x_order.get(class_id)
         if entry is None:
             return []
         xs, ids = entry
@@ -523,7 +525,7 @@ class GlobalSSG:
 
     def trace_bound(self, class_id: int) -> float:
         """An upper bound on the covariance traces of the class's nodes."""
-        return self._trace_bound.get(class_id, -math.inf)
+        return self.trace_bounds.get(class_id, -math.inf)
 
     def total_weight(self) -> int:
         return sum(n.weight for n in self.nodes.values())
@@ -531,12 +533,12 @@ class GlobalSSG:
     def validate(self, eval_point_cap: int | None = None) -> None:
         """Check every structural invariant; raises AssertionError on breakage."""
         # every node sits in its own class's x order, once, and in no other
-        indexed = sorted(i for _, ids in self._x_order.values() for i in ids)
+        indexed = sorted(i for _, ids in self.x_order.values() for i in ids)
         assert indexed == sorted(self.nodes), "x order out of sync with nodes"
-        for cid, (xs, ids) in self._x_order.items():
+        for cid, (xs, ids) in self.x_order.items():
             assert all(self.nodes[i].class_id == cid for i in ids), "x order class mismatch"
             assert xs == sorted(xs) and xs == [self.row_means[i][0] for i in ids], "x order broken"
-            bound = self._trace_bound[cid]
+            bound = self.trace_bounds[cid]
             assert all(c[0] + c[4] + c[8] <= bound for c in (self.row_covs[i] for i in ids)), "trace bound"
             assert not ids or math.isfinite(bound), f"class {cid} trace bound is not finite"
         for (s, o), edge in self.edges.items():
@@ -598,17 +600,20 @@ def merge_point_reservoirs(
     Spirakis, "Weighted random sampling with a reservoir", IPL 2006).
 
     A side with points must have their keys; either side may be None or
-    empty, and is then no more than a count. Points that come without keys
-    get them where they enter a graph, in GlobalSSG.add_node (_aes_keys),
-    never here.
+    empty, and is then no more than a count; a None side leaves the other
+    as it is, so the result is None only when both are. Points that come
+    without keys get them where they enter a graph, in GlobalSSG.add_node
+    (_aes_keys), never here.
     """
-    if points_a is None or len(points_a) == 0:
+    if points_b is None:
         return (
-            None if points_b is None else points_b.copy(),
-            None if keys_b is None else keys_b.copy(),
+            None if points_a is None else points_a.copy(),
+            None if keys_a is None else keys_a.copy(),
             seen_a + seen_b,
         )
-    if points_b is None or len(points_b) == 0:
+    if points_a is None or len(points_a) == 0:
+        return points_b.copy(), None if keys_b is None else keys_b.copy(), seen_a + seen_b
+    if len(points_b) == 0:
         return points_a.copy(), keys_a.copy(), seen_a + seen_b
     points = np.concatenate((points_a, points_b))
     keys = np.concatenate((keys_a, keys_b))

@@ -202,8 +202,10 @@ def _read_frame(obj) -> FrameRecord | None:
             if not (type(class_id) is int and 0 <= class_id < ID_LIMIT and (ref is None or type(ref) is str)
                     and type(bbox) is dict and bbox.keys() == _BBOX_KEYS):
                 return None
-            score = _real(d["score"])
-            cx, cy, w, h = _real(bbox["cx"]), _real(bbox["cy"]), _real(bbox["w"]), _real(bbox["h"])
+            score, cx, cy, w, h = d["score"], bbox["cx"], bbox["cy"], bbox["w"], bbox["h"]
+            if not (type(score) is float and type(cx) is float and type(cy) is float and type(w) is float
+                    and type(h) is float):
+                score, cx, cy, w, h = _real(score), _real(cx), _real(cy), _real(w), _real(h)
             if not (0.0 <= score <= 1.0 and w > 0.0 and h > 0.0):
                 return None
             total += cx + cy + w + h

@@ -244,13 +244,15 @@ def export_graph(g: GlobalSSG, vocab: ClassVocabulary) -> dict:
 
 def merge_point_reservoirs(points_a, keys_a, seen_a, points_b, keys_b, seen_b, cap):
     """graph.merge_point_reservoirs by a stable sort of all keys, largest first."""
-    if points_a is None or len(points_a) == 0:
+    if points_b is None:
         return (
-            None if points_b is None else points_b.copy(),
-            None if keys_b is None else keys_b.copy(),
+            None if points_a is None else points_a.copy(),
+            None if keys_a is None else keys_a.copy(),
             seen_a + seen_b,
         )
-    if points_b is None or len(points_b) == 0:
+    if points_a is None or len(points_a) == 0:
+        return points_b.copy(), None if keys_b is None else keys_b.copy(), seen_a + seen_b
+    if len(points_b) == 0:
         return points_a.copy(), keys_a.copy(), seen_a + seen_b
     points = np.concatenate((points_a, points_b))
     keys = np.concatenate((keys_a, keys_b))

@@ -9,11 +9,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from scenefuse.errors import InvalidEdgeError, MergeContractError, StreamFormatError
+from scenefuse.fusion import FusionConfig, integrate
 from scenefuse.geometry import Gaussian3D
 from scenefuse.graph import (
     ENTRY_KEY_SEED,
     ClassVocabulary,
     GlobalSSG,
+    LocalSSG,
+    ObjectNode,
     RelationEdge,
     det9,
     export_graph,
@@ -212,17 +215,17 @@ def test_validate_detects_row_corruption():
         g.row_means[0] = [5.0, 0.0, 0.0]  # class 0: node 2 (x = 0) now sorts first
 
     def lower_trace_bound(g):
-        g._trace_bound[0] = 2.9  # both class-0 covariances have trace 3
+        g.trace_bounds[0] = 2.9  # both class-0 covariances have trace 3
 
     def drop_from_x_order(g):
-        xs, ids = g._x_order[1]
+        xs, ids = g.x_order[1]
         del xs[0], ids[0]
 
     def change_class(g):
         g.nodes[1].class_id = 0  # still in class 1's x order
 
     def list_twice(g):
-        g._x_order[1] = ([0.0, 0.0], [1, 1])
+        g.x_order[1] = ([0.0, 0.0], [1, 1])
 
     for corrupt, message in (
         (corrupt_logdet, "log-determinant out of sync"),
@@ -311,6 +314,34 @@ def test_reservoir_merge_handles_empty_sides():
     assert seen == 9
     merged, keys, seen = merge_point_reservoirs(None, None, 0, None, None, 0, 4)
     assert merged is None and keys is None and seen == 0
+
+
+def test_a_merge_of_nothing_keeps_an_empty_reservoir():
+    # None is nothing: merged with an empty reservoir, either way round, it
+    # leaves an empty one, so the node an imported `"eval_points": []` makes
+    # keeps it through merges without eval points, whether or not integrate
+    # walks its reservoirs that frame
+    empty = np.empty((0, 3))
+    for a, b in ((empty, None), (None, empty), (empty, empty)):
+        merged, keys, seen = merge_point_reservoirs(a, None, 2, b, None, 3, 4)
+        assert merged.shape == (0, 3) and keys is None and seen == 5
+    assert merge_point_reservoirs(None, None, 2, None, None, 3, 4) == (None, None, 5)
+    doc = export_graph(_populated_graph(), _vocab())
+    doc["nodes"][1].update({"eval_points": [], "eval_points_seen": 4})
+    cfg = FusionConfig()
+    for recorded in (False, True):
+        g, vocab = import_graph(json.loads(json.dumps(doc)))
+        nodes = [ObjectNode(id=0, class_id=1, gaussian=_gauss([1, 0, 0], 2.0), weight=1, score_sum=0.5)]
+        if recorded:  # a node of another class carries points, so integrate walks every reservoir
+            nodes.append(ObjectNode(id=1, class_id=2, gaussian=_gauss([9, 9, 9]), weight=1, score_sum=0.5,
+                                    eval_points=np.ones((1, 3)), eval_seen=1, eval_keys=np.array([0.5])))
+        _, events = integrate(LocalSSG(0, nodes, []), g, cfg)
+        assert events[0].kept_id == 1
+        out = export_graph(g, vocab)["nodes"][1]
+        assert out["weight"] == 2 and out["eval_points"] == [] and out["eval_points_seen"] == 4
+        g.nodes[1].merge_eval_points(None, None, 3, cfg.eval_point_cap)
+        assert g.nodes[1].eval_points.shape == (0, 3) and g.nodes[1].eval_seen == 7
+        g.validate()
 
 
 def test_reservoir_merge_caps_overflow_with_subset():

@@ -454,27 +454,35 @@ def test_recording_after_the_decisions_on_every_merge_order():
 
 @st.composite
 def lift_batches(draw):
+    """(camera, pose, boxes, depths): boxes anywhere within 5000 px, centred
+    on the principal point in either axis, or about 1e6 focal lengths off it
+    in x, where the Jacobian's Gram matrix, of condition 1 + u^2 + v^2 for
+    u = (cx - c_x) / f_x when fx = fy, straddles COND_MAX; extents and depths
+    that are refused, and extents near 1e150 whose rows stay finite."""
+    fx = draw(st.floats(50.0, 1000.0))
     cam = CameraIntrinsics(
-        fx=draw(st.floats(50.0, 1000.0)), fy=draw(st.floats(50.0, 1000.0)),
+        fx=fx, fy=draw(st.one_of(st.just(fx), st.floats(50.0, 1000.0))),
         cx=draw(st.floats(0.0, 640.0)), cy=draw(st.floats(0.0, 480.0)), width=640, height=480,
     )
-    pose = CameraPose(rotation=_rotation(draw(quaternions)),
-                      translation=np.array(draw(st.tuples(unit, unit, unit))) * 10.0)
+    rotation = np.eye(3) if draw(st.booleans()) else _rotation(draw(quaternions))
+    pose = CameraPose(rotation=rotation, translation=np.array(draw(st.tuples(unit, unit, unit))) * 10.0)
     n = draw(st.integers(0, 12))
-    extent = st.one_of(st.floats(0.5, 500.0), st.sampled_from([0.0, -1.0, 1e-3, 1e155, 1e160, math.inf, math.nan]))
+    extent = st.one_of(st.floats(0.5, 500.0), st.floats(1e150, 1e154),
+                       st.sampled_from([0.0, -1.0, 1e-3, 1e155, 1e160, math.inf, math.nan]))
     depth = st.one_of(st.floats(0.01, 50.0), st.sampled_from([0.0, 5e-5, 1e-4, 1e-3, math.inf, math.nan]))
-    boxes = [
-        (draw(st.floats(-5000.0, 5000.0)), draw(st.floats(-5000.0, 5000.0)), draw(extent), draw(extent))
-        for _ in range(n)
-    ]
+    far = st.floats(5e5, 1.5e6).map(lambda u: cam.cx + u * cam.fx) | st.floats(5e5, 1.5e6).map(
+        lambda u: cam.cx - u * cam.fx)
+    px = st.one_of(st.floats(-5000.0, 5000.0), st.just(cam.cx), far)
+    py = st.one_of(st.floats(-5000.0, 5000.0), st.just(cam.cy))
+    boxes = [(draw(px), draw(py), draw(extent), draw(extent)) for _ in range(n)]
     z = [draw(depth) for _ in range(n)]
     return cam, pose, np.array(boxes, dtype=np.float64).reshape(n, 4), np.array(z, dtype=np.float64)
 
 
-@SETTINGS
-@given(lift_batches())
-def test_batched_lift_matches_per_detection_lift(batch):
-    cam, pose, boxes, z = batch
+def _assert_lift_matches_reference(boxes, z, cam, pose) -> None:
+    """lift_detections and lift_detection against the per-detection reference:
+    the same errors, and rows equal bit for bit (tobytes tells -0.0 from 0.0,
+    as the graph's JSON does)."""
     means, covs, errors = lift_detections(boxes, z, cam, pose)
     assert len(errors) == len(z)
     for k, ((cx, cy, w, h), zk) in enumerate(zip(boxes.tolist(), z.tolist())):
@@ -490,8 +498,29 @@ def test_batched_lift_matches_per_detection_lift(batch):
         assert errors[k] is None
         one = lift_detection(box, zk, cam, pose)
         for mean, cov in ((means[k], covs[k]), (one.mean, one.cov)):
-            np.testing.assert_array_equal(mean, g.mean)
-            np.testing.assert_array_equal(cov, g.cov)
+            assert mean.tobytes() == g.mean.tobytes()
+            assert cov.tobytes() == g.cov.tobytes()
+
+
+@SETTINGS
+@given(lift_batches())
+def test_batched_lift_matches_per_detection_lift(batch):
+    cam, pose, boxes, z = batch
+    _assert_lift_matches_reference(boxes, z, cam, pose)
+
+
+def test_lift_keeps_finite_rows_whose_sum_overflows():
+    # each covariance holds three variances of about 8.3e306, so the rows are
+    # finite and the sum over all of them is not
+    cam = CameraIntrinsics(fx=50.0, fy=50.0, cx=320.0, cy=240.0, width=640, height=480)
+    pose = CameraPose(rotation=np.eye(3), translation=np.zeros(3))
+    boxes = np.array([[320.0, 240.0, 1e154, 1e154]] * 8)
+    z = np.full(8, 50.0)
+    means, covs, errors = lift_detections(boxes, z, cam, pose)
+    assert errors == [None] * 8 and np.isfinite(covs).all()
+    with np.errstate(over="ignore"):
+        assert covs.sum() == math.inf
+    _assert_lift_matches_reference(boxes, z, cam, pose)
 
 
 # -- the one-pass frame reader against the per-field walk ----------------------
@@ -653,6 +682,7 @@ def test_one_pass_reader_on_every_single_mutation():
             {"class_id": 2, "score": 0.9, "bbox": {"cx": 100.0, "cy": 120.0, "w": 40.0, "h": 30},
              "centroid_depth": 2.5, "depth_ref": "d/0.frdp"},
             {"class_id": 0, "score": 1, "bbox": {"cx": 300.5, "cy": 200.0, "w": 64.0, "h": 64.0}},
+            {"class_id": 1, "score": 0.8, "bbox": {"cx": 10.0, "cy": 20.0, "w": 8.0, "h": 6.0}},
         ],
         "relations": [{"subject": 0, "object": 1, "predicate": 1, "score": 0.7},
                       {"subject": 1, "object": 0, "predicate": 0, "score": 0}],
