@@ -9,6 +9,12 @@ scores both candidate sets of a query in its own two loops, and
 merge_moments_into returns a new mean row and covariance row, which the
 caller hands to the graph to keep, so a merge copies no row.
 
+Precondition: every covariance row is exactly symmetric, as the graph keeps
+them (graph.gaussian_problem). The kernels read only its upper triangle
+(entries 0, 1, 2, 4, 5, 8), average 6 entries instead of 9 and compute each
+off-diagonal product once; on a row that is not symmetric they give the
+result for its upper triangle mirrored, not for the row.
+
 The Hellinger distance comes from the Bhattacharyya distance in
 log-determinant form:
 
@@ -48,29 +54,27 @@ def bhattacharyya(mean_a, cov_a, logdet_a, mean_b, cov_b, logdet_b, det_min, bou
     log is taken, when the Mahalanobis term (1/8) d' S^-1 d alone exceeds
     `bound`: the log-det term is >= 0, so B does too (fusion._gate_bound).
     """
-    q00, q01, q02, q10, q11, q12, q20, q21, q22 = cov_a
-    c00, c01, c02, c10, c11, c12, c20, c21, c22 = cov_b
+    q00, q01, q02, _, q11, q12, _, _, q22 = cov_a
+    c00, c01, c02, _, c11, c12, _, _, c22 = cov_b
     s00 = 0.5 * (c00 + q00); s01 = 0.5 * (c01 + q01); s02 = 0.5 * (c02 + q02)
-    s10 = 0.5 * (c10 + q10); s11 = 0.5 * (c11 + q11); s12 = 0.5 * (c12 + q12)
-    s20 = 0.5 * (c20 + q20); s21 = 0.5 * (c21 + q21); s22 = 0.5 * (c22 + q22)
-    k00 = s11 * s22 - s12 * s21
-    k01 = s10 * s22 - s12 * s20
-    k02 = s10 * s21 - s11 * s20
+    s11 = 0.5 * (c11 + q11); s12 = 0.5 * (c12 + q12); s22 = 0.5 * (c22 + q22)
+    k00 = s11 * s22 - s12 * s12
+    k01 = s01 * s22 - s12 * s02
+    k02 = s01 * s12 - s11 * s02
     det = s00 * k00 - s01 * k01 + s02 * k02
     if not (det > det_min):
         return _INF
-    # adjugate entries for the symmetric solve d' S^-1 d = d' adj(S) d / det
-    a11 = s00 * s22 - s02 * s20
-    a22 = s00 * s11 - s01 * s10
-    a01 = -(s01 * s22 - s02 * s21)
-    a02 = s01 * s12 - s02 * s11
-    a12 = -(s00 * s12 - s02 * s10)
+    # adjugate entries for the symmetric solve d' S^-1 d = d' adj(S) d / det;
+    # S is symmetric, so its first row is (k00, -k01, k02)
+    a11 = s00 * s22 - s02 * s02
+    a22 = s00 * s11 - s01 * s01
+    a12 = -(s00 * s12 - s02 * s01)
     m0, m1, m2 = mean_a
     n0, n1, n2 = mean_b
     d0 = n0 - m0; d1 = n1 - m1; d2 = n2 - m2
     quad = (
         k00 * d0 * d0 + a11 * d1 * d1 + a22 * d2 * d2
-        + 2.0 * (a01 * d0 * d1 + a02 * d0 * d2 + a12 * d1 * d2)
+        + 2.0 * (-k01 * d0 * d1 + k02 * d0 * d2 + a12 * d1 * d2)
     )
     b = 0.125 * quad / det
     if b > bound:
@@ -136,32 +140,25 @@ def merge_moments_into(w_a, mean_a, cov_a, w_b, mean_b, cov_b):
     """Moment-matched merge of two weighted Gaussians: a new (mean, cov) pair
     of lists, a 3-float mean and a 9-float row-major covariance.
 
-    The inputs are read, never written. The covariance is symmetrized as
-    0.5 (C + C'); each off-diagonal pair is computed once and written to
-    both places, which are the same bits, as float addition commutes.
+    The inputs are read, never written, and only their upper triangles
+    (module precondition): each off-diagonal entry is computed once and
+    written to both places, so the result is symmetric.
     """
     w = w_a + w_b
     k = w_a * w_b / (w * w)
     m0, m1, m2 = mean_a
     n0, n1, n2 = mean_b
-    a00, a01, a02, a10, a11, a12, a20, a21, a22 = cov_a
-    b00, b01, b02, b10, b11, b12, b20, b21, b22 = cov_b
+    a00, a01, a02, _, a11, a12, _, _, a22 = cov_a
+    b00, b01, b02, _, b11, b12, _, _, b22 = cov_b
     d0 = m0 - n0
     d1 = m1 - n1
     d2 = m2 - n2
-    c00 = (w_a * a00 + w_b * b00) / w + k * (d0 * d0)
     c01 = (w_a * a01 + w_b * b01) / w + k * (d0 * d1)
     c02 = (w_a * a02 + w_b * b02) / w + k * (d0 * d2)
-    c10 = (w_a * a10 + w_b * b10) / w + k * (d1 * d0)
-    c11 = (w_a * a11 + w_b * b11) / w + k * (d1 * d1)
     c12 = (w_a * a12 + w_b * b12) / w + k * (d1 * d2)
-    c20 = (w_a * a20 + w_b * b20) / w + k * (d2 * d0)
-    c21 = (w_a * a21 + w_b * b21) / w + k * (d2 * d1)
-    c22 = (w_a * a22 + w_b * b22) / w + k * (d2 * d2)
-    s01 = 0.5 * (c01 + c10)
-    s02 = 0.5 * (c02 + c20)
-    s12 = 0.5 * (c12 + c21)
     return (
         [(w_a * m0 + w_b * n0) / w, (w_a * m1 + w_b * n1) / w, (w_a * m2 + w_b * n2) / w],
-        [0.5 * (c00 + c00), s01, s02, s01, 0.5 * (c11 + c11), s12, s02, s12, 0.5 * (c22 + c22)],
+        [(w_a * a00 + w_b * b00) / w + k * (d0 * d0), c01, c02,
+         c01, (w_a * a11 + w_b * b11) / w + k * (d1 * d1), c12,
+         c02, c12, (w_a * a22 + w_b * b22) / w + k * (d2 * d2)],
     )

@@ -65,14 +65,25 @@ class FusionConfig:
     eval_point_cap: int = 256
 
     def validate(self) -> None:
+        """ValueError for a setting the engine cannot run with: a threshold
+        or min_depth that is not a number, a count that is not an integer
+        (bools are neither), or one out of its range."""
+        for name in ("hellinger_threshold", "confidence_threshold", "min_depth"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number")
+        for name in ("top_k_relations", "eval_point_cap"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer")
         if not (0.0 < self.hellinger_threshold < 1.0):
             raise ValueError("hellinger_threshold must lie in (0, 1)")
         if not (0.0 <= self.confidence_threshold <= 1.0):
             raise ValueError("confidence_threshold must lie in [0, 1]")
         if self.top_k_relations < 0:
             raise ValueError("top_k_relations must be >= 0")
-        if not (self.min_depth > 0.0):
-            raise ValueError("min_depth must be positive")
+        if not (0.0 < self.min_depth < math.inf):
+            raise ValueError("min_depth must be positive and finite")
         if self.eval_point_cap < 1:
             raise ValueError("eval_point_cap must be >= 1")
 
@@ -106,11 +117,13 @@ def bhattacharyya(a: Gaussian3D, b: Gaussian3D) -> float:
 
     The engine's kernel (_accel.bhattacharyya) on log-dets from
     graph.log_det9, as integrate scores a pair, so the distance is exactly
-    0.0 for bit-identical inputs. Raises DegenerateCovarianceError if either
+    0.0 for bit-identical inputs. The kernel reads only the upper triangle,
+    so each covariance C is first symmetrized as (C + C') 0.5, which leaves
+    a symmetric one as it is. Raises DegenerateCovarianceError if either
     input covariance, or their average, has determinant below the guard.
     """
-    cov_a = a.cov.reshape(9).tolist()
-    cov_b = b.cov.reshape(9).tolist()
+    cov_a = ((a.cov + a.cov.T) * 0.5).reshape(9).tolist()
+    cov_b = ((b.cov + b.cov.T) * 0.5).reshape(9).tolist()
     ld_a, ld_b = log_det9(cov_a), log_det9(cov_b)
     for ld, who in ((ld_a, "first"), (ld_b, "second")):
         if ld == _NEG_INF:
@@ -385,10 +398,13 @@ def _gate_bound(threshold: float) -> float:
     H < delta means B < B* = -ln(1 - delta^2). For symmetric positive definite
     A and B, log det is concave, so the log-det term of B is >= 0 and
     B >= (1/8) d' S^-1 d with S = (A + B)/2: the scorer stops at that term
-    when it alone exceeds the bound. Also d' S^-1 d >= |d|^2 / tr S, hence
-    B >= |d|^2 / (8 tr S) = |d|^2 / (4 (tr A + tr B)), and the cull rules a
-    pair out when |d|^2 > 4 B* (tr A + tr B), i.e. beyond a reach of 4 times
-    this bound.
+    when it alone exceeds the bound. Also, on every axis k, d' S^-1 d >=
+    d_k^2 / S_kk (Cauchy-Schwarz: d_k = e_k' S^(1/2) S^(-1/2) d), hence
+    B >= d_k^2 / (8 S_kk) = d_k^2 / (4 (A_kk + B_kk)), and the cull rules a
+    pair out when d_k^2 > 4 B* (A_kk + B_kk) on any axis, i.e. beyond a reach
+    of 4 times this bound. This is never weaker than the same test on the
+    sums over k, |d|^2 > 4 B* (tr A + tr B): if that holds, some axis's
+    does.
     """
     return -math.log1p(-threshold * threshold) * (1.0 + _CULL_MARGIN)
 
@@ -412,11 +428,11 @@ def integrate(
     a self-loop, in which case it is dropped.
 
     Candidates are culled before they are scored: a same-class candidate that
-    the reach of _gate_bound rules out, in the current state of both
+    the per-axis reach of _gate_bound rules out, in the current state of both
     Gaussians, could never pass the gate, so only the others are scored and
     the decisions are those of scoring every candidate. Global candidates
     come from the graph's per-class view (GlobalSSG.x_order, searched as
-    x_range does, within the reach of the class's trace_bounds), queued
+    x_range does, within the x reach of the class's x_var_bounds), queued
     peers from a scan of the queue. The scorer, given the
     same bound, stops early on a pair that cannot pass the gate either.
 
@@ -444,13 +460,12 @@ def integrate(
 
     # working state of the queue, per local node: the local graph's rows and
     # sums (copied where a merge of queued peers changes them), the
-    # Gaussian's log det and trace, and the global node it ends in
+    # Gaussian's log det, and the global node it ends in
     weight = list(local.weights)
     score = list(local.score_sums)
     qm = list(local.row_means)
     qc = list(local.row_covs)
     qld = [log_det9(c) for c in qc]
-    qtr = [c[0] + c[4] + c[8] for c in qc]
     gid_of = [0] * n
     placement: list[tuple[int, int]] = []  # (local node, global id), in merge order
     peers_of: dict[int, list[int]] = {}
@@ -462,8 +477,7 @@ def integrate(
     bound = _gate_bound(threshold)
     reach = 4.0 * bound
     gm, gc, gld = global_graph.row_means, global_graph.row_covs, global_graph.row_logdets
-    gtr = global_graph.row_traces
-    x_order, trace_bounds = global_graph.x_order, global_graph.trace_bounds
+    x_order, x_var_bounds = global_graph.x_order, global_graph.x_var_bounds
 
     def insert(i: int) -> int:
         return global_graph.add_node(
@@ -488,34 +502,39 @@ def integrate(
         ci = cls[i]
         # the class's index, which changes only once the root is placed
         order = x_order.get(ci)
-        class_bound = trace_bounds.get(ci)
+        class_bound = x_var_bounds.get(ci)
         carried = [i]  # the root, then the queued peers it absorbs
         gid = -1
         while True:
-            m, tr = qm[i], qtr[i]
+            m, c = qm[i], qc[i]
             m0, m1, m2 = m
+            v0, v1, v2 = c[0], c[4], c[8]
             cand_q = []
             for j in peers_of[ci]:
                 if alive[j]:
                     n0, n1, n2 = qm[j]
                     d0, d1, d2 = n0 - m0, n1 - m1, n2 - m2
-                    if not (d0 * d0 + d1 * d1 + d2 * d2 > reach * (tr + qtr[j])):
+                    b = qc[j]
+                    if not (d0 * d0 > reach * (v0 + b[0]) or d1 * d1 > reach * (v1 + b[4])
+                            or d2 * d2 > reach * (v2 + b[8])):
                         cand_q.append(j)
-            # the class's nodes within the bound's reach along x, then the bound itself
+            # the class's nodes within the bound's reach along x, then the bound on each axis
             cand_g = []
             if order is not None:
                 xs, ids = order
-                w2 = reach * (tr + class_bound)
+                w2 = reach * (v0 + class_bound)
                 w = (math.sqrt(w2) * _SLAB_PAD if w2 > 0.0 else 0.0) + _ULP_PAD * abs(m0)
                 for g in ids[bisect_left(xs, m0 - w):bisect_right(xs, m0 + w)]:
                     n0, n1, n2 = gm[g]
                     d0, d1, d2 = n0 - m0, n1 - m1, n2 - m2
-                    if not (d0 * d0 + d1 * d1 + d2 * d2 > reach * (tr + gtr[g])):
+                    b = gc[g]
+                    if not (d0 * d0 > reach * (v0 + b[0]) or d1 * d1 > reach * (v1 + b[4])
+                            or d2 * d2 > reach * (v2 + b[8])):
                         cand_g.append(g)
                 if len(cand_g) > 1:
                     cand_g.sort()  # candidate order is ascending id
             best_q, dq, best_g, dg = best_match(
-                m, qc[i], qld[i],
+                m, c, qld[i],
                 qm, qc, qld, cand_q,
                 gm, gc, gld, cand_g,
                 DET_MIN, bound,
@@ -525,7 +544,7 @@ def integrate(
             if dg <= dq:
                 gid = cand_g[best_g]
                 gnode = global_graph.nodes[gid]
-                mean, cov = merge_moments_into(float(gnode.weight), gm[gid], gc[gid], float(weight[i]), m, qc[i])
+                mean, cov = merge_moments_into(float(gnode.weight), gm[gid], gc[gid], float(weight[i]), m, c)
                 gnode.weight += weight[i]
                 gnode.score_sum += score[i]
                 global_graph.store_row(gid, ci, mean, cov)
@@ -534,8 +553,8 @@ def integrate(
             j = cand_q[best_q]
             queue.remove(j)
             alive[j] = False
-            mean, cov = merge_moments_into(float(weight[i]), m, qc[i], float(weight[j]), qm[j], qc[j])
-            qm[i], qc[i], qld[i], qtr[i] = mean, cov, log_det9(cov), cov[0] + cov[4] + cov[8]
+            mean, cov = merge_moments_into(float(weight[i]), m, c, float(weight[j]), qm[j], qc[j])
+            qm[i], qc[i], qld[i] = mean, cov, log_det9(cov)
             weight[i] += weight[j]
             score[i] += score[j]
             carried.append(j)

@@ -10,11 +10,11 @@ each class's nodes by mean x. The fusion engine merges a few nodes per
 detection, one at a time, and at that size numpy's per-call cost outweighs
 the arithmetic: the engine reads and writes the float rows and finds
 candidates through the per-class view of the x index (GlobalSSG.x_order and
-trace_bounds, read but never written by the engine), with no numpy call per
+x_var_bounds, read but never written by the engine), with no numpy call per
 merge. A global node's `gaussian` is a Gaussian3D built from its rows each
 time it is read; the rows are the only store of node Gaussians. The graph
-derives each row's log-determinant and trace itself, where it stores the
-row, and `validate` checks them all. Eval points without keys get them where
+derives each row's log-determinant itself, where it stores the row, and
+`validate` checks them all. Eval points without keys get them where
 they enter the graph (add_node); no merge draws a key.
 
 Means and covariances are finite; covariances are symmetric, and positive
@@ -70,11 +70,12 @@ def gaussian_problem(mean, cov) -> str | None:
 
     Every entry must be finite: a NaN mean scores NaN against every query,
     a non-finite covariance reads as degenerate (log_det9 is -inf), and an
-    infinite variance widens its class's trace bound for good. A covariance
-    must be exactly symmetric, and one whose determinant clears DET_MIN must
-    be positive definite: c00 > 0 and m = c00 c11 - c01 c10 > 0
-    as well (Sylvester's criterion). The gate's cull and its log-det term
-    assume both; a pair of covariances that are not positive definite can
+    infinite x variance widens its class's x-variance bound for good. A
+    covariance must be exactly symmetric, and one whose determinant clears
+    DET_MIN must be positive definite: c00 > 0 and m = c00 c11 - c01 c10 > 0
+    as well (Sylvester's criterion). The gate's kernels read only the upper
+    triangle, and its per-axis cull and log-det term assume positive
+    definite rows; a pair of covariances that are not positive definite can
     score B < 0 and merge at any distance. m may fall below 0 by its own
     rounding, within _MINOR_SLACK of its two products: a rank-one covariance
     v v' has m = 0 exactly but can compute to -1e-16 with a determinant that
@@ -390,14 +391,14 @@ class GlobalSSG:
     next_id:     monotone id counter, never reused
 
     Node Gaussians are stored once, as Python floats indexed by node id:
-    row_means[i] (3 floats), row_covs[i] (9 floats, row-major), row_logdets[i]
-    and the covariance trace row_traces[i]. The fusion engine reads these
-    rows and the per-class view directly and writes rows through store_row;
-    a node's `gaussian` is built from its row when read. The per-class view
-    is the only index of nodes by class: x_order[class_id] is (xs, ids), the
-    class's node ids in order of mean x and their xs, and
-    trace_bounds[class_id] an upper bound on their covariance traces. Only
-    the graph writes it; x_range and trace_bound read it for other callers.
+    row_means[i] (3 floats), row_covs[i] (9 floats, row-major) and
+    row_logdets[i]. The fusion engine reads these rows and the per-class
+    view directly and writes rows through store_row; a node's `gaussian` is
+    built from its row when read. The per-class view is the only index of
+    nodes by class: x_order[class_id] is (xs, ids), the class's node ids in
+    order of mean x and their xs, and x_var_bounds[class_id] an upper bound
+    on their x variances (covariance entry 0). Only the graph writes it;
+    x_range and x_var_bound read it for other callers.
     """
 
     def __init__(self):
@@ -407,15 +408,14 @@ class GlobalSSG:
         self.row_means: list[list[float] | None] = []
         self.row_covs: list[list[float] | None] = []
         self.row_logdets: list[float] = []
-        self.row_traces: list[float] = []
         self.x_order: dict[int, tuple[list[float], list[int]]] = {}
-        self.trace_bounds: dict[int, float] = {}
+        self.x_var_bounds: dict[int, float] = {}
 
     # -- mutation ----------------------------------------------------------
 
     def store_row(self, nid: int, class_id: int, mean: list[float], cov: list[float]) -> None:
         """set_row of node `nid`, whose class id the caller holds; also keeps
-        the class's x order and trace bound."""
+        the class's x order and x-variance bound."""
         xs, ids = self.x_order[class_id]
         old = self.row_means[nid]
         x = mean[0]
@@ -434,13 +434,11 @@ class GlobalSSG:
                 k = bisect.bisect_right(xs, x)
                 xs.insert(k, x)
                 ids.insert(k, nid)
-        trace = cov[0] + cov[4] + cov[8]
-        if trace > self.trace_bounds[class_id]:
-            self.trace_bounds[class_id] = trace
+        if cov[0] > self.x_var_bounds[class_id]:
+            self.x_var_bounds[class_id] = cov[0]
         self.row_means[nid] = mean
         self.row_covs[nid] = cov
         self.row_logdets[nid] = log_det9(cov)
-        self.row_traces[nid] = trace
 
     def add_node(
         self,
@@ -453,7 +451,7 @@ class GlobalSSG:
         node_id: int | None = None,
         eval_keys: np.ndarray | None = None,
     ) -> ObjectNode:
-        """Add a node and return it; the graph derives its row's log_det9 and trace.
+        """Add a node and return it; the graph derives its row's log_det9.
 
         Precondition, not checked here: every mean and covariance entry is
         finite, and the covariance is symmetric, and positive definite unless
@@ -477,13 +475,12 @@ class GlobalSSG:
             self.row_means += [None] * grow
             self.row_covs += [None] * grow
             self.row_logdets += [-math.inf] * grow
-            self.row_traces += [0.0] * grow
         node = _GlobalNode(self.row_means, self.row_covs, nid, class_id, weight, score_sum,
                            eval_points, eval_seen, eval_keys)
         self.nodes[nid] = node
         if class_id not in self.x_order:
             self.x_order[class_id] = ([], [])
-            self.trace_bounds[class_id] = -math.inf
+            self.x_var_bounds[class_id] = -math.inf
         self.store_row(nid, class_id, gaussian.mean.tolist(), gaussian.cov.reshape(9).tolist())
         self.next_id = max(self.next_id, nid + 1)
         return node
@@ -495,7 +492,7 @@ class GlobalSSG:
     def set_row(self, node_id: int, mean: list[float], cov: list[float]) -> None:
         """set_gaussian from a 3-float mean and a 9-float row-major covariance,
         which the graph keeps (the caller must not modify them afterwards);
-        the graph derives their log_det9 and trace. Precondition, not checked
+        the graph derives their log_det9. Precondition, not checked
         here, as add_node's: a mean and covariance that gaussian_problem
         accepts."""
         self.store_row(node_id, self.nodes[node_id].class_id, mean, cov)
@@ -523,9 +520,9 @@ class GlobalSSG:
         xs, ids = entry
         return ids[bisect.bisect_left(xs, lo):bisect.bisect_right(xs, hi)]
 
-    def trace_bound(self, class_id: int) -> float:
-        """An upper bound on the covariance traces of the class's nodes."""
-        return self.trace_bounds.get(class_id, -math.inf)
+    def x_var_bound(self, class_id: int) -> float:
+        """An upper bound on the x variances of the class's nodes."""
+        return self.x_var_bounds.get(class_id, -math.inf)
 
     def total_weight(self) -> int:
         return sum(n.weight for n in self.nodes.values())
@@ -538,9 +535,9 @@ class GlobalSSG:
         for cid, (xs, ids) in self.x_order.items():
             assert all(self.nodes[i].class_id == cid for i in ids), "x order class mismatch"
             assert xs == sorted(xs) and xs == [self.row_means[i][0] for i in ids], "x order broken"
-            bound = self.trace_bounds[cid]
-            assert all(c[0] + c[4] + c[8] <= bound for c in (self.row_covs[i] for i in ids)), "trace bound"
-            assert not ids or math.isfinite(bound), f"class {cid} trace bound is not finite"
+            bound = self.x_var_bounds[cid]
+            assert all(self.row_covs[i][0] <= bound for i in ids), "x-variance bound"
+            assert not ids or math.isfinite(bound), f"class {cid} x-variance bound is not finite"
         for (s, o), edge in self.edges.items():
             assert (s, o) == (edge.subject_id, edge.object_id), "edge key mismatch"
             assert s != o, f"self loop on {s}"
@@ -553,8 +550,9 @@ class GlobalSSG:
             assert nid < self.next_id
             mean, cov = self.row_means[nid], self.row_covs[nid]
             assert all(map(math.isfinite, mean + cov)), f"node {nid} row is not finite"
+            problem = gaussian_problem(mean, cov)
+            assert problem is None, f"node {nid}: {problem}"
             assert self.row_logdets[nid] == log_det9(cov), "log-determinant out of sync"
-            assert self.row_traces[nid] == cov[0] + cov[4] + cov[8], "trace out of sync"
             # the held reservoir and the pending chunks, read without compacting them
             held, keys, pending = node._points, node._keys, node._pending
             size = 0 if held is None else len(held)

@@ -7,9 +7,13 @@ import math
 import warnings
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from scenefuse.errors import DegenerateCovarianceError, MergeContractError
 from scenefuse.fusion import (
@@ -142,14 +146,18 @@ def test_degenerate_covariance_rejected():
 
 
 def test_hellinger_of_a_pair_that_is_not_positive_definite_does_not_overflow():
-    # S = diag(-1, -1, 1000) has det S > 0 and a positive trace, which pass
-    # the guards and the cull, but is indefinite: B = -1250, and exp(-B) would
-    # overflow; the distance is 0.0, in hellinger and in a merge. A LocalSSG
-    # built from nodes refuses such a covariance, so the merge goes through
-    # columns, which are not checked (as a lift's rows are not)
-    a = _g([0, 0, 0], np.diag([-1.0, -1.0, 1000.0]))
-    b = _g([100, 0, 0], np.diag([-1.0, -1.0, 1000.0]))
-    assert bhattacharyya(a, b) == -1250.0
+    # S = 1000 J - I (J all ones) is diag(-1, -1, 2999) rotated to put the
+    # 2999 on (1, 1, 1)/sqrt(3): det S = 2999 > 0 and every diagonal entry is
+    # 999, which pass the guards and the per-axis cull, but it is indefinite.
+    # An offset d = (80, -80, 0) lies in the -1 eigenspace: B = -|d|^2/8 =
+    # -1600, and exp(-B) would overflow; the distance is 0.0, in hellinger and
+    # in a merge. A LocalSSG built from nodes refuses such a covariance, so
+    # the merge goes through columns, which are not checked (as a lift's rows
+    # are not)
+    indefinite = 1000.0 * np.ones((3, 3)) - np.eye(3)
+    a = _g([0, 0, 0], indefinite)
+    b = _g([80, -80, 0], indefinite)
+    assert bhattacharyya(a, b) == -1600.0
     assert hellinger(a, b) == 0.0
     g = GlobalSSG()
     g.add_node(class_id=0, gaussian=a)
@@ -279,6 +287,85 @@ def test_best_match_bound_keeps_every_decision():
         rejected += sum(_accel.bhattacharyya(args[0], args[1], args[2], means[j], covs[j], lds[j], DET_MIN, bound)
                         == math.inf for j in range(n))
     assert merged > 30 and rejected > 100
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _spd(draw, scale: float) -> np.ndarray:
+    """A rotated SPD covariance with largest variance `scale` and condition
+    number up to 1e6, exactly symmetric."""
+    q = np.array(draw(st.tuples(_unit, _unit, _unit, _unit).filter(lambda q: sum(v * v for v in q) > 0.1)))
+    r = Rotation.from_quat(q).as_matrix()
+    cond = 10.0 ** draw(st.floats(0.0, 6.0))
+    variances = scale * np.array([1.0, cond ** -draw(st.floats(0.0, 1.0)), 1.0 / cond])
+    cov = r @ np.diag(variances) @ r.T
+    return 0.5 * (cov + cov.T)
+
+
+@st.composite
+def _cull_pairs(draw):
+    """(threshold, mean_a, A, mean_b, B) with the offset set so that the
+    bound d_k^2 / (4 (A_kk + B_kk)) on one axis k is r B*, r in [1/4, 4]:
+    along S e_k (S = (A + B)/2), where that bound is B's Mahalanobis term
+    and, for B = A, all of B; or along a random direction."""
+    threshold = draw(st.sampled_from([0.5, 0.85, 0.95]))
+    b_star = -math.log1p(-threshold * threshold)
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    a = draw(_spd(scale))
+    b = a if draw(st.booleans()) else draw(_spd(scale * 10.0 ** draw(st.floats(-1.0, 1.0))))
+    s = 0.5 * (a + b)
+    k = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        d = s[:, k]
+    else:
+        d = np.array(draw(st.tuples(_unit, _unit, _unit)))
+        assume(abs(d[k]) > 1e-3)
+    d = d * math.sqrt(8.0 * s[k, k] * draw(st.floats(0.25, 4.0)) * b_star) / abs(d[k])
+    mean_a = np.array(draw(st.tuples(_unit, _unit, _unit))) * 10.0 * math.sqrt(scale)
+    return threshold, mean_a, a, mean_a + d, b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_cull_pairs())
+def test_per_axis_cull_rules_out_only_pairs_beyond_the_gate(pair):
+    # The engine's own cull, seen through the candidates integrate hands
+    # best_match: a query and, of its class, one queued peer and one global
+    # node, both B. A pair it rules out lies beyond B*; every pair the trace
+    # test rules out, it rules out too; and the x slab drops nothing the
+    # per-axis test keeps, so both scans agree.
+    from scenefuse import _accel, fusion
+    from scenefuse.fusion import _gate_bound
+
+    threshold, mean_a, a, mean_b, b = pair
+    cov_a, cov_b = a.reshape(9).tolist(), b.reshape(9).tolist()
+    ld_a, ld_b = log_det9(cov_a), log_det9(cov_b)
+    assume(ld_a != -math.inf)
+    g = GlobalSSG()
+    g.add_node(class_id=0, gaussian=_g(mean_b, b))
+    local = LocalSSG.from_columns(0, [], [0, 0], [1.0, 0.5], [mean_a.tolist(), mean_b.tolist()],
+                                  [cov_a, cov_b], [None, None], [None, None], [0, 0])
+    seen = []
+    scorer = fusion.best_match
+
+    def spy(*args):  # the queued and the global candidates, positional arguments 6 and 10
+        seen.append((list(args[6]), list(args[10])))
+        return scorer(*args)
+
+    with mock.patch.object(fusion, "best_match", spy):
+        integrate(local, g, FusionConfig(hellinger_threshold=threshold))
+    cand_q, cand_g = seen[0]
+    assert cand_q in ([], [1]) and cand_g in ([], [0])
+    culled = not cand_q
+    assert culled == (not cand_g)
+    b_star = -math.log1p(-threshold * threshold)
+    if culled:
+        dist = _accel.bhattacharyya(mean_a.tolist(), cov_a, ld_a, mean_b.tolist(), cov_b, ld_b, DET_MIN)
+        assert dist > b_star
+    d = mean_b - mean_a
+    if float(d @ d) > 4.0 * _gate_bound(threshold) * (float(np.trace(a)) + float(np.trace(b))):
+        assert culled
 
 
 def test_merge_events_record_hellinger_bit_for_bit():

@@ -159,17 +159,17 @@ def test_set_gaussian_updates_rows():
     assert g.row_means[1] == [9.0, 9.0, 9.0]
     assert g.row_covs[1] == new.cov.reshape(9).tolist()
     assert g.row_logdets[1] == pytest.approx(math.log(27.0))
-    assert g.row_traces[1] == 9.0
+    assert g.x_var_bound(1) == 3.0  # class 1's bound rises to node 1's new x variance
     # the rows are the node's only store: its Gaussian is rebuilt from them
     assert g.nodes[1].gaussian.mean.tobytes() == new.mean.tobytes()
     assert g.nodes[1].gaussian.cov.tobytes() == new.cov.tobytes()
-    # the graph derives a row's log-det and trace from its covariance
+    # the graph derives a row's log-det from its covariance
     cov = [2.0, 0.5, 0.0, 0.5, 2.0, 0.0, 0.0, 0.0, 1.5]
     g.set_row(1, [1.0, 2.0, 3.0], cov)
     np.testing.assert_array_equal(g.nodes[1].gaussian.mean, [1.0, 2.0, 3.0])
     assert g.nodes[1].gaussian.cov.reshape(9).tolist() == cov
     assert g.row_logdets[1] == log_det9(cov)
-    assert g.row_traces[1] == 5.5
+    assert g.x_var_bound(1) == 3.0  # a bound, not the largest x variance: it never falls
     g.validate()
 
 
@@ -214,8 +214,14 @@ def test_validate_detects_row_corruption():
     def corrupt_x_order(g):
         g.row_means[0] = [5.0, 0.0, 0.0]  # class 0: node 2 (x = 0) now sorts first
 
-    def lower_trace_bound(g):
-        g.trace_bounds[0] = 2.9  # both class-0 covariances have trace 3
+    def lower_x_var_bound(g):
+        g.x_var_bounds[0] = 0.9  # both class-0 covariances have x variance 1
+
+    def asymmetric_row(g):
+        g.row_covs[1] = [2.0, 0.5, 0.0, 0.25, 2.0, 0.0, 0.0, 0.0, 2.0]
+
+    def indefinite_row(g):
+        g.row_covs[1] = [2.0, 3.0, 0.0, 3.0, 2.0, 0.0, 0.0, 0.0, -2.0]  # det 10 > 0, leading minor -5
 
     def drop_from_x_order(g):
         xs, ids = g.x_order[1]
@@ -230,7 +236,9 @@ def test_validate_detects_row_corruption():
     for corrupt, message in (
         (corrupt_logdet, "log-determinant out of sync"),
         (corrupt_x_order, "x order broken"),
-        (lower_trace_bound, "trace bound"),
+        (lower_x_var_bound, "x-variance bound"),
+        (asymmetric_row, "node 1: covariance is not symmetric"),
+        (indefinite_row, "node 1: covariance is not positive definite"),
         (drop_from_x_order, "x order out of sync with nodes"),
         (change_class, "x order class mismatch"),
         (list_twice, "x order out of sync with nodes"),
@@ -928,7 +936,7 @@ def test_import_refuses_covariances_the_gate_cannot_score():
 
 def test_import_refuses_non_finite_means_and_covariances():
     # a NaN mean scores NaN against every query of its class, and an infinite
-    # variance reads as degenerate and sets its class's trace bound to inf
+    # variance reads as degenerate and sets its class's x-variance bound to inf
     g = GlobalSSG()
     g.add_node(class_id=0, gaussian=Gaussian3D(mean=np.zeros(3), cov=np.eye(3)))
     g.add_node(class_id=0, gaussian=Gaussian3D(mean=np.array([1.0, 0, 0]), cov=np.eye(3)))
@@ -986,8 +994,8 @@ def test_validate_catches_non_finite_rows_built_by_hand():
         g.validate()
     g = GlobalSSG()
     g.add_node(class_id=3, gaussian=Gaussian3D(mean=np.zeros(3), cov=np.diag([math.inf, 1.0, 1.0])))
-    assert g.trace_bound(3) == math.inf
-    with pytest.raises(AssertionError, match="class 3 trace bound is not finite"):
+    assert g.x_var_bound(3) == math.inf
+    with pytest.raises(AssertionError, match="class 3 x-variance bound is not finite"):
         g.validate()
 
 

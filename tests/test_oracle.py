@@ -100,7 +100,7 @@ def _offset_for(h: float, var: float) -> float:
 @st.composite
 def probe_shapes(draw):
     """(u, var, cov): cov has variance var along the unit vector u and is
-    either isotropic or thin across u; thin makes the cull's trace bound
+    either isotropic or thin across u; thin makes the cull's per-axis bound
     nearly tight for offsets along u."""
     u = _rotation(draw(quaternions))[:, 0]
     var = draw(st.floats(0.01, 0.5))
@@ -217,6 +217,46 @@ def test_integrate_matches_reference_on_random_streams(stream):
         assert (node.eval_keys is None) == (ref is None)
         if ref is not None:
             assert node.eval_keys.tobytes() == ref.tobytes()
+
+
+def test_integrate_matches_reference_where_the_axis_cull_beats_the_trace_cull():
+    # Wide, thin Gaussians, as room_depth's walls and tables lift to: side by
+    # side across a thin axis, a pair is near enough for the trace test
+    # |d|^2 <= reach (tr A + tr B) but not for the per-axis test on that axis.
+    # Every frame must still decide and store exactly as the reference,
+    # which scores every candidate; the count shows the frames had such pairs.
+    rng = np.random.default_rng(23)
+    cfg = FusionConfig()
+    reach = 4.0 * fusion._gate_bound(cfg.hellinger_threshold)
+    anchors = rng.uniform(-3.0, 3.0, size=(6, 3))
+    g_new, g_ref = GlobalSSG(), GlobalSSG()
+    beaten = merges = 0
+    for fid in range(40):
+        nodes = []
+        for _ in range(int(rng.integers(2, 8))):
+            k = int(rng.integers(0, 6))
+            variances = np.full(3, rng.uniform(0.005, 0.05))
+            variances[k % 3] = rng.uniform(1.0, 4.0)
+            r = Rotation.from_rotvec(rng.normal(size=3) * 0.1).as_matrix()
+            cov = r @ np.diag(variances) @ r.T
+            mean = anchors[k] + rng.normal(size=3) * np.sqrt(variances) * 2.0
+            nodes.append([k % 2, mean, 0.5 * (cov + cov.T), float(rng.uniform(0.7, 1.0)), None, 0, None])
+        for cid, mean, cov, *_ in nodes:
+            for gid, node in g_new.nodes.items():
+                if node.class_id == cid:
+                    d = np.array(g_new.row_means[gid]) - mean
+                    b = np.array(g_new.row_covs[gid]).reshape(3, 3)
+                    axes = d * d > reach * (np.diag(cov) + np.diag(b))
+                    beaten += bool(axes.any()) and not float(d @ d) > reach * float(np.trace(cov) + np.trace(b))
+        _, ev_new = integrate(_local(fid, nodes, []), g_new, cfg)
+        _, ev_ref = reference_fusion.integrate(_local(fid, nodes, []), g_ref, cfg)
+        assert [(e.kept_id, e.absorbed_id) for e in ev_new] == [(e.kept_id, e.absorbed_id) for e in ev_ref]
+        assert [e.distance for e in ev_new] == pytest.approx([e.distance for e in ev_ref], abs=1e-15)
+        merges += len(ev_new)
+    g_new.validate()
+    vocab = ClassVocabulary(("c0", "c1"), ("p0",))
+    assert json.dumps(export_graph(g_new, vocab)) == json.dumps(export_graph(g_ref, vocab))
+    assert beaten > 500 and merges > 50, (beaten, merges)
 
 
 def test_queue_log_dets_match_reference_bit_for_bit():

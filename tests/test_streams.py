@@ -496,6 +496,23 @@ def test_config_fusion_fields_and_ranges():
             run_config_from_obj(bad)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    # each passed validation and then crashed the run: a slice bound, np.partition
+    ("top_k_relations", 2.5, "top_k_relations must be an integer"),
+    ("eval_point_cap", 2.5, "eval_point_cap must be an integer"),
+    ("min_depth", math.inf, "min_depth must be positive and finite"),
+    # a bool is neither a count nor a number, though Python reads it as 0 or 1
+    ("hellinger_threshold", True, "hellinger_threshold must be a number"),
+    ("confidence_threshold", False, "confidence_threshold must be a number"),
+    ("top_k_relations", True, "top_k_relations must be an integer"),
+    ("min_depth", True, "min_depth must be a number"),
+    ("eval_point_cap", True, "eval_point_cap must be an integer"),
+])
+def test_config_refuses_settings_the_run_cannot_use(key, value, message):
+    with pytest.raises(ConfigError, match=f"bad fusion settings: {message}"):
+        run_config_from_obj({key: value})
+
+
 def test_config_flags_and_paths():
     cfg = run_config_from_obj(
         {"seed": 9, "bench": True, "record_eval_points": True,
