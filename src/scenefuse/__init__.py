@@ -53,6 +53,7 @@ from .fusion import (
     hellinger,
     integrate,
     process_frame,
+    record_points,
 )
 from .streams import (
     DepthCache,
@@ -144,6 +145,7 @@ __all__ = [
     "hellinger",
     "integrate",
     "process_frame",
+    "record_points",
     "DepthCache",
     "Detection",
     "DepthMap",

@@ -16,7 +16,8 @@ it at the front of the queue so the combined evidence is reconsidered
 immediately. Nodes with no candidate below the threshold are inserted as new
 global nodes. Local nodes whose covariance is degenerate (non-positive
 determinant) skip matching entirely and are inserted directly. Candidates
-that an exact bound rules out are never scored (see integrate).
+that an exact bound rules out are never scored (see integrate). A frame's
+evaluation points are recorded after its decisions (record_points).
 """
 
 from __future__ import annotations
@@ -253,28 +254,29 @@ class _EvalSources(NamedTuple):
     """What build_local_graph lifted a local graph's nodes from: per detection
     lifted, its index, the detection and the depth map its centroid depth
     came from (or None); the positions in lifts of the nodes' detections;
-    and per detection lifted, its box (cx, cy, w, h) and its lifted mean."""
+    per detection lifted, its box (cx, cy, w, h) and its lifted mean; and
+    the frame's camera and pose."""
 
     lifts: "list[tuple[int, Detection, DepthMap | None]]"
     kept: list[int]
     boxes: np.ndarray
     means: np.ndarray
+    cam: CameraIntrinsics
+    pose: CameraPose
 
 
 def _eval_point_pass(
     local: LocalSSG,
-    cam: CameraIntrinsics,
-    pose: CameraPose,
     cfg: FusionConfig,
     depth_provider: Callable[[str], "DepthMap"] | None,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     floors: list[float] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[int]]:
     """_frame_eval_points over the detections build_local_graph lifted the
-    local graph from, with keys from rng (default_rng(0) if None). A
-    detection whose centroid depth came with it reads its depth_ref's map, if
-    any; one that cannot be read gives no map."""
-    lifts, kept, boxes, means = local.eval_sources
+    local graph from, with keys from rng. A detection whose centroid depth
+    came with it reads its depth_ref's map, if any; one that cannot be read
+    gives no map."""
+    lifts, kept, boxes, means, cam, pose = local.eval_sources
     maps: list["DepthMap | None"] = []
     for k in kept:
         _, det, depth_map = lifts[k]
@@ -286,8 +288,6 @@ def _eval_point_pass(
         maps.append(depth_map)
     if len(kept) < len(lifts):
         boxes, means = boxes[kept], means[kept]
-    if rng is None:
-        rng = np.random.default_rng(0)
     return _frame_eval_points(boxes, maps, means, cam, pose, cfg.eval_point_cap, rng, floors)
 
 
@@ -298,8 +298,6 @@ def build_local_graph(
     cfg: FusionConfig,
     *,
     depth_provider: Callable[[str], "DepthMap"] | None = None,
-    record_eval_points: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> LocalSSG:
     """Lift one frame's detections into a per-frame graph.
 
@@ -309,6 +307,10 @@ def build_local_graph(
     both endpoints survived; duplicates per (subject, object) keep the
     highest score; the survivors are sorted by descending score and truncated
     to top_k_relations. Self-relations are dropped.
+
+    The local graph holds no eval points; it keeps what its nodes were
+    lifted from (eval_sources), from which record_points draws them once
+    integrate has placed the nodes.
     """
     lifts: list[tuple[int, "Detection", "DepthMap | None"]] = []
     depths: list[float] = []
@@ -372,15 +374,9 @@ def build_local_graph(
         RelationEdge(subject_id=s, object_id=o, votes={pid: [1, score]})
         for (s, o), (pid, score) in ranked
     ]
-    n = len(kept)
-    local = LocalSSG.from_columns(frame.frame_id, edges, class_ids, scores, row_means, row_covs,
-                                  [None] * n, [None] * n, [0] * n)
+    local = LocalSSG.from_columns(frame.frame_id, edges, class_ids, scores, row_means, row_covs)
     if kept:
-        local.eval_sources = _EvalSources(lifts, kept, boxes, means)
-        if record_eval_points:
-            local.eval_points, local.eval_keys, local.eval_seen = _eval_point_pass(
-                local, cam, pose, cfg, depth_provider, rng,
-            )
+        local.eval_sources = _EvalSources(lifts, kept, boxes, means, cam, pose)
     return local
 
 
@@ -431,24 +427,19 @@ def integrate(
     the per-axis reach of _gate_bound rules out, in the current state of both
     Gaussians, could never pass the gate, so only the others are scored and
     the decisions are those of scoring every candidate. Global candidates
-    come from the graph's per-class view (GlobalSSG.x_order, searched as
-    x_range does, within the x reach of the class's x_var_bounds), queued
-    peers from a scan of the queue. The scorer, given the
-    same bound, stops early on a pair that cannot pass the gate either.
+    come from the graph's per-class view (GlobalSSG.x_order, bisected to
+    the x reach of the class's x_var_bounds), queued peers from a scan of
+    the queue. The scorer, given the same bound, stops early on a pair that
+    cannot pass the gate either.
 
-    Eval-point reservoirs play no part in the decisions. Once every local
-    node is placed, each one's reservoir merges into its global node's lazy
-    reservoir (_merge_reservoirs), in merge order: the local nodes each root
-    carried (the root, then the queued peers it absorbed, in absorb order),
-    root by root, in the order the roots left the queue; a node a root
-    created gets that root's first. The merges are by the points' keys,
-    which the local graph carries (LocalSSG), so integrate draws no random
-    numbers; and merges by key are associative, so this keeps the points,
-    in the order, that merging at every decision would. A merge of nothing
-    changes no reservoir, so a local graph without eval points merges none.
+    Eval-point reservoirs play no part in the decisions, and integrate
+    leaves them as they are; record_points records them afterwards.
 
     integrate reads only the local graph's columns, never its `nodes` view,
-    and leaves them as they are; it sets local.placement to the merge order.
+    and leaves them as they are. It sets local.placement to the merge
+    order: the local nodes each root carried (the root, then the queued
+    peers it absorbed, in absorb order), root by root, in the order the
+    roots left the queue, each with the global node it ended in.
     """
     cls = local.class_ids
     n = len(cls)
@@ -567,9 +558,6 @@ def integrate(
             gid_of[k] = gid
             placement.append((k, gid))
 
-    if any(local.eval_seen) or any(p is not None for p in local.eval_points):
-        _merge_reservoirs(global_graph, placement, local.eval_points, local.eval_keys, local.eval_seen,
-                          cfg.eval_point_cap)
     local.placement = placement
     for edge in local.edges:
         s, o = edge.subject_id, edge.object_id
@@ -601,6 +589,45 @@ def _merge_reservoirs(
             nodes[gid].merge_eval_points(chunk, keys[k], seen[k], cap)
 
 
+def record_points(
+    local: LocalSSG,
+    graph: GlobalSSG,
+    cfg: FusionConfig,
+    *,
+    rng: np.random.Generator,
+    depth_provider: Callable[[str], "DepthMap"] | None = None,
+) -> None:
+    """Record the eval points of a local graph that integrate has placed.
+
+    Each local node's reservoir merges into the lazy reservoir of the global
+    node it ended in, in merge order (local.placement), so a node created in
+    the frame takes its creator's points first. The merges are by the
+    points' keys, and merges by key are associative, so this keeps the
+    points, in the order, that merging at every decision would.
+
+    A local graph from build_local_graph has its points drawn here, in one
+    pass over its detections' windows (_frame_eval_points) with keys from
+    rng. The pass drops the pixels whose keys are at or below the floor of
+    the reservoir they go to (_GlobalNode.eval_floor), which could never
+    keep them, so they are never back-projected. A local graph built from
+    nodes (eval_sources None) merges its own eval-point columns and draws
+    nothing. A local graph that integrate has not placed records nothing.
+    """
+    placement = local.placement
+    if not placement:
+        return
+    cap = cfg.eval_point_cap
+    if local.eval_sources is None:
+        points, keys, seen = local.eval_points, local.eval_keys, local.eval_seen
+    else:
+        nodes = graph.nodes
+        floors = [0.0] * len(placement)
+        for k, gid in placement:
+            floors[k] = nodes[gid].eval_floor(cap)
+        points, keys, seen = _eval_point_pass(local, cfg, depth_provider, rng, floors)
+    _merge_reservoirs(graph, placement, points, keys, seen, cap)
+
+
 def process_frame(
     frame: "FrameRecord",
     state: GlobalSSG,
@@ -612,18 +639,18 @@ def process_frame(
 ) -> FrameResult:
     """Lift one frame and integrate it, reporting per-stage wall time.
 
-    With record_eval_points, the frame's eval points are recorded after
-    integrate has placed its nodes: the pass (_eval_point_pass) draws the
-    keys build_local_graph(record_eval_points=True) would, and drops the
-    pixels that the reservoir they go to can no longer keep (its floor), so
-    that they are never back-projected. The graph is the one that
-    build_local_graph(record_eval_points=True) and integrate would give.
-    lift_seconds covers the pass.
+    With record_eval_points, the frame's eval points are recorded by
+    record_points, with keys from rng, after integrate has placed its
+    nodes; lift_seconds covers that step. record_eval_points without rng
+    raises ValueError before the state is touched: a fixed default
+    generator would give every frame the same keys.
 
     A frame whose construction fails outright is skipped with a warning and
     leaves the state untouched; integrate itself is total for any local
     graph that build_local_graph can produce.
     """
+    if record_eval_points and rng is None:
+        raise ValueError("record_eval_points needs rng, the generator of the points' keys")
     result = FrameResult(frame_id=frame.frame_id)
     t0 = time.perf_counter()
     try:
@@ -645,13 +672,8 @@ def process_frame(
     t1 = time.perf_counter()
     _, events = integrate(local, state, cfg)
     t2 = time.perf_counter()
-    if record_eval_points and local.placement:
-        nodes, cap = state.nodes, cfg.eval_point_cap
-        floors = [0.0] * len(local.placement)
-        for k, gid in local.placement:
-            floors[k] = nodes[gid].eval_floor(cap)
-        points, keys, seen = _eval_point_pass(local, frame.camera, frame.pose, cfg, depth_provider, rng, floors)
-        _merge_reservoirs(state, local.placement, points, keys, seen, cap)
+    if record_eval_points:
+        record_points(local, state, cfg, rng=rng, depth_provider=depth_provider)
     result.lifted = len(local.class_ids)
     result.dropped = len(frame.detections) - result.lifted
     result.merge_events = events

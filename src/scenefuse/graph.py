@@ -177,9 +177,12 @@ class LocalSSG:
     degenerate covariance is accepted.
 
     Two attributes are not columns. eval_sources is what build_local_graph
-    lifted the nodes from, which the eval-point pass reads (None for a graph
-    built from nodes). placement is set by integrate: (local node, global
-    node) pairs in the order their eval-point reservoirs merge.
+    lifted the nodes from (None for a graph built from nodes). placement is
+    set by integrate: (local node, global node) pairs in merge order.
+    fusion.record_points, run after integrate, merges eval points in
+    placement order: those it draws from eval_sources if the graph has
+    them, else those of the eval_points, eval_keys and eval_seen columns.
+    build_local_graph leaves those columns empty (None, None and 0).
     """
 
     eval_sources = None
@@ -215,22 +218,20 @@ class LocalSSG:
         score_sums: list[float],
         row_means: list[list[float]],
         row_covs: list[list[float]],
-        eval_points: list[np.ndarray | None],
-        eval_keys: list[np.ndarray | None],
-        eval_seen: list[int],
     ) -> "LocalSSG":
-        """A local graph of weight-1 nodes whose columns are these lists, which
-        it keeps; nothing is checked (the lift's rows are covariances by
-        construction, and its eval points are keyed)."""
+        """A local graph of weight-1 nodes without eval points whose columns
+        are these lists, which it keeps; nothing is checked (the lift's rows
+        are covariances by construction)."""
+        n = len(class_ids)
         local = cls.__new__(cls)
         local.frame_id = frame_id
         local.edges = edges
         local.class_ids = class_ids
-        local.weights = [1] * len(class_ids)
+        local.weights = [1] * n
         local.score_sums = score_sums
-        local.eval_points = eval_points
-        local.eval_keys = eval_keys
-        local.eval_seen = eval_seen
+        local.eval_points = [None] * n
+        local.eval_keys = [None] * n
+        local.eval_seen = [0] * n
         local.row_means = row_means
         local.row_covs = row_covs
         return local
@@ -259,7 +260,7 @@ def resolve_predicate(edge: RelationEdge) -> int:
 class _GlobalNode(ObjectNode):
     """A node of a GlobalSSG. Its Gaussian is its row in the graph's row
     lists, and nowhere else; `gaussian` builds a new Gaussian3D from that row
-    each time it is read. Write it through GlobalSSG.set_gaussian or set_row.
+    each time it is read. Write it through GlobalSSG.set_gaussian or store_row.
     The node holds the graph's row lists, not the graph, so that a graph and
     its nodes form no reference cycle.
 
@@ -397,8 +398,7 @@ class GlobalSSG:
     built from its row when read. The per-class view is the only index of
     nodes by class: x_order[class_id] is (xs, ids), the class's node ids in
     order of mean x and their xs, and x_var_bounds[class_id] an upper bound
-    on their x variances (covariance entry 0). Only the graph writes it;
-    x_range and x_var_bound read it for other callers.
+    on their x variances (covariance entry 0). Only the graph writes it.
     """
 
     def __init__(self):
@@ -414,8 +414,12 @@ class GlobalSSG:
     # -- mutation ----------------------------------------------------------
 
     def store_row(self, nid: int, class_id: int, mean: list[float], cov: list[float]) -> None:
-        """set_row of node `nid`, whose class id the caller holds; also keeps
-        the class's x order and x-variance bound."""
+        """Store node `nid`'s Gaussian as a 3-float mean and a 9-float
+        row-major covariance, which the graph keeps (the caller must not
+        modify them afterwards); the graph derives their log_det9 and keeps
+        the class's x order and x-variance bound. The caller holds the
+        node's class id. Precondition, not checked here, as add_node's: a
+        mean and covariance that gaussian_problem accepts."""
         xs, ids = self.x_order[class_id]
         old = self.row_means[nid]
         x = mean[0]
@@ -487,15 +491,8 @@ class GlobalSSG:
 
     def set_gaussian(self, node_id: int, gaussian: Gaussian3D) -> None:
         """Store a node's new Gaussian as its rows; precondition as add_node's."""
-        self.set_row(node_id, gaussian.mean.tolist(), gaussian.cov.reshape(9).tolist())
-
-    def set_row(self, node_id: int, mean: list[float], cov: list[float]) -> None:
-        """set_gaussian from a 3-float mean and a 9-float row-major covariance,
-        which the graph keeps (the caller must not modify them afterwards);
-        the graph derives their log_det9. Precondition, not checked
-        here, as add_node's: a mean and covariance that gaussian_problem
-        accepts."""
-        self.store_row(node_id, self.nodes[node_id].class_id, mean, cov)
+        self.store_row(node_id, self.nodes[node_id].class_id, gaussian.mean.tolist(),
+                       gaussian.cov.reshape(9).tolist())
 
     def accumulate_edge(self, subject_id: int, object_id: int, votes: dict[int, list]) -> RelationEdge:
         if subject_id == object_id:
@@ -511,18 +508,6 @@ class GlobalSSG:
         return edge
 
     # -- queries / maintenance ----------------------------------------------
-
-    def x_range(self, class_id: int, lo: float, hi: float) -> list[int]:
-        """Ids of the class's nodes whose mean x lies in [lo, hi], in x order."""
-        entry = self.x_order.get(class_id)
-        if entry is None:
-            return []
-        xs, ids = entry
-        return ids[bisect.bisect_left(xs, lo):bisect.bisect_right(xs, hi)]
-
-    def x_var_bound(self, class_id: int) -> float:
-        """An upper bound on the x variances of the class's nodes."""
-        return self.x_var_bounds.get(class_id, -math.inf)
 
     def total_weight(self) -> int:
         return sum(n.weight for n in self.nodes.values())

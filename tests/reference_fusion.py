@@ -17,7 +17,10 @@ draws a random number: every point already has its key.
 
 `frame_eval_points` back-projects evaluation points one detection at a time
 (`eval_region_points`); the engine's one pass over a frame must equal it bit
-for bit.
+for bit. `record_in_the_lift` fills a local graph's eval-point columns before
+any decision, with no floors, so that this integrate merges them eagerly;
+fusion.record_points, which draws them after the decisions, must give the
+same reservoirs.
 
 `validate_pose` is the numpy pose check; CameraPose.validate's scalar check
 must reach its verdicts, and word its errors, except within rounding of tol.
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scenefuse.errors import InvalidDepthError, MergeContractError
-from scenefuse.fusion import FusionConfig, MergeEvent
+from scenefuse.fusion import FusionConfig, MergeEvent, _eval_point_pass
 from scenefuse.geometry import (
     BoundingBox2D,
     CameraIntrinsics,
@@ -315,6 +318,14 @@ def frame_eval_points(dets, maps, means, cam, pose, cap, rng):
     for k, key in zip(fallback, rng.random(len(fallback))):
         keys[k] = np.array([key])
     return points, keys, seen
+
+
+def record_in_the_lift(local: LocalSSG, cfg: FusionConfig, rng: np.random.Generator, depth_provider=None) -> None:
+    """Fill the eval-point columns of a local graph from build_local_graph with
+    the engine's pass (fusion._eval_point_pass), with keys from rng and no
+    floors: every valid pixel of a window is back-projected."""
+    if local.eval_sources is not None:
+        local.eval_points, local.eval_keys, local.eval_seen = _eval_point_pass(local, cfg, depth_provider, rng)
 
 
 def log_det9_batch(a: np.ndarray) -> np.ndarray:

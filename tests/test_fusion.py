@@ -24,6 +24,7 @@ from scenefuse.fusion import (
     hellinger,
     integrate,
     process_frame,
+    record_points,
 )
 from scenefuse.geometry import CameraIntrinsics, CameraPose, Gaussian3D
 from scenefuse.graph import (
@@ -42,7 +43,7 @@ from scenefuse.graph import (
 from scenefuse.streams import DepthMap, Detection, FrameRecord, Relation2D
 from scenefuse.synthetic import NoiseModel, SceneSpec, generate_scene, orbit_frames, render_frames
 
-from reference_fusion import best_match_np, merge_moments_np
+from reference_fusion import best_match_np, merge_moments_np, record_in_the_lift
 
 
 def _g(mean, cov=None):
@@ -163,8 +164,7 @@ def test_hellinger_of_a_pair_that_is_not_positive_definite_does_not_overflow():
     g.add_node(class_id=0, gaussian=a)
     with pytest.raises(MergeContractError, match="not positive definite"):
         LocalSSG(frame_id=0, nodes=[_node(0, 0, b.mean, b.cov)], edges=[])
-    local = LocalSSG.from_columns(0, [], [0], [0.9], [b.mean.tolist()], [b.cov.reshape(9).tolist()],
-                                  [None], [None], [0])
+    local = LocalSSG.from_columns(0, [], [0], [0.9], [b.mean.tolist()], [b.cov.reshape(9).tolist()])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, events = integrate(local, g, FusionConfig())
@@ -345,7 +345,7 @@ def test_per_axis_cull_rules_out_only_pairs_beyond_the_gate(pair):
     g = GlobalSSG()
     g.add_node(class_id=0, gaussian=_g(mean_b, b))
     local = LocalSSG.from_columns(0, [], [0, 0], [1.0, 0.5], [mean_a.tolist(), mean_b.tolist()],
-                                  [cov_a, cov_b], [None, None], [None, None], [0, 0])
+                                  [cov_a, cov_b])
     seen = []
     scorer = fusion.best_match
 
@@ -586,10 +586,19 @@ def test_build_drops_sub_minimum_depth():
     assert local.nodes == []
 
 
+def _recorded_node(frame, cfg=FusionConfig(), depth=None):
+    """The one node a one-detection frame leaves in a new graph, with the eval
+    points that record_points records after integrate."""
+    g = GlobalSSG()
+    local = build_local_graph(frame, _cam(), _pose(), cfg, depth_provider=depth)
+    integrate(local, g, cfg)
+    record_points(local, g, cfg, rng=np.random.default_rng(0), depth_provider=depth)
+    (node,) = g.nodes.values()
+    return node
+
+
 def test_build_inline_eval_point_is_the_mean():
-    frame = _frame([_det(score=0.9)])
-    local = build_local_graph(frame, _cam(), _pose(), FusionConfig(), record_eval_points=True)
-    (node,) = local.nodes
+    node = _recorded_node(_frame([_det(score=0.9)]))
     assert node.eval_seen == 1
     np.testing.assert_array_equal(node.eval_points, node.gaussian.mean.reshape(1, 3))
 
@@ -598,11 +607,7 @@ def test_build_region_eval_points_from_depth_map():
     # bbox 8x8 at (10,10): central half-size window is pixels [8,12) x [8,12)
     depth = DepthMap(width=20, height=20, values=np.full((20, 20), 2.0, dtype=np.float32))
     frame = _frame([_det(score=0.9, cx=10.0, cy=10.0, w=8.0, h=8.0, depth=None, ref="d.frdp")])
-    local = build_local_graph(
-        frame, _cam(), _pose(), FusionConfig(),
-        depth_provider=lambda ref: depth, record_eval_points=True,
-    )
-    (node,) = local.nodes
+    node = _recorded_node(frame, depth=lambda ref: depth)
     assert node.eval_seen == 16
     assert node.eval_points.shape == (16, 3)
     # corner pixel (8,8): x = (8-10)/10*2 = -0.4, y = -0.4, z = 2
@@ -613,11 +618,7 @@ def test_build_region_eval_points_from_depth_map():
 def test_build_region_eval_points_capped():
     depth = DepthMap(width=20, height=20, values=np.full((20, 20), 2.0, dtype=np.float32))
     frame = _frame([_det(score=0.9, w=16.0, h=16.0, depth=None, ref="d.frdp")])
-    cfg = FusionConfig(eval_point_cap=5)
-    local = build_local_graph(frame, _cam(), _pose(), cfg,
-                              depth_provider=lambda ref: depth, record_eval_points=True,
-                              rng=np.random.default_rng(0))
-    (node,) = local.nodes
+    node = _recorded_node(frame, FusionConfig(eval_point_cap=5), depth=lambda ref: depth)
     assert node.eval_points.shape == (5, 3)
     assert node.eval_seen == 64  # the full 8x8 window was offered
 
@@ -627,9 +628,7 @@ def test_build_skips_invalid_region_pixels():
     vals[8:12, 8:10] = -1.0  # half the window has no reading
     depth = DepthMap(width=20, height=20, values=vals)
     frame = _frame([_det(score=0.9, w=8.0, h=8.0, depth=None, ref="d.frdp")])
-    local = build_local_graph(frame, _cam(), _pose(), FusionConfig(),
-                              depth_provider=lambda ref: depth, record_eval_points=True)
-    (node,) = local.nodes
+    node = _recorded_node(frame, depth=lambda ref: depth)
     assert node.eval_seen == 8
 
 
@@ -872,21 +871,68 @@ _RECORDED_CFG = FusionConfig(eval_point_cap=5)
 _RECORDED_VOCAB = ClassVocabulary(("a", "b", "c"), ("near",))
 
 
+_RECORDED_DEPTH = DepthMap(width=20, height=20,
+                           values=(2.0 + 0.05 * np.random.default_rng(4).random((20, 20))).astype(np.float32))
+
+
+def _recorded_frame(fid, rng):
+    """Three jittered detections whose depths come from _RECORDED_DEPTH."""
+    jitter = 0.2 * rng.standard_normal(2)
+    dets = [_det(cid=c, cx=cx + jitter[0], cy=cy + jitter[1], w=8.0, h=6.0, depth=None, ref="d")
+            for c, (cx, cy) in enumerate([(5.0, 5.0), (14.0, 6.0), (9.0, 15.0)])]
+    return _frame(dets, [Relation2D(0, 1, 0, 0.9)], frame_id=fid)
+
+
 def _fuse_recorded(g, first, rng):
-    """Fuse six frames of three jittered detections, with eval points from
-    one depth map, into g; returns the number of detections lifted."""
-    depth = DepthMap(width=20, height=20,
-                     values=(2.0 + 0.05 * np.random.default_rng(4).random((20, 20))).astype(np.float32))
+    """Fuse six _recorded_frames, with eval points, into g; returns the
+    number of detections lifted."""
     lifted = 0
     for fid in range(first, first + 6):
-        jitter = 0.2 * rng.standard_normal(2)
-        dets = [_det(cid=c, cx=cx + jitter[0], cy=cy + jitter[1], w=8.0, h=6.0, depth=None, ref="d")
-                for c, (cx, cy) in enumerate([(5.0, 5.0), (14.0, 6.0), (9.0, 15.0)])]
-        frame = _frame(dets, [Relation2D(0, 1, 0, 0.9)], frame_id=fid)
-        result = process_frame(frame, g, _RECORDED_CFG, rng=rng, depth_provider=lambda ref: depth,
-                               record_eval_points=True)
+        result = process_frame(_recorded_frame(fid, rng), g, _RECORDED_CFG, rng=rng,
+                               depth_provider=lambda ref: _RECORDED_DEPTH, record_eval_points=True)
         lifted += result.lifted
     return lifted
+
+
+def _reservoirs(g, ids=None):
+    """Per node of g (or of ids), its eval points, keys and count seen."""
+    return {nid: (g.nodes[nid].eval_points.tobytes(), g.nodes[nid].eval_keys.tobytes(), g.nodes[nid].eval_seen)
+            for nid in (g.nodes if ids is None else ids)}
+
+
+def test_recording_without_a_generator_is_refused_before_the_graph_changes():
+    # a default generator would give every frame the same keys, so later
+    # frames' pixels would lose every tie and the reservoir stop being uniform
+    g = GlobalSSG()
+    _fuse_recorded(g, 0, np.random.default_rng(4))
+    before, reservoirs = json.dumps(export_graph(g, _RECORDED_VOCAB)), _reservoirs(g)
+    frame = _recorded_frame(6, np.random.default_rng(5))
+    with pytest.raises(ValueError, match="record_eval_points needs rng"):
+        process_frame(frame, g, _RECORDED_CFG, depth_provider=lambda ref: _RECORDED_DEPTH,
+                      record_eval_points=True)
+    assert json.dumps(export_graph(g, _RECORDED_VOCAB)) == before and _reservoirs(g) == reservoirs
+    assert process_frame(frame, g, _RECORDED_CFG, rng=np.random.default_rng(5),
+                         depth_provider=lambda ref: _RECORDED_DEPTH, record_eval_points=True).lifted == 3
+
+
+def test_integrate_alone_leaves_every_reservoir_as_it_was():
+    # integrate only decides: a local graph that carries eval points merges
+    # into the global nodes, and no reservoir changes until record_points
+    g = GlobalSSG()
+    _fuse_recorded(g, 0, np.random.default_rng(4))
+    reservoirs = _reservoirs(g)
+    local = build_local_graph(_recorded_frame(6, np.random.default_rng(5)), _cam(), _pose(), _RECORDED_CFG,
+                              depth_provider=lambda ref: _RECORDED_DEPTH)
+    record_in_the_lift(local, _RECORDED_CFG, np.random.default_rng(6))
+    far = ObjectNode(id=3, class_id=0, gaussian=_g([50.0, 0, 0]), score_sum=0.9,
+                     eval_points=np.ones((2, 3)), eval_seen=4, eval_keys=np.array([0.25, 0.75]))
+    eager = LocalSSG(local.frame_id, local.nodes + [far], local.edges)
+    assert all(n.eval_seen > 0 for n in eager.nodes)
+    _, events = integrate(eager, g, _RECORDED_CFG)
+    assert [e.kept_id for e in events] == [0, 1, 2] and len(g.nodes) == 4
+    new = g.nodes[3]
+    assert (new.eval_points, new.eval_keys, new.eval_seen) == (None, None, 0)
+    assert _reservoirs(g, reservoirs) == reservoirs
 
 
 def test_fusing_into_a_loaded_graph_keeps_reservoirs_valid(tmp_path):
@@ -1026,22 +1072,27 @@ def test_graph_bytes_are_pinned(tmp_path):
 
 def test_node_built_and_columnar_local_graphs_integrate_alike():
     # build_local_graph's columns, and a LocalSSG built from the nodes they
-    # view, give the same events and the same graph, eval keys included
+    # view, give the same events and, with record_points after integrate,
+    # the same graph, eval keys included: the columnar graph's points are
+    # drawn by the step from what the nodes were lifted from, the node-built
+    # graph's are the eager columns, drawn from a generator seeded alike
     frames, maps = _room_stream()
     cfg = FusionConfig()
-    rng = np.random.default_rng(5)
+    rng_cols, rng_nodes = np.random.default_rng(5), np.random.default_rng(5)
     g_cols, g_nodes = GlobalSSG(), GlobalSSG()
     merges = 0
     for frame in frames:
-        local = build_local_graph(frame, frame.camera, frame.pose, cfg, depth_provider=maps.__getitem__,
-                                  record_eval_points=True, rng=rng)
+        local = build_local_graph(frame, frame.camera, frame.pose, cfg, depth_provider=maps.__getitem__)
+        record_in_the_lift(local, cfg, rng_nodes, maps.__getitem__)
         nodes = local.nodes
         assert all(n.eval_keys is not None and len(n.eval_keys) == len(n.eval_points) for n in nodes)
         hand = LocalSSG(frame.frame_id, nodes, [RelationEdge(e.subject_id, e.object_id,
                                                              {p: list(v) for p, v in e.votes.items()})
                                                 for e in local.edges])
         _, ev_cols = integrate(local, g_cols, cfg)
+        record_points(local, g_cols, cfg, rng=rng_cols, depth_provider=maps.__getitem__)
         _, ev_nodes = integrate(hand, g_nodes, cfg)
+        record_points(hand, g_nodes, cfg, rng=rng_nodes)
         assert ev_cols == ev_nodes
         merges += len(ev_cols)
         # integrate leaves the columns, and so the view, as they were
@@ -1055,3 +1106,4 @@ def test_node_built_and_columnar_local_graphs_integrate_alike():
     assert json.dumps(export_graph(g_cols, vocab)) == json.dumps(export_graph(g_nodes, vocab))
     for nid, node in g_cols.nodes.items():
         assert node.eval_keys.tobytes() == g_nodes.nodes[nid].eval_keys.tobytes()
+    assert rng_cols.bit_generator.state == rng_nodes.bit_generator.state

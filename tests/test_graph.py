@@ -1,5 +1,6 @@
 """Graph model: nodes, predicate voting, global graph invariants, serialization."""
 
+import bisect
 import json
 import math
 
@@ -136,10 +137,9 @@ def test_add_node_assigns_dense_ids_and_class_index():
     g = _populated_graph()
     assert sorted(g.nodes) == [0, 1, 2]
     assert g.next_id == 3
-    everywhere = (-math.inf, math.inf)
-    assert sorted(g.x_range(0, *everywhere)) == [0, 2]
-    assert g.x_range(1, *everywhere) == [1]
-    assert g.x_range(2, *everywhere) == []
+    assert sorted(g.x_order[0][1]) == [0, 2]
+    assert g.x_order[1][1] == [1]
+    assert 2 not in g.x_order
 
 
 def test_add_node_rejects_duplicate_id():
@@ -159,17 +159,17 @@ def test_set_gaussian_updates_rows():
     assert g.row_means[1] == [9.0, 9.0, 9.0]
     assert g.row_covs[1] == new.cov.reshape(9).tolist()
     assert g.row_logdets[1] == pytest.approx(math.log(27.0))
-    assert g.x_var_bound(1) == 3.0  # class 1's bound rises to node 1's new x variance
+    assert g.x_var_bounds[1] == 3.0  # class 1's bound rises to node 1's new x variance
     # the rows are the node's only store: its Gaussian is rebuilt from them
     assert g.nodes[1].gaussian.mean.tobytes() == new.mean.tobytes()
     assert g.nodes[1].gaussian.cov.tobytes() == new.cov.tobytes()
     # the graph derives a row's log-det from its covariance
     cov = [2.0, 0.5, 0.0, 0.5, 2.0, 0.0, 0.0, 0.0, 1.5]
-    g.set_row(1, [1.0, 2.0, 3.0], cov)
+    g.store_row(1, 1, [1.0, 2.0, 3.0], cov)
     np.testing.assert_array_equal(g.nodes[1].gaussian.mean, [1.0, 2.0, 3.0])
     assert g.nodes[1].gaussian.cov.reshape(9).tolist() == cov
     assert g.row_logdets[1] == log_det9(cov)
-    assert g.x_var_bound(1) == 3.0  # a bound, not the largest x variance: it never falls
+    assert g.x_var_bounds[1] == 3.0  # a bound, not the largest x variance: it never falls
     g.validate()
 
 
@@ -514,9 +514,11 @@ def test_moved_nodes_keep_the_x_order_among_equal_x():
     for step in range(200):
         nid = int(rng.integers(45))
         x = float(rng.choice(shared + [0.5, 1.5]))  # to a shared x, or a new one
-        g.set_row(nid, [x, float(step), 0.0], list(cov))
+        g.store_row(nid, 0, [x, float(step), 0.0], list(cov))
         g.validate()
-        assert sorted(g.x_range(0, x, x)) == [i for i in sorted(g.nodes) if g.row_means[i][0] == x]
+        xs, ids = g.x_order[0]
+        assert sorted(ids[bisect.bisect_left(xs, x):bisect.bisect_right(xs, x)]) == \
+            [i for i in sorted(g.nodes) if g.row_means[i][0] == x]
 
 
 def _same_array(lazy, eager):
@@ -994,7 +996,7 @@ def test_validate_catches_non_finite_rows_built_by_hand():
         g.validate()
     g = GlobalSSG()
     g.add_node(class_id=3, gaussian=Gaussian3D(mean=np.zeros(3), cov=np.diag([math.inf, 1.0, 1.0])))
-    assert g.x_var_bound(3) == math.inf
+    assert g.x_var_bounds[3] == math.inf
     with pytest.raises(AssertionError, match="class 3 x-variance bound is not finite"):
         g.validate()
 

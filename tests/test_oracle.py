@@ -3,10 +3,11 @@
 `integrate` culls candidates with a bound and scores the survivors with
 scalar kernels; tests/reference_fusion.py keeps the per-query algorithm that
 scans every live candidate with the vectorized numpy kernel. Both must make
-the same decisions in the same order and leave byte-identical graphs, eval
-keys included. The batched lift must likewise equal the reference's
-step-by-step lift bit for bit and drop the same detections, and the
-per-frame evaluation-point pass must equal the per-detection one bit for bit.
+the same decisions in the same order and, with `record_points` after
+`integrate`, leave byte-identical graphs, eval keys included. The batched
+lift must likewise equal the reference's step-by-step lift bit for bit and
+drop the same detections, and the per-frame evaluation-point pass must
+equal the per-detection one bit for bit.
 
 The per-frame checks around the merge have references too: the one-pass
 frame reader must accept only what the per-field walk accepts, with equal
@@ -203,7 +204,9 @@ def test_integrate_matches_reference_on_random_streams(stream):
     cfg, frames, n_classes = stream
     g_new, g_ref = GlobalSSG(), GlobalSSG()
     for fid, (nodes, relations) in enumerate(frames):
-        _, ev_new = integrate(_local(fid, nodes, relations), g_new, cfg)
+        local = _local(fid, nodes, relations)
+        _, ev_new = integrate(local, g_new, cfg)
+        fusion.record_points(local, g_new, cfg, rng=np.random.default_rng(0))
         _, ev_ref = reference_fusion.integrate(_local(fid, nodes, relations), g_ref, cfg)
         assert [(e.kept_id, e.absorbed_id, e.frame_id) for e in ev_new] == \
             [(e.kept_id, e.absorbed_id, e.frame_id) for e in ev_ref]
@@ -376,11 +379,13 @@ def recorded_streams(draw):
 
 def _record_three_ways(frames, maps, caps, reads, reload_at, seed=7):
     """Fuse the frames with eval points three ways, each from its own
-    generator seeded alike: process_frame; build_local_graph(record_eval_points
-    =True) then integrate; and the same local graphs through the reference
-    integrate, whose reservoirs merge eagerly at every decision. Checks the
-    events agree frame by frame and the graphs, keys and generators at the
-    end, and returns the graphs and the process_frame events."""
+    generator seeded alike: process_frame, which records them after the
+    decisions; the oracle's eager columns (reference_fusion.record_in_the_lift),
+    handed over as a local graph built from nodes, through integrate and
+    record_points; and the same columns through the reference integrate,
+    whose reservoirs merge at every decision. Checks the events agree frame
+    by frame and the graphs, keys and generators at the end, and returns
+    the graphs and the process_frame events."""
     def provider(ref):
         if ref not in maps:
             raise FileNotFoundError(ref)
@@ -403,10 +408,15 @@ def _record_three_ways(frames, maps, caps, reads, reload_at, seed=7):
         cfg = FusionConfig(eval_point_cap=caps[f])
         res = process_frame(frame, graphs[0], cfg, rng=rngs[0], depth_provider=provider, record_eval_points=True)
         assert not res.skipped
-        for g, rng, fuse in ((graphs[1], rngs[1], integrate), (graphs[2], rngs[2], reference_fusion.integrate)):
-            local = build_local_graph(frame, frame.camera, frame.pose, cfg, depth_provider=provider,
-                                      record_eval_points=True, rng=rng)
-            _, ev = fuse(local, g, cfg)
+        eager = []
+        for rng in rngs[1:]:
+            local = build_local_graph(frame, frame.camera, frame.pose, cfg, depth_provider=provider)
+            reference_fusion.record_in_the_lift(local, cfg, rng, provider)
+            eager.append(LocalSSG(frame.frame_id, local.nodes, local.edges))
+        _, ev_new = integrate(eager[0], graphs[1], cfg)
+        fusion.record_points(eager[0], graphs[1], cfg, rng=rngs[1])
+        _, ev_ref = reference_fusion.integrate(eager[1], graphs[2], cfg)
+        for ev in (ev_new, ev_ref):
             assert [e[:2] for e in ev] == [e[:2] for e in res.merge_events]
         events.append(res.merge_events)
     for g in graphs:
@@ -487,7 +497,7 @@ def test_recording_after_the_decisions_on_every_merge_order():
         _record_three_ways(*stream, reload_at=2, seed=0)
     finally:
         fusion._frame_eval_points = original
-    # per frame: process_frame's pass, then build_local_graph's for integrate and for the reference
+    # per frame: process_frame's pass, then the eager columns' for integrate and for the reference
     assert len(counted) == 3 * len(stream[0]) and counted[1::3] == counted[2::3]
     assert sum(counted[0::3]) < sum(counted[1::3])
 

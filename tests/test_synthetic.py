@@ -1,5 +1,6 @@
 """Synthetic harness: generation, relation rules, rendering, moment oracle."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scenefuse import cli
 from scenefuse.errors import ConfigError, GenerationError
 from scenefuse.evaluation import GroundTruthInstance, GroundTruthScene, load_ground_truth
 from scenefuse.geometry import CameraIntrinsics, CameraPose, Gaussian3D
@@ -464,6 +466,30 @@ def test_benchmark_orbit_inputs_stay_the_gates(tmp_path, monkeypatch):
     assert (tmp_path / "benchmark.jsonl").read_bytes() == (tmp_path / "synthetic.jsonl").read_bytes()
 
 
+# graph SHA-256 of `scenefuse run` on each benchmark workload at seed 77 (BENCH_22.json)
+_BENCHMARK_GRAPHS = {
+    "orbit": "d8a88549d8611e75a802a849ed4cbc031ef64b479f556946de2a48cc496589dd",
+    "warehouse": "f8f9988cf92f064ed82a3a14e6182f6c72292a7c700486655f16ef11ca0f688a",
+    "room_depth": "1aead883d95823ff88373a7a06fd44dbe0e42c766b13b7186d947d20a0f20c85",
+}
+
+
+def test_benchmark_graphs_are_pinned(tmp_path, monkeypatch):
+    # the graphs the benchmark fuses, byte for byte: an engine change that
+    # moves them must say why and re-pin them here
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    for name, sha in _BENCHMARK_GRAPHS.items():
+        work = workloads.generate(name, 77, tmp_path / name)
+        out = tmp_path / f"{name}.json"
+        assert cli.main(["run", "--input", str(work.stream), "--config", str(work.config),
+                         "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha, name
+
+
 def test_benchmark_tracer_still_finds_the_engine(tmp_path):
     # perfbench/tracer.py wraps engine names by attribute (fusion.lift_detection,
     # fusion.best_match, GlobalSSG.set_gaussian, ...) and reads best_match's
@@ -476,6 +502,7 @@ def test_benchmark_tracer_still_finds_the_engine(tmp_path):
         "import json, sys, time; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
         "from tracer import Tracer\n"
         "tracer = Tracer(0.85); tracer.install()\n"
+        "import numpy as np\n"
         "from scenefuse import _accel, fusion, graph, streams, synthetic\n"
         "def calls():\n"
         "    return {n: s['calls'] for n, s in tracer.summary()['spans'].items()}\n"
@@ -489,11 +516,12 @@ def test_benchmark_tracer_still_finds_the_engine(tmp_path):
         "spec = synthetic.SceneSpec(seed=5, n_objects=6, n_classes=3, n_frames=4, image_width=160,\n"
         "                           image_height=120, focal=125.0)\n"
         "synthetic.synthesize_dataset(spec, 'room.jsonl', 'gt.json', depth_dir='depth')\n"
-        "state, depth = graph.GlobalSSG(), streams.DepthCache('.')\n"
+        "state, depth, rng = graph.GlobalSSG(), streams.DepthCache('.'), np.random.default_rng(5)\n"
         "lifted = 0\n"
         "for frame in streams.parse_frame_stream('room.jsonl'):\n"
         "    tracer.open_frame(time.perf_counter())\n"
-        "    lifted += fusion.process_frame(frame, state, cfg, depth_provider=depth, record_eval_points=True).lifted\n"
+        "    lifted += fusion.process_frame(frame, state, cfg, rng=rng, depth_provider=depth,\n"
+        "                                   record_eval_points=True).lifted\n"
         "    tracer.close_frame(frame.frame_id, time.perf_counter())\n"
         "room = {n: c - orbit[n] for n, c in calls().items()}\n"
         "print(json.dumps({'calls': orbit, 'room': room, 'lifted': lifted,\n"
