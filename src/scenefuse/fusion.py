@@ -274,17 +274,25 @@ def _eval_point_pass(
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[int]]:
     """_frame_eval_points over the detections build_local_graph lifted the
     local graph from, with keys from rng. A detection whose centroid depth
-    came with it reads its depth_ref's map, if any; one that cannot be read
-    gives no map."""
+    came with it reads its depth_ref's map, if any. Each distinct ref is
+    read once per frame; one that cannot be read gives no map, with a debug
+    log."""
     lifts, kept, boxes, means, cam, pose = local.eval_sources
     maps: list["DepthMap | None"] = []
+    read: dict[str, "DepthMap | None"] = {}  # this frame's refs, read or failed
     for k in kept:
         _, det, depth_map = lifts[k]
-        if depth_map is None and depth_provider is not None and det.depth_ref is not None:
-            try:
-                depth_map = depth_provider(det.depth_ref)
-            except (SceneFuseError, OSError):
-                depth_map = None
+        ref = det.depth_ref
+        if depth_map is None and depth_provider is not None and ref is not None:
+            if ref in read:
+                depth_map = read[ref]
+            else:
+                try:
+                    depth_map = depth_provider(ref)
+                except (SceneFuseError, OSError) as exc:
+                    log.debug("frame %d: depth map %s unreadable (%s), eval points fall back to means",
+                              local.frame_id, ref, exc)
+                read[ref] = depth_map
         maps.append(depth_map)
     if len(kept) < len(lifts):
         boxes, means = boxes[kept], means[kept]
@@ -570,25 +578,6 @@ def integrate(
     return global_graph, events
 
 
-def _merge_reservoirs(
-    global_graph: GlobalSSG,
-    placement: list[tuple[int, int]],
-    points: list[np.ndarray | None],
-    keys: list[np.ndarray | None],
-    seen: list[int],
-    cap: int,
-) -> None:
-    """Merge local node k's eval-point reservoir (points[k], keys[k],
-    seen[k]) into global node g's, for each (k, g) of placement in turn."""
-    nodes = global_graph.nodes
-    for k, gid in placement:
-        chunk = points[k]
-        if chunk is None:
-            nodes[gid].eval_seen += seen[k]  # a merge of nothing adds only its count
-        else:
-            nodes[gid].merge_eval_points(chunk, keys[k], seen[k], cap)
-
-
 def record_points(
     local: LocalSSG,
     graph: GlobalSSG,
@@ -617,15 +606,19 @@ def record_points(
     if not placement:
         return
     cap = cfg.eval_point_cap
+    nodes = graph.nodes
     if local.eval_sources is None:
         points, keys, seen = local.eval_points, local.eval_keys, local.eval_seen
     else:
-        nodes = graph.nodes
         floors = [0.0] * len(placement)
         for k, gid in placement:
             floors[k] = nodes[gid].eval_floor(cap)
         points, keys, seen = _eval_point_pass(local, cfg, depth_provider, rng, floors)
-    _merge_reservoirs(graph, placement, points, keys, seen, cap)
+    for k, gid in placement:
+        if points[k] is None:
+            nodes[gid].eval_seen += seen[k]  # a merge of nothing adds only its count
+        else:
+            nodes[gid].merge_eval_points(points[k], keys[k], seen[k], cap)
 
 
 def process_frame(

@@ -15,11 +15,12 @@ CRLF):
                     "predicate": int in [0, ID_LIMIT), "score": float in [0,1]}]}
 
 A line is what Python's json module decodes (orjson decodes it first, and
-json decides whatever orjson or the one-pass check doubts; see
-parse_frame_stream). Unknown keys anywhere in a frame object are parse
-errors. frame_id must be strictly increasing across the stream. Detection
-local indices are positional (dense, 0-based). Inline centroid_depth takes
-precedence over depth_ref.
+json decides whatever orjson or the frame reader refuses; see
+parse_frame_stream). One reader, _read_frame, checks a decoded frame
+object and words the error of the first field that is wrong. Unknown keys
+anywhere in a frame object are parse errors. frame_id must be strictly
+increasing across the stream. Detection local indices are positional
+(dense, 0-based). Inline centroid_depth takes precedence over depth_ref.
 
 Raw depth format: magic `FRDP`, version byte 0x01, width and height as u32
 little-endian, then width*height float32 little-endian values, row-major,
@@ -33,6 +34,7 @@ import json
 import logging
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
@@ -154,176 +156,116 @@ def _as_int(v, where: str, lo: int | None = None, hi: int | None = None) -> int:
     return v
 
 
-def _real(v) -> float:
-    """float(v) for an int or a float; TypeError for anything else, bool included."""
-    t = type(v)
-    if t is float:
-        return v
-    if t is int:
-        return float(v)  # OverflowError beyond the float range
-    raise TypeError(t)
+def _read_frame(obj) -> FrameRecord:
+    """The FrameRecord of one decoded frame line; ValueError at the first
+    field that is wrong, with the field's path in its message.
 
-
-def _read_frame(obj) -> FrameRecord | None:
-    """The FrameRecord of a valid frame object, checked in one pass; None on any doubt.
-
-    Key sets are compared whole, numbers are checked by exact type (so bool
-    is refused), ranges by chained comparisons, and the detections' numbers
-    are checked for finiteness once, through their sum: a non-finite number
-    makes the sum non-finite. A sum that overflows on finite numbers is a
-    doubt too, as is any type, key or range mismatch and any error raised
-    on the way; nothing here words an error.
+    Fields are checked in the grammar's order: the frame's keys, frame_id,
+    the camera, the pose, then per detection its keys, its bbox's keys,
+    centroid_depth, depth_ref, class_id, score, cx, cy, w, h and the
+    extents' signs, and per relation its keys, subject, object, the
+    endpoints' range, predicate and score. Each check is a fast test: key
+    sets compared whole, numbers by exact type (so bool is refused, and no
+    comparison meets a value of the wrong type), ranges and finiteness by
+    chained comparisons, value by value. Where a test fails, the wording
+    helpers (_require_keys, _as_float, _as_int) check the field again: they
+    raise with its path, or they take it, as they take an int in a float
+    field (read as its float).
     """
-    try:
-        if type(obj) is not dict or obj.keys() != _FRAME_KEYS:
-            return None
-        frame_id, cam, pose_obj = obj["frame_id"], obj["camera"], obj["pose"]
-        dets, rels = obj["detections"], obj["relations"]
-        if not (type(frame_id) is int and frame_id >= 0 and type(dets) is list and type(rels) is list
-                and type(cam) is dict and cam.keys() == _CAMERA_KEYS
-                and type(pose_obj) is dict and pose_obj.keys() == _POSE_KEYS
-                and type(cam["width"]) is int and type(cam["height"]) is int):
-            return None
-        camera = CameraIntrinsics(_real(cam["fx"]), _real(cam["fy"]), _real(cam["cx"]), _real(cam["cy"]),
-                                  cam["width"], cam["height"])
-        camera.validate()  # finite, positive focal lengths and image size
-        rot, tr = pose_obj["rotation"], pose_obj["translation"]
-        if not (type(rot) is list and len(rot) == 9 and type(tr) is list and len(tr) == 3):
-            return None
-        pose = CameraPose(rotation=np.array([_real(v) for v in rot]).reshape(3, 3),
-                          translation=np.array([_real(v) for v in tr]))
-        pose.validate(tol=1e-6)
-        total = 0.0
-        detections = []
-        for d in dets:
-            if type(d) is not dict or not d.keys() <= _DETECTION_KEYS:
-                return None
-            class_id, bbox, ref = d["class_id"], d["bbox"], d.get("depth_ref")
-            if not (type(class_id) is int and 0 <= class_id < ID_LIMIT and (ref is None or type(ref) is str)
-                    and type(bbox) is dict and bbox.keys() == _BBOX_KEYS):
-                return None
-            score, cx, cy, w, h = d["score"], bbox["cx"], bbox["cy"], bbox["w"], bbox["h"]
-            if not (type(score) is float and type(cx) is float and type(cy) is float and type(w) is float
-                    and type(h) is float):
-                score, cx, cy, w, h = _real(score), _real(cx), _real(cy), _real(w), _real(h)
-            if not (0.0 <= score <= 1.0 and w > 0.0 and h > 0.0):
-                return None
-            total += cx + cy + w + h
-            depth = d.get("centroid_depth")
-            if depth is not None:
-                depth = _real(depth)
-                total += depth
-            detections.append(Detection(class_id, score, cx, cy, w, h, depth, ref))
-        n_det = len(detections)
-        relations = []
-        for r in rels:
-            if type(r) is not dict or r.keys() != _RELATION_KEYS:
-                return None
-            subject, object_, predicate = r["subject"], r["object"], r["predicate"]
-            score = _real(r["score"])
-            if not (type(subject) is int and type(object_) is int and type(predicate) is int
-                    and 0 <= subject < n_det and 0 <= object_ < n_det and 0 <= predicate < ID_LIMIT
-                    and 0.0 <= score <= 1.0):
-                return None
-            relations.append(Relation2D(subject, object_, predicate, score))
-        if not math.isfinite(total):
-            return None
-    except (KeyError, TypeError, OverflowError, ValueError):
-        return None
-    return FrameRecord(frame_id, camera, pose, detections, relations)
+    inf = math.inf
+    if type(obj) is not dict or obj.keys() != _FRAME_KEYS:
+        if not isinstance(obj, dict):
+            raise ValueError("frame line must be a JSON object")
+        _require_keys(obj, _FRAME_KEYS, _FRAME_KEYS, "frame")
+    frame_id = obj["frame_id"]
+    if not (type(frame_id) is int and frame_id >= 0):
+        _as_int(frame_id, "frame_id", lo=0)
 
-
-def _walk_frame(obj) -> FrameRecord:
-    """The FrameRecord of one decoded frame line, checked field by field: the
-    first field that is wrong raises ValueError with the field's path in its
-    message. The walk defines the frame grammar and is the only code that
-    words an error; _read_frame accepts only frames the walk accepts, with
-    equal records."""
-    if not isinstance(obj, dict):
-        raise ValueError("frame line must be a JSON object")
-    _require_keys(obj, _FRAME_KEYS, _FRAME_KEYS, "frame")
-    frame_id = _as_int(obj["frame_id"], "frame_id", lo=0)
-
-    cam_obj = obj["camera"]
-    _require_keys(cam_obj, _CAMERA_KEYS, _CAMERA_KEYS, "camera")
-    camera = CameraIntrinsics(
-        fx=_as_float(cam_obj["fx"], "camera.fx"),
-        fy=_as_float(cam_obj["fy"], "camera.fy"),
-        cx=_as_float(cam_obj["cx"], "camera.cx"),
-        cy=_as_float(cam_obj["cy"], "camera.cy"),
-        width=_as_int(cam_obj["width"], "camera.width", lo=1),
-        height=_as_int(cam_obj["height"], "camera.height", lo=1),
-    )
-    camera.validate()
+    cam = obj["camera"]
+    if type(cam) is not dict or cam.keys() != _CAMERA_KEYS:
+        _require_keys(cam, _CAMERA_KEYS, _CAMERA_KEYS, "camera")
+    fx, fy, cx, cy, width, height = cam["fx"], cam["fy"], cam["cx"], cam["cy"], cam["width"], cam["height"]
+    if not (type(fx) is float and -inf < fx < inf and type(fy) is float and -inf < fy < inf
+            and type(cx) is float and -inf < cx < inf and type(cy) is float and -inf < cy < inf
+            and type(width) is int and width >= 1 and type(height) is int and height >= 1):
+        fx, fy = _as_float(fx, "camera.fx"), _as_float(fy, "camera.fy")
+        cx, cy = _as_float(cx, "camera.cx"), _as_float(cy, "camera.cy")
+        _as_int(width, "camera.width", lo=1)
+        _as_int(height, "camera.height", lo=1)
+    camera = CameraIntrinsics(fx, fy, cx, cy, width, height)
+    camera.validate()  # positive focal lengths
 
     pose_obj = obj["pose"]
-    _require_keys(pose_obj, _POSE_KEYS, _POSE_KEYS, "pose")
-    rot = pose_obj["rotation"]
-    tr = pose_obj["translation"]
+    if type(pose_obj) is not dict or pose_obj.keys() != _POSE_KEYS:
+        _require_keys(pose_obj, _POSE_KEYS, _POSE_KEYS, "pose")
+    rot, tr = pose_obj["rotation"], pose_obj["translation"]
     if not (isinstance(rot, list) and len(rot) == 9):
         raise ValueError("pose.rotation must be a list of 9 row-major floats")
     if not (isinstance(tr, list) and len(tr) == 3):
         raise ValueError("pose.translation must be a list of 3 floats")
-    pose = CameraPose(
-        rotation=np.array([_as_float(v, "pose.rotation") for v in rot]).reshape(3, 3),
-        translation=np.array([_as_float(v, "pose.translation") for v in tr]),
-    )
-    try:
-        pose.validate(tol=1e-6)
-    except ValueError as exc:
-        raise ValueError(str(exc)) from exc
+    for v in rot:
+        if not (type(v) is float and -inf < v < inf):
+            rot = [_as_float(v, "pose.rotation") for v in rot]
+            break
+    for v in tr:
+        if not (type(v) is float and -inf < v < inf):
+            tr = [_as_float(v, "pose.translation") for v in tr]
+            break
+    pose = CameraPose(rotation=np.array(rot).reshape(3, 3), translation=np.array(tr))
+    pose.validate(tol=1e-6)
 
-    detections = []
-    if not isinstance(obj["detections"], list):
+    dets, rels = obj["detections"], obj["relations"]
+    if not isinstance(dets, list):
         raise ValueError("detections must be a list")
-    for i, d in enumerate(obj["detections"]):
-        where = f"detections[{i}]"
-        _require_keys(d, _DETECTION_KEYS, _DETECTION_REQUIRED, where)
-        bbox = d["bbox"]
-        _require_keys(bbox, _BBOX_KEYS, _BBOX_KEYS, f"{where}.bbox")
-        depth = d.get("centroid_depth")
-        if depth is not None:
-            depth = _as_float(depth, f"{where}.centroid_depth")
-        ref = d.get("depth_ref")
-        if ref is not None and not isinstance(ref, str):
-            raise ValueError(f"{where}.depth_ref must be a string path")
-        detections.append(
-            Detection(
-                class_id=_as_int(d["class_id"], f"{where}.class_id", lo=0, hi=ID_LIMIT - 1),
-                score=_as_float(d["score"], f"{where}.score", lo=0.0, hi=1.0),
-                cx=_as_float(bbox["cx"], f"{where}.bbox.cx"),
-                cy=_as_float(bbox["cy"], f"{where}.bbox.cy"),
-                w=_as_float(bbox["w"], f"{where}.bbox.w"),
-                h=_as_float(bbox["h"], f"{where}.bbox.h"),
-                centroid_depth=depth,
-                depth_ref=ref,
-            )
-        )
-        if detections[-1].w <= 0 or detections[-1].h <= 0:
-            raise ValueError(f"{where}.bbox extents must be positive")
+    detections = []  # its length is the index of the detection being read
+    for d in dets:
+        try:
+            if type(d) is not dict or not d.keys() <= _DETECTION_KEYS:
+                raise KeyError
+            bbox, class_id, score = d["bbox"], d["class_id"], d["score"]
+        except KeyError:  # not an object, or a key unknown or missing
+            _require_keys(d, _DETECTION_KEYS, _DETECTION_REQUIRED, f"detections[{len(detections)}]")
+        if type(bbox) is not dict or bbox.keys() != _BBOX_KEYS:
+            _require_keys(bbox, _BBOX_KEYS, _BBOX_KEYS, f"detections[{len(detections)}].bbox")
+        depth, ref = d.get("centroid_depth"), d.get("depth_ref")
+        if depth is not None and not (type(depth) is float and -inf < depth < inf):
+            depth = _as_float(depth, f"detections[{len(detections)}].centroid_depth")
+        if ref is not None and type(ref) is not str:
+            raise ValueError(f"detections[{len(detections)}].depth_ref must be a string path")
+        if not (type(class_id) is int and 0 <= class_id < ID_LIMIT):
+            _as_int(class_id, f"detections[{len(detections)}].class_id", lo=0, hi=ID_LIMIT - 1)
+        cx, cy, w, h = bbox["cx"], bbox["cy"], bbox["w"], bbox["h"]
+        if not (type(score) is float and 0.0 <= score <= 1.0 and type(cx) is float and -inf < cx < inf
+                and type(cy) is float and -inf < cy < inf and type(w) is float and 0.0 < w < inf
+                and type(h) is float and 0.0 < h < inf):
+            where = f"detections[{len(detections)}]"
+            score = _as_float(score, f"{where}.score", lo=0.0, hi=1.0)
+            cx, cy = _as_float(cx, f"{where}.bbox.cx"), _as_float(cy, f"{where}.bbox.cy")
+            w, h = _as_float(w, f"{where}.bbox.w"), _as_float(h, f"{where}.bbox.h")
+            if w <= 0 or h <= 0:
+                raise ValueError(f"{where}.bbox extents must be positive")
+        detections.append(Detection(class_id, score, cx, cy, w, h, depth, ref))
 
-    relations = []
-    if not isinstance(obj["relations"], list):
+    if not isinstance(rels, list):
         raise ValueError("relations must be a list")
     n_det = len(detections)
-    for i, r in enumerate(obj["relations"]):
-        where = f"relations[{i}]"
-        _require_keys(r, _RELATION_KEYS, _RELATION_KEYS, where)
-        subj = _as_int(r["subject"], f"{where}.subject", lo=0)
-        obj_i = _as_int(r["object"], f"{where}.object", lo=0)
-        if subj >= n_det or obj_i >= n_det:
-            raise ValueError(f"{where} endpoint out of range (frame has {n_det} detections)")
-        relations.append(
-            Relation2D(
-                subject=subj,
-                object=obj_i,
-                predicate=_as_int(r["predicate"], f"{where}.predicate", lo=0, hi=ID_LIMIT - 1),
-                score=_as_float(r["score"], f"{where}.score", lo=0.0, hi=1.0),
-            )
-        )
-
-    return FrameRecord(frame_id=frame_id, camera=camera, pose=pose,
-                       detections=detections, relations=relations)
+    relations = []  # its length is the index of the relation being read
+    for r in rels:
+        if type(r) is not dict or r.keys() != _RELATION_KEYS:
+            _require_keys(r, _RELATION_KEYS, _RELATION_KEYS, f"relations[{len(relations)}]")
+        subject, object_, predicate, score = r["subject"], r["object"], r["predicate"], r["score"]
+        if not (type(subject) is int and 0 <= subject < n_det and type(object_) is int and 0 <= object_ < n_det
+                and type(predicate) is int and 0 <= predicate < ID_LIMIT
+                and type(score) is float and 0.0 <= score <= 1.0):
+            where = f"relations[{len(relations)}]"
+            _as_int(subject, f"{where}.subject", lo=0)
+            _as_int(object_, f"{where}.object", lo=0)
+            if subject >= n_det or object_ >= n_det:
+                raise ValueError(f"{where} endpoint out of range (frame has {n_det} detections)")
+            _as_int(predicate, f"{where}.predicate", lo=0, hi=ID_LIMIT - 1)
+            score = _as_float(score, f"{where}.score", lo=0.0, hi=1.0)
+        relations.append(Relation2D(subject, object_, predicate, score))
+    return FrameRecord(frame_id, camera, pose, detections, relations)
 
 
 def parse_frame_stream(
@@ -341,7 +283,7 @@ def parse_frame_stream(
     # parses no stream need not load it.
     import orjson
 
-    fast_loads, doubt = orjson.loads, orjson.JSONDecodeError
+    fast_loads = orjson.loads
     last_id = None
     # Bytes, decoded line by line: a line that is not UTF-8 raises
     # UnicodeDecodeError (a ValueError) here, where it costs only that line.
@@ -352,17 +294,18 @@ def parse_frame_stream(
             # orjson accepts a subset of what json accepts and, where both
             # accept, returns an equal object, but for an integer beyond 64
             # bits: that comes back as the nearest float, which is what the
-            # one pass makes of it in a float field and which it refuses by
-            # type in an int field. json and the walk decide, and word the
-            # error of, every line that orjson or the one pass doubts.
+            # reader makes of json's int in a float field and which it
+            # refuses by type in an int field. So json decides every line
+            # that orjson refuses (orjson.JSONDecodeError is a ValueError) or
+            # whose orjson object the reader refuses, and the reader words
+            # the error from json's object. RecursionError: a value nested
+            # too deep to decode, or to repr in an error's message.
             try:
                 frame = _read_frame(fast_loads(line))
-            except doubt:
-                frame = None
-            if frame is None:
+            except (ValueError, RecursionError):
                 try:
-                    frame = _walk_frame(json.loads(line.decode("utf-8")))
-                except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
+                    frame = _read_frame(json.loads(line.decode("utf-8")))
+                except (ValueError, RecursionError) as exc:
                     err = FrameParseError(line_no, str(exc))
                     if on_error is None:
                         raise err from exc
@@ -439,9 +382,14 @@ def read_depth_map(path) -> DepthMap:
     is sliced or copied, and the array is aligned, which a view at the
     13-byte header's offset would not be (an unaligned array takes numpy's
     slower path on every fancy index). The file is read by descriptor, with
-    no buffered file object."""
-    fd = os.open(path, os.O_RDONLY)
+    no buffered file object, and opened without blocking, so that a path
+    naming a FIFO with no writer raises StreamFormatError instead of
+    waiting: anything but a regular file is refused before it is read."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise StreamFormatError(f"{path}: not a regular file")
         header = os.pread(fd, _DEPTH_HEADER.size, 0)
         if len(header) < _DEPTH_HEADER.size:
             raise StreamFormatError(f"{path}: truncated depth header")
@@ -450,7 +398,7 @@ def read_depth_map(path) -> DepthMap:
             raise StreamFormatError(f"{path}: bad magic {magic!r}")
         if version != _DEPTH_VERSION:
             raise StreamFormatError(f"{path}: unsupported version {version}")
-        size = os.fstat(fd).st_size - _DEPTH_HEADER.size
+        size = st.st_size - _DEPTH_HEADER.size
         expected = 4 * w * h
         if size != expected:
             raise StreamFormatError(f"{path}: payload is {size} bytes, header implies {expected}")

@@ -25,6 +25,12 @@ same reservoirs.
 `validate_pose` is the numpy pose check; CameraPose.validate's scalar check
 must reach its verdicts, and word its errors, except within rounding of tol.
 
+`walk_frame` checks a decoded frame line field by field and defines the
+frame grammar. streams._read_frame, the one reader of the package, checks
+in the same order with fast type and range tests; it must give the walk's
+record, with the same types and bits, or raise the walk's error for the
+walk's first failing field.
+
 `export_graph` builds the graph document one Python float at a time;
 graph.save_graph must write exactly the bytes that json's pure-Python encoder
 makes of it.
@@ -63,6 +69,22 @@ from scenefuse.graph import (
     log_det9,
     resolve_predicate,
 )
+from scenefuse.streams import (
+    _BBOX_KEYS,
+    _CAMERA_KEYS,
+    _DETECTION_KEYS,
+    _DETECTION_REQUIRED,
+    _FRAME_KEYS,
+    _POSE_KEYS,
+    _RELATION_KEYS,
+    ID_LIMIT,
+    Detection,
+    FrameRecord,
+    Relation2D,
+    _as_float,
+    _as_int,
+    _require_keys,
+)
 
 log = logging.getLogger("scenefuse")
 
@@ -78,6 +100,98 @@ def validate_pose(pose: CameraPose, tol: float = 1e-9) -> None:
     det = np.linalg.det(R)
     if abs(det - 1.0) > tol:
         raise ValueError(f"rotation must be proper (det {det:.12f} != +1)")
+
+
+def walk_frame(obj) -> FrameRecord:
+    """The FrameRecord of one decoded frame line, checked field by field: the
+    first field that is wrong raises ValueError with the field's path in its
+    message. The walk defines the frame grammar; streams._read_frame must
+    give the same record or the same error."""
+    if not isinstance(obj, dict):
+        raise ValueError("frame line must be a JSON object")
+    _require_keys(obj, _FRAME_KEYS, _FRAME_KEYS, "frame")
+    frame_id = _as_int(obj["frame_id"], "frame_id", lo=0)
+
+    cam_obj = obj["camera"]
+    _require_keys(cam_obj, _CAMERA_KEYS, _CAMERA_KEYS, "camera")
+    camera = CameraIntrinsics(
+        fx=_as_float(cam_obj["fx"], "camera.fx"),
+        fy=_as_float(cam_obj["fy"], "camera.fy"),
+        cx=_as_float(cam_obj["cx"], "camera.cx"),
+        cy=_as_float(cam_obj["cy"], "camera.cy"),
+        width=_as_int(cam_obj["width"], "camera.width", lo=1),
+        height=_as_int(cam_obj["height"], "camera.height", lo=1),
+    )
+    camera.validate()
+
+    pose_obj = obj["pose"]
+    _require_keys(pose_obj, _POSE_KEYS, _POSE_KEYS, "pose")
+    rot = pose_obj["rotation"]
+    tr = pose_obj["translation"]
+    if not (isinstance(rot, list) and len(rot) == 9):
+        raise ValueError("pose.rotation must be a list of 9 row-major floats")
+    if not (isinstance(tr, list) and len(tr) == 3):
+        raise ValueError("pose.translation must be a list of 3 floats")
+    pose = CameraPose(
+        rotation=np.array([_as_float(v, "pose.rotation") for v in rot]).reshape(3, 3),
+        translation=np.array([_as_float(v, "pose.translation") for v in tr]),
+    )
+    try:
+        pose.validate(tol=1e-6)
+    except ValueError as exc:
+        raise ValueError(str(exc)) from exc
+
+    detections = []
+    if not isinstance(obj["detections"], list):
+        raise ValueError("detections must be a list")
+    for i, d in enumerate(obj["detections"]):
+        where = f"detections[{i}]"
+        _require_keys(d, _DETECTION_KEYS, _DETECTION_REQUIRED, where)
+        bbox = d["bbox"]
+        _require_keys(bbox, _BBOX_KEYS, _BBOX_KEYS, f"{where}.bbox")
+        depth = d.get("centroid_depth")
+        if depth is not None:
+            depth = _as_float(depth, f"{where}.centroid_depth")
+        ref = d.get("depth_ref")
+        if ref is not None and not isinstance(ref, str):
+            raise ValueError(f"{where}.depth_ref must be a string path")
+        detections.append(
+            Detection(
+                class_id=_as_int(d["class_id"], f"{where}.class_id", lo=0, hi=ID_LIMIT - 1),
+                score=_as_float(d["score"], f"{where}.score", lo=0.0, hi=1.0),
+                cx=_as_float(bbox["cx"], f"{where}.bbox.cx"),
+                cy=_as_float(bbox["cy"], f"{where}.bbox.cy"),
+                w=_as_float(bbox["w"], f"{where}.bbox.w"),
+                h=_as_float(bbox["h"], f"{where}.bbox.h"),
+                centroid_depth=depth,
+                depth_ref=ref,
+            )
+        )
+        if detections[-1].w <= 0 or detections[-1].h <= 0:
+            raise ValueError(f"{where}.bbox extents must be positive")
+
+    relations = []
+    if not isinstance(obj["relations"], list):
+        raise ValueError("relations must be a list")
+    n_det = len(detections)
+    for i, r in enumerate(obj["relations"]):
+        where = f"relations[{i}]"
+        _require_keys(r, _RELATION_KEYS, _RELATION_KEYS, where)
+        subj = _as_int(r["subject"], f"{where}.subject", lo=0)
+        obj_i = _as_int(r["object"], f"{where}.object", lo=0)
+        if subj >= n_det or obj_i >= n_det:
+            raise ValueError(f"{where} endpoint out of range (frame has {n_det} detections)")
+        relations.append(
+            Relation2D(
+                subject=subj,
+                object=obj_i,
+                predicate=_as_int(r["predicate"], f"{where}.predicate", lo=0, hi=ID_LIMIT - 1),
+                score=_as_float(r["score"], f"{where}.score", lo=0.0, hi=1.0),
+            )
+        )
+
+    return FrameRecord(frame_id=frame_id, camera=camera, pose=pose,
+                       detections=detections, relations=relations)
 
 
 @dataclass(frozen=True)

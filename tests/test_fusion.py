@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import logging
 import math
 import warnings
 import weakref
@@ -630,6 +631,39 @@ def test_build_skips_invalid_region_pixels():
     frame = _frame([_det(score=0.9, w=8.0, h=8.0, depth=None, ref="d.frdp")])
     node = _recorded_node(frame, depth=lambda ref: depth)
     assert node.eval_seen == 8
+
+
+def test_unreadable_depth_map_is_tried_once_per_frame_and_logged(caplog):
+    depth = DepthMap(width=20, height=20, values=np.full((20, 20), 2.0, dtype=np.float32))
+    calls = []
+
+    def provider(ref):
+        calls.append(ref)
+        if ref == "bad.frdp":
+            raise OSError("unreadable")
+        return depth
+
+    # inline depths, so that only the eval-point pass reads the refs; one class each, one node each
+    dets = [_det(cid=c, cx=3.0 + 3 * c, ref="bad.frdp" if c % 2 else "good.frdp") for c in range(6)]
+    no_bad_refs = [replace(d, depth_ref=None) if d.depth_ref == "bad.frdp" else d for d in dets]
+    cfg = FusionConfig()
+    g, g_ref = GlobalSSG(), GlobalSSG()
+    with caplog.at_level(logging.DEBUG, logger="scenefuse"):
+        for fid in range(2):
+            process_frame(_frame(dets, frame_id=fid), g, cfg, rng=np.random.default_rng(fid),
+                          depth_provider=provider, record_eval_points=True)
+    assert calls == ["good.frdp", "bad.frdp"] * 2  # one call per distinct ref per frame
+    logged = [r for r in caplog.records if "bad.frdp" in r.getMessage()]
+    assert [r.levelno for r in logged] == [logging.DEBUG] * 2
+    assert [r.getMessage().startswith(f"frame {fid}:") for fid, r in enumerate(logged)] == [True, True]
+    # a detection whose map cannot be read records what one with no ref records: its mean
+    for fid in range(2):
+        process_frame(_frame(no_bad_refs, frame_id=fid), g_ref, cfg, rng=np.random.default_rng(fid),
+                      depth_provider=lambda ref: depth, record_eval_points=True)
+    assert len(g.nodes) == len(g_ref.nodes) == 6
+    for gid, node in g.nodes.items():
+        assert node.eval_seen == g_ref.nodes[gid].eval_seen
+        assert node.eval_points.tobytes() == g_ref.nodes[gid].eval_points.tobytes()
 
 
 # -- integrate ---------------------------------------------------------------

@@ -10,8 +10,9 @@ drop the same detections, and the per-frame evaluation-point pass must
 equal the per-detection one bit for bit.
 
 The per-frame checks around the merge have references too: the one-pass
-frame reader must accept only what the per-field walk accepts, with equal
-records; the scalar pose check must reach the numpy check's verdicts; a
+frame reader must give the record of the per-field walk that defines the
+frame grammar (reference_fusion.walk_frame), or raise its error with the
+same message; the scalar pose check must reach the numpy check's verdicts; a
 local graph handed over as the lift's float rows must integrate exactly as
 one of hand-built nodes; and the stream parser, which decodes with orjson
 first, must give the records and errors of a json-only reference on raw
@@ -23,6 +24,7 @@ import math
 import tempfile
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -45,8 +47,7 @@ from scenefuse.graph import (
     ClassVocabulary, GlobalSSG, LocalSSG, ObjectNode, RelationEdge, export_graph, load_graph, log_det9, save_graph,
 )
 from scenefuse.streams import (
-    ID_LIMIT, DepthMap, Detection, FrameRecord, Relation2D, _read_frame, _walk_frame,
-    frame_to_obj, parse_frame_stream,
+    ID_LIMIT, DepthMap, Detection, FrameRecord, Relation2D, _read_frame, frame_to_obj, parse_frame_stream,
 )
 from scenefuse.synthetic import orbit_frames
 
@@ -688,28 +689,21 @@ def _record(frame) -> tuple:
             frame.pose.translation.tobytes(), repr(frame.detections), repr(frame.relations))
 
 
-def _walk(obj):
-    """The walk's record, or None where it raises."""
+def _read_outcome(read, obj):
+    """A reader's record, or the message of the ValueError it raises."""
     try:
-        return _walk_frame(obj)
-    except ValueError:
-        return None
+        return _record(read(obj))
+    except ValueError as exc:
+        return str(exc)
 
 
 def _assert_reader_agrees(line: str, valid: bool) -> None:
-    """The one pass accepts only what the walk accepts, with an equal record."""
+    """The one pass gives the walk's record, or raises the walk's error."""
     obj = json.loads(line)
-    fast = _read_frame(obj)
-    walked = _walk(obj)
+    ours = _read_outcome(_read_frame, obj)
+    assert ours == _read_outcome(reference_fusion.walk_frame, obj)
     if valid:
-        assert fast is not None  # the one pass reads every valid frame it is given
-    if fast is not None:
-        assert walked is not None and _record(fast) == _record(walked)
-    elif walked is not None:
-        # the one pass declines a frame the walk accepts only when a sum of
-        # the detections' finite numbers overflows
-        big = [abs(v) for d in walked.detections for v in (d.cx, d.cy, d.w, d.h, d.centroid_depth or 0.0)]
-        assert max(big) >= 1e307
+        assert isinstance(ours, tuple)  # a valid frame is read
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -720,23 +714,27 @@ def test_one_pass_reader_accepts_what_the_walk_accepts(case):
     _assert_reader_agrees(line, valid=not mutations)
 
 
+# a valid frame with ints where floats are allowed, both optional keys and two relations
+_VALID_FRAME = {
+    "frame_id": 3,
+    "camera": {"fx": 500.0, "fy": 500, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480},
+    "pose": {"rotation": [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0, 1], "translation": [0.5, -2.0, 3]},
+    "detections": [
+        {"class_id": 2, "score": 0.9, "bbox": {"cx": 100.0, "cy": 120.0, "w": 40.0, "h": 30},
+         "centroid_depth": 2.5, "depth_ref": "d/0.frdp"},
+        {"class_id": 0, "score": 1, "bbox": {"cx": 300.5, "cy": 200.0, "w": 64.0, "h": 64.0}},
+        {"class_id": 1, "score": 0.8, "bbox": {"cx": 10.0, "cy": 20.0, "w": 8.0, "h": 6.0}},
+    ],
+    "relations": [{"subject": 0, "object": 1, "predicate": 1, "score": 0.7},
+                  {"subject": 1, "object": 0, "predicate": 0, "score": 0}],
+}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_one_pass_reader_on_every_single_mutation():
-    """Each slot of a valid frame given each odd value, each key dropped, and
-    an extra key in each object."""
-    base = {
-        "frame_id": 3,
-        "camera": {"fx": 500.0, "fy": 500, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480},
-        "pose": {"rotation": [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0, 1], "translation": [0.5, -2.0, 3]},
-        "detections": [
-            {"class_id": 2, "score": 0.9, "bbox": {"cx": 100.0, "cy": 120.0, "w": 40.0, "h": 30},
-             "centroid_depth": 2.5, "depth_ref": "d/0.frdp"},
-            {"class_id": 0, "score": 1, "bbox": {"cx": 300.5, "cy": 200.0, "w": 64.0, "h": 64.0}},
-            {"class_id": 1, "score": 0.8, "bbox": {"cx": 10.0, "cy": 20.0, "w": 8.0, "h": 6.0}},
-        ],
-        "relations": [{"subject": 0, "object": 1, "predicate": 1, "score": 0.7},
-                      {"subject": 1, "object": 0, "predicate": 0, "score": 0}],
-    }
+    """Each slot of a valid frame given each odd value, each key dropped, an
+    extra key in each object, and two numbers past 64 bits."""
+    base = _VALID_FRAME
     _assert_reader_agrees(json.dumps(base), valid=True)
     n_slots = len(_slots(base, []))
     for k in range(n_slots):
@@ -757,6 +755,31 @@ def test_one_pass_reader_on_every_single_mutation():
                 del target[key]
             else:
                 target[key] = 1.0
+            _assert_reader_agrees(json.dumps(obj), valid=False)
+    # an int frame_id past 64 bits: orjson makes it a float, which the reader
+    # refuses, and json an int, which it reads
+    big_id = json.dumps(dict(base, frame_id=2 ** 70))
+    _assert_reader_agrees(big_id, valid=True)
+    assert _read_frame(json.loads(big_id)).frame_id == 2 ** 70
+    with pytest.raises(ValueError, match="frame_id must be an integer"):
+        _read_frame(orjson.loads(big_id))
+    # 2**64 written as an int in a float field reads as the nearest float
+    big_cx = json.dumps(base).replace('"cx": 100.0', '"cx": 18446744073709551616')
+    _assert_reader_agrees(big_cx, valid=True)
+    assert _read_frame(json.loads(big_cx)).detections[0].cx == 2.0 ** 64
+
+
+def test_one_pass_reader_words_the_first_of_two_bad_fields():
+    """Each pair of leaves of a valid frame given a bool, which every field
+    refuses: the reader checks in the walk's order."""
+    leaves = [k for k, (c, key) in enumerate(_slots(_VALID_FRAME, [])) if not isinstance(c[key], (dict, list))]
+    for i, a in enumerate(leaves):
+        for b in leaves[i + 1:]:
+            obj = json.loads(json.dumps(_VALID_FRAME))
+            slots = _slots(obj, [])
+            for k in (a, b):
+                container, key = slots[k]
+                container[key] = True
             _assert_reader_agrees(json.dumps(obj), valid=False)
 
 
@@ -904,7 +927,7 @@ def _reference_parse(path, on_error=None):
             if not line.strip():
                 continue
             try:
-                frame = _walk_frame(json.loads(line.decode("utf-8")))
+                frame = reference_fusion.walk_frame(json.loads(line.decode("utf-8")))
             except (ValueError, RecursionError) as exc:
                 err = FrameParseError(line_no, str(exc))
                 if on_error is None:

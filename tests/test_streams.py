@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import signal
 import struct
 import weakref
 
@@ -16,6 +18,9 @@ from scenefuse.errors import (
     StreamFormatError,
     StreamOrderError,
 )
+from scenefuse.fusion import FusionConfig, process_frame
+from scenefuse.geometry import CameraIntrinsics, CameraPose
+from scenefuse.graph import GlobalSSG
 from scenefuse.streams import (
     ID_LIMIT,
     DepthCache,
@@ -349,6 +354,47 @@ def test_depth_reads_from_str_and_pathlike_with_the_same_messages(tmp_path):
             assert str(info.value) == f"{p}: {problem}"
     with pytest.raises(FileNotFoundError):
         read_depth_map(str(tmp_path / "absent.frdp"))
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that blocks for 5 s instead of hanging the suite."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("blocked for 5 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_depth_read_refuses_what_is_not_a_regular_file(tmp_path, alarm):
+    fifo = tmp_path / "d.frdp"
+    os.mkfifo(fifo)  # no writer: a blocking open would wait for one
+    for path in (fifo, str(fifo), tmp_path):
+        with pytest.raises(StreamFormatError) as info:
+            read_depth_map(path)
+        assert str(info.value) == f"{path}: not a regular file"
+    # a frame whose refs name the FIFO finishes: the detection with no inline
+    # depth is dropped, and the one with inline depth has its mean as its point
+    frame = FrameRecord(
+        frame_id=0,
+        camera=CameraIntrinsics(fx=10.0, fy=10.0, cx=10.0, cy=10.0, width=20, height=20),
+        pose=CameraPose(rotation=np.eye(3), translation=np.zeros(3)),
+        detections=[Detection(class_id=0, score=0.9, cx=10.0, cy=10.0, w=4.0, h=4.0, depth_ref="d.frdp"),
+                    Detection(class_id=1, score=0.9, cx=5.0, cy=5.0, w=4.0, h=4.0, centroid_depth=2.0,
+                              depth_ref="d.frdp")],
+        relations=[],
+    )
+    graph = GlobalSSG()
+    result = process_frame(frame, graph, FusionConfig(), rng=np.random.default_rng(0),
+                           depth_provider=DepthCache(tmp_path), record_eval_points=True)
+    assert (result.lifted, result.dropped) == (1, 1)
+    (node,) = graph.nodes.values()
+    assert node.eval_seen == 1
+    assert node.eval_points.tobytes() == node.gaussian.mean.reshape(1, 3).tobytes()
 
 
 def test_depth_negative_value_preserved(tmp_path):
