@@ -4,7 +4,7 @@ integrate culls candidate pairs with an exact bound before it scores them, so
 each query scores only one or two candidates. At that size numpy's per-call
 overhead dominates, and these kernels work on Python floats instead. Gaussians
 are passed as a 3-float mean and a 9-float row-major covariance: the rows that
-LocalSSG's columns and GlobalSSG's row lists hold, read in place. best_match
+LocalSSG's columns and GlobalSSG's row dicts hold, read in place. best_match
 scores both candidate sets of a query in its own two loops, and
 merge_moments_into returns a new mean row and covariance row, which the
 caller hands to the graph to keep, so a merge copies no row.

@@ -252,17 +252,18 @@ def _frame_eval_points(
 
 class _EvalSources(NamedTuple):
     """What build_local_graph lifted a local graph's nodes from: per detection
-    lifted, its index, the detection and the depth map its centroid depth
-    came from (or None); the positions in lifts of the nodes' detections;
-    per detection lifted, its box (cx, cy, w, h) and its lifted mean; and
-    the frame's camera and pose."""
+    lifted, its index and the detection; the positions in lifts of the
+    nodes' detections; per detection lifted, its box (cx, cy, w, h) and its
+    lifted mean; the frame's camera and pose; and the frame's depth maps by
+    ref, each read once (None for a read that failed)."""
 
-    lifts: "list[tuple[int, Detection, DepthMap | None]]"
+    lifts: "list[tuple[int, Detection]]"
     kept: list[int]
     boxes: np.ndarray
     means: np.ndarray
     cam: CameraIntrinsics
     pose: CameraPose
+    depth_maps: "dict[str, DepthMap | None]"
 
 
 def _eval_point_pass(
@@ -273,27 +274,22 @@ def _eval_point_pass(
     floors: list[float] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[int]]:
     """_frame_eval_points over the detections build_local_graph lifted the
-    local graph from, with keys from rng. A detection whose centroid depth
-    came with it reads its depth_ref's map, if any. Each distinct ref is
-    read once per frame; one that cannot be read gives no map, with a debug
-    log."""
-    lifts, kept, boxes, means, cam, pose = local.eval_sources
+    local graph from, with keys from rng. A detection reads its depth_ref's
+    map, if any, from the frame's table (eval_sources.depth_maps), and a ref
+    not in it yet is read into it: each distinct ref is read once per frame.
+    One that cannot be read gives no map, with a debug log."""
+    lifts, kept, boxes, means, cam, pose, depth_maps = local.eval_sources
     maps: list["DepthMap | None"] = []
-    read: dict[str, "DepthMap | None"] = {}  # this frame's refs, read or failed
     for k in kept:
-        _, det, depth_map = lifts[k]
-        ref = det.depth_ref
-        if depth_map is None and depth_provider is not None and ref is not None:
-            if ref in read:
-                depth_map = read[ref]
-            else:
-                try:
-                    depth_map = depth_provider(ref)
-                except (SceneFuseError, OSError) as exc:
-                    log.debug("frame %d: depth map %s unreadable (%s), eval points fall back to means",
-                              local.frame_id, ref, exc)
-                read[ref] = depth_map
-        maps.append(depth_map)
+        ref = lifts[k][1].depth_ref
+        if ref is not None and ref not in depth_maps and depth_provider is not None:
+            depth_maps[ref] = None  # stays None if the read raises
+            try:
+                depth_maps[ref] = depth_provider(ref)
+            except (SceneFuseError, OSError) as exc:
+                log.debug("frame %d: depth map %s unreadable (%s), eval points fall back to means",
+                          local.frame_id, ref, exc)
+        maps.append(depth_maps.get(ref))
     if len(kept) < len(lifts):
         boxes, means = boxes[kept], means[kept]
     return _frame_eval_points(boxes, maps, means, cam, pose, cfg.eval_point_cap, rng, floors)
@@ -316,34 +312,43 @@ def build_local_graph(
     highest score; the survivors are sorted by descending score and truncated
     to top_k_relations. Self-relations are dropped.
 
+    Each distinct depth_ref is read once per frame, through depth_provider:
+    a read that fails is not tried again for the frame's other detections,
+    each of which is dropped with its own debug log.
+
     The local graph holds no eval points; it keeps what its nodes were
     lifted from (eval_sources), from which record_points draws them once
     integrate has placed the nodes.
     """
-    lifts: list[tuple[int, "Detection", "DepthMap | None"]] = []
+    lifts: list[tuple[int, "Detection"]] = []
+    depth_maps: dict[str, "DepthMap | None"] = {}  # this frame's refs: the map read, or None if it failed
     depths: list[float] = []
     coords: list[float] = []  # the boxes, (cx, cy, w, h) per detection lifted
     for det_idx, det in enumerate(frame.detections):
         if det.score < cfg.confidence_threshold:
             continue
-        depth_map = None
         z = det.centroid_depth
         if z is None:
-            if depth_provider is None or det.depth_ref is None:
+            ref = det.depth_ref
+            if depth_provider is None or ref is None:
                 log.debug("frame %d det %d: no depth source, dropped", frame.frame_id, det_idx)
                 continue
             from .streams import sample_centroid_depth
 
             try:
-                depth_map = depth_provider(det.depth_ref)
-                z = sample_centroid_depth(det, depth_map)
+                if ref not in depth_maps:
+                    depth_maps[ref] = None  # stays None if the read raises
+                    depth_maps[ref] = depth_provider(ref)
+                elif depth_maps[ref] is None:
+                    raise MissingDepthError(f"depth map {ref} could not be read earlier in the frame")
+                z = sample_centroid_depth(det, depth_maps[ref])
             except (MissingDepthError, SceneFuseError, OSError) as exc:
                 log.debug("frame %d det %d: depth lookup failed (%s), dropped", frame.frame_id, det_idx, exc)
                 continue
         if not math.isfinite(z) or z < cfg.min_depth:
             log.debug("frame %d det %d: depth %r rejected, dropped", frame.frame_id, det_idx, z)
             continue
-        lifts.append((det_idx, det, depth_map))
+        lifts.append((det_idx, det))
         depths.append(z)
         coords += (det.cx, det.cy, det.w, det.h)
     # the columns of the local graph, one entry per detection kept
@@ -356,7 +361,7 @@ def build_local_graph(
     if lifts:
         boxes = np.array(coords).reshape(-1, 4)
         means, covs, errors = lift_detections(boxes, np.array(depths), cam, pose)
-        for k, (det_idx, det, _) in enumerate(lifts):
+        for k, (det_idx, det) in enumerate(lifts):
             if errors[k] is None:
                 index_map[det_idx] = len(kept)
                 kept.append(k)
@@ -384,7 +389,7 @@ def build_local_graph(
     ]
     local = LocalSSG.from_columns(frame.frame_id, edges, class_ids, scores, row_means, row_covs)
     if kept:
-        local.eval_sources = _EvalSources(lifts, kept, boxes, means, cam, pose)
+        local.eval_sources = _EvalSources(lifts, kept, boxes, means, cam, pose, depth_maps)
     return local
 
 

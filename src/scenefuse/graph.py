@@ -5,13 +5,14 @@ Both graphs store node state as columns of Python values, not as node
 objects. The local graph is nothing but columns (class ids, weights, score
 sums, eval-point reservoirs, and Gaussians as a 3-float mean row and a
 9-float covariance row); its `nodes` are built from them when read. The
-global graph stores every node's Gaussian once, as such rows, and indexes
-each class's nodes by mean x. The fusion engine merges a few nodes per
-detection, one at a time, and at that size numpy's per-call cost outweighs
-the arithmetic: the engine reads and writes the float rows and finds
-candidates through the per-class view of the x index (GlobalSSG.x_order and
-x_var_bounds, read but never written by the engine), with no numpy call per
-merge. A global node's `gaussian` is a Gaussian3D built from its rows each
+global graph stores every node's Gaussian once, as such rows keyed by node
+id (so they hold the live nodes and nothing else, whatever the ids), and
+indexes each class's nodes by mean x. The fusion engine merges a few nodes
+per detection, one at a time, and at that size numpy's per-call cost
+outweighs the arithmetic: the engine reads and writes the float rows and
+finds candidates through the per-class view of the x index (GlobalSSG.x_order
+and x_var_bounds, read but never written by the engine), with no numpy call
+per merge. A global node's `gaussian` is a Gaussian3D built from its rows each
 time it is read; the rows are the only store of node Gaussians. The graph
 derives each row's log-determinant itself, where it stores the row, and
 `validate` checks them all. Eval points without keys get them where
@@ -259,10 +260,10 @@ def resolve_predicate(edge: RelationEdge) -> int:
 
 class _GlobalNode(ObjectNode):
     """A node of a GlobalSSG. Its Gaussian is its row in the graph's row
-    lists, and nowhere else; `gaussian` builds a new Gaussian3D from that row
+    dicts, and nowhere else; `gaussian` builds a new Gaussian3D from that row
     each time it is read. Write it through GlobalSSG.set_gaussian or store_row.
-    The node holds the graph's row lists, not the graph, so that a graph and
-    its nodes form no reference cycle.
+    The node holds the graph's row dicts, not the graph, so that a graph and
+    its nodes form no reference cycle; the graph never replaces them.
 
     Its eval-point reservoir merges lazily (merge_eval_points): the held
     points and keys (_points, _keys) are followed by pending keyed chunks,
@@ -391,23 +392,25 @@ class GlobalSSG:
     edges:       (subject_id, object_id) -> RelationEdge
     next_id:     monotone id counter, never reused
 
-    Node Gaussians are stored once, as Python floats indexed by node id:
-    row_means[i] (3 floats), row_covs[i] (9 floats, row-major) and
-    row_logdets[i]. The fusion engine reads these rows and the per-class
-    view directly and writes rows through store_row; a node's `gaussian` is
-    built from its row when read. The per-class view is the only index of
-    nodes by class: x_order[class_id] is (xs, ids), the class's node ids in
-    order of mean x and their xs, and x_var_bounds[class_id] an upper bound
-    on their x variances (covariance entry 0). Only the graph writes it.
+    Node Gaussians are stored once, as Python floats in dicts keyed by node
+    id, which hold exactly the live nodes' ids: row_means[i] (3 floats),
+    row_covs[i] (9 floats, row-major) and row_logdets[i]. So the graph's
+    memory follows its nodes, not the size of their ids. The fusion engine
+    reads these rows and the per-class view directly and writes rows through
+    store_row; a node's `gaussian` is built from its row when read. The
+    per-class view is the only index of nodes by class: x_order[class_id] is
+    (xs, ids), the class's node ids in order of mean x and their xs, and
+    x_var_bounds[class_id] an upper bound on their x variances (covariance
+    entry 0). Only the graph writes it.
     """
 
     def __init__(self):
         self.nodes: dict[int, ObjectNode] = {}
         self.edges: dict[tuple[int, int], RelationEdge] = {}
         self.next_id: int = 0
-        self.row_means: list[list[float] | None] = []
-        self.row_covs: list[list[float] | None] = []
-        self.row_logdets: list[float] = []
+        self.row_means: dict[int, list[float]] = {}
+        self.row_covs: dict[int, list[float]] = {}
+        self.row_logdets: dict[int, float] = {}
         self.x_order: dict[int, tuple[list[float], list[int]]] = {}
         self.x_var_bounds: dict[int, float] = {}
 
@@ -421,7 +424,7 @@ class GlobalSSG:
         node's class id. Precondition, not checked here, as add_node's: a
         mean and covariance that gaussian_problem accepts."""
         xs, ids = self.x_order[class_id]
-        old = self.row_means[nid]
+        old = self.row_means.get(nid)
         x = mean[0]
         if old is None:
             k = bisect.bisect_right(xs, x)
@@ -468,17 +471,16 @@ class GlobalSSG:
         Eval points without keys get their A-ES keys here, where they enter
         the graph (_aes_keys, seeded by the node id, so that they do not
         depend on the order nodes are added in); no merge draws a key.
+
+        ValueError, before the graph changes, for a node_id that is not a
+        non-negative int (a bool is not one) or that is already present.
         """
         nid = self.next_id if node_id is None else node_id
+        if type(nid) is not int or nid < 0:
+            raise ValueError(f"node id {nid!r} is not a non-negative integer")
         if nid in self.nodes:
             raise ValueError(f"node id {nid} already present")
         eval_keys = _aes_keys(eval_points, eval_keys, eval_seen, nid)
-        if nid >= len(self.row_means):
-            grow = nid + 1 - len(self.row_means)
-            # extended in place, never replaced: the nodes hold these lists
-            self.row_means += [None] * grow
-            self.row_covs += [None] * grow
-            self.row_logdets += [-math.inf] * grow
         node = _GlobalNode(self.row_means, self.row_covs, nid, class_id, weight, score_sum,
                            eval_points, eval_seen, eval_keys)
         self.nodes[nid] = node
@@ -514,6 +516,8 @@ class GlobalSSG:
 
     def validate(self, eval_point_cap: int | None = None) -> None:
         """Check every structural invariant; raises AssertionError on breakage."""
+        for rows in (self.row_means, self.row_covs, self.row_logdets):
+            assert rows.keys() == self.nodes.keys(), "rows out of sync with nodes"
         # every node sits in its own class's x order, once, and in no other
         indexed = sorted(i for _, ids in self.x_order.values() for i in ids)
         assert indexed == sorted(self.nodes), "x order out of sync with nodes"

@@ -530,14 +530,17 @@ def best_match_np(
 
 def graph_arrays(g: GlobalSSG) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The graph's node rows as arrays indexed by node id: means (n, 3),
-    covariances (n, 3, 3) and log-determinants (n,); unused ids read 0."""
-    n = len(g.row_means)
+    covariances (n, 3, 3) and log-determinants (n,) for the ids below
+    next_id; unused ids read 0, with log-determinant -inf."""
+    n = g.next_id
     means = np.zeros((n, 3))
     covs = np.zeros((n, 3, 3))
+    logdets = np.full(n, -np.inf)
     for i in g.nodes:
         means[i] = g.row_means[i]
         covs[i] = np.reshape(g.row_covs[i], (3, 3))
-    return means, covs, np.array(g.row_logdets, dtype=np.float64)
+        logdets[i] = g.row_logdets[i]
+    return means, covs, logdets
 
 
 @dataclass

@@ -666,6 +666,37 @@ def test_unreadable_depth_map_is_tried_once_per_frame_and_logged(caplog):
         assert node.eval_points.tobytes() == g_ref.nodes[gid].eval_points.tobytes()
 
 
+def test_depth_less_detections_try_an_unreadable_ref_once(caplog):
+    depth = DepthMap(width=20, height=20, values=np.full((20, 20), 2.0, dtype=np.float32))
+    calls = []
+
+    def provider(ref):
+        calls.append(ref)
+        if ref == "bad.frdp":
+            raise OSError("unreadable")
+        return depth
+
+    # five depth-less detections share the unreadable ref; a sixth reads a good one, and
+    # a seventh, with its depth inline, carries the unreadable ref to the eval-point pass
+    dets = [_det(cid=c, cx=2.0 + 2 * c, depth=None, ref="bad.frdp") for c in range(5)]
+    dets += [_det(cid=5, cx=14.0, depth=None, ref="good.frdp"), _det(cid=6, cx=17.0, ref="bad.frdp")]
+    g = GlobalSSG()
+    with caplog.at_level(logging.DEBUG, logger="scenefuse"):
+        result = process_frame(_frame(dets), g, FusionConfig(), rng=np.random.default_rng(0),
+                               depth_provider=provider, record_eval_points=True)
+    assert calls == ["bad.frdp", "good.frdp"]  # each ref once in the frame, lift and pass together
+    assert (result.lifted, result.dropped) == (2, 5)
+    dropped = [r for r in caplog.records if "dropped" in r.getMessage()]
+    assert [r.getMessage().split(":")[0] for r in dropped] == [f"frame 0 det {k}" for k in range(5)]
+    assert all(r.levelno == logging.DEBUG and "depth lookup failed" in r.getMessage() for r in dropped)
+    assert "unreadable" in dropped[0].getMessage()
+    # the inline detection's map is the failed read: it records its mean, as with no ref
+    (inline,) = [n for n in g.nodes.values() if n.class_id == 6]
+    assert inline.eval_seen == 1
+    np.testing.assert_array_equal(inline.eval_points, inline.gaussian.mean.reshape(1, 3))
+    g.validate()
+
+
 # -- integrate ---------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import bisect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,38 @@ def test_rows_follow_many_nodes_and_explicit_ids():
         np.testing.assert_array_equal(g.nodes[nid].gaussian.mean, gaussian.mean)
 
 
+def test_add_node_refuses_a_bad_id_before_the_graph_changes():
+    def state(g):
+        return (dict(g.nodes), dict(g.row_means), dict(g.row_covs), dict(g.row_logdets),
+                {cid: (list(xs), list(ids)) for cid, (xs, ids) in g.x_order.items()},
+                dict(g.x_var_bounds), g.next_id)
+
+    for g in (GlobalSSG(), _populated_graph()):
+        before = state(g)
+        for bad in (-1, -7, True, False, 2.0, "3", np.int64(3)):
+            with pytest.raises(ValueError, match="is not a non-negative integer"):
+                g.add_node(class_id=2, gaussian=_gauss([1, 2, 3]), node_id=bad)
+            assert state(g) == before
+        g.validate()
+
+
+def test_rows_hold_only_live_ids_however_large():
+    g = GlobalSSG()
+    g.add_node(class_id=1, gaussian=_gauss([1, 2, 3]), node_id=2_000_000)
+    doc = export_graph(g, _vocab())
+    tracemalloc.start()
+    try:
+        loaded, vocab = import_graph(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # rows sized by the id took tens of MB
+    assert list(loaded.nodes) == list(loaded.row_means) == list(loaded.row_covs) == list(loaded.row_logdets)
+    assert list(loaded.nodes) == [2_000_000] and loaded.next_id == 2_000_001
+    assert export_graph(loaded, vocab) == doc
+    loaded.validate()
+
+
 def test_accumulate_edge_rejects_self_loop_and_dangling():
     g = _populated_graph()
     with pytest.raises(InvalidEdgeError):
@@ -233,6 +266,20 @@ def test_validate_detects_row_corruption():
     def list_twice(g):
         g.x_order[1] = ([0.0, 0.0], [1, 1])
 
+    def stray_row(rows):
+        def corrupt(g):
+            rows(g)[7] = rows(g)[1]  # no node 7
+
+        return corrupt
+
+    def drop_row(rows):
+        def corrupt(g):
+            del rows(g)[1]
+
+        return corrupt
+
+    row_dicts = (lambda g: g.row_means, lambda g: g.row_covs, lambda g: g.row_logdets)
+
     for corrupt, message in (
         (corrupt_logdet, "log-determinant out of sync"),
         (corrupt_x_order, "x order broken"),
@@ -242,6 +289,8 @@ def test_validate_detects_row_corruption():
         (drop_from_x_order, "x order out of sync with nodes"),
         (change_class, "x order class mismatch"),
         (list_twice, "x order out of sync with nodes"),
+        *((stray_row(rows), "rows out of sync with nodes") for rows in row_dicts),
+        *((drop_row(rows), "rows out of sync with nodes") for rows in row_dicts),
     ):
         g = _populated_graph()
         g.validate()
