@@ -387,10 +387,8 @@ def build_local_graph(
         RelationEdge(subject_id=s, object_id=o, votes={pid: [1, score]})
         for (s, o), (pid, score) in ranked
     ]
-    local = LocalSSG.from_columns(frame.frame_id, edges, class_ids, scores, row_means, row_covs)
-    if kept:
-        local.eval_sources = _EvalSources(lifts, kept, boxes, means, cam, pose, depth_maps)
-    return local
+    sources = _EvalSources(lifts, kept, boxes, means, cam, pose, depth_maps) if kept else None
+    return LocalSSG(frame.frame_id, edges, class_ids, scores, row_means, row_covs, sources)
 
 
 # Relative slack on the cull bound and the scorer's early reject, for rounding
@@ -431,10 +429,12 @@ def integrate(
 ) -> tuple[GlobalSSG, list[MergeEvent]]:
     """Fold a local graph into the global graph; returns it plus merge events.
 
-    The global graph is mutated in place. Node weight is conserved: the total
-    global weight grows by exactly the sum of local node weights. Every local
-    edge lands on the merged endpoints' global nodes unless the merge made it
-    a self-loop, in which case it is dropped.
+    The global graph is mutated in place. Node weight is conserved: every
+    local node is one detection, and the total global weight grows by
+    exactly their number. Every local edge lands on the merged endpoints'
+    global nodes unless the merge made it a self-loop, in which case it is
+    dropped. An edge whose endpoint is not a local node raises
+    MergeContractError before the global graph changes.
 
     Candidates are culled before they are scored: a same-class candidate that
     the per-axis reach of _gate_bound rules out, in the current state of both
@@ -448,11 +448,11 @@ def integrate(
     Eval-point reservoirs play no part in the decisions, and integrate
     leaves them as they are; record_points records them afterwards.
 
-    integrate reads only the local graph's columns, never its `nodes` view,
-    and leaves them as they are. It sets local.placement to the merge
-    order: the local nodes each root carried (the root, then the queued
-    peers it absorbed, in absorb order), root by root, in the order the
-    roots left the queue, each with the global node it ended in.
+    integrate reads the local graph's columns and leaves them as they are.
+    It sets local.placement to the merge order: the local nodes each root
+    carried (the root, then the queued peers it absorbed, in absorb order),
+    root by root, in the order the roots left the queue, each with the
+    global node it ended in.
     """
     cls = local.class_ids
     n = len(cls)
@@ -461,11 +461,15 @@ def integrate(
         if local.edges:
             raise MergeContractError("local graph has edges but no nodes")
         return global_graph, events
+    for edge in local.edges:
+        s, o = edge.subject_id, edge.object_id
+        if not (0 <= s < n and 0 <= o < n):
+            raise MergeContractError(f"edge references unknown local node {o if 0 <= s < n else s}")
 
     # working state of the queue, per local node: the local graph's rows and
     # sums (copied where a merge of queued peers changes them), the
     # Gaussian's log det, and the global node it ends in
-    weight = list(local.weights)
+    weight = [1] * n
     score = list(local.score_sums)
     qm = list(local.row_means)
     qc = list(local.row_covs)
@@ -573,10 +577,7 @@ def integrate(
 
     local.placement = placement
     for edge in local.edges:
-        s, o = edge.subject_id, edge.object_id
-        if not (0 <= s < n and 0 <= o < n):
-            raise MergeContractError(f"edge references unknown local node {o if 0 <= s < n else s}")
-        s, o = gid_of[s], gid_of[o]
+        s, o = gid_of[edge.subject_id], gid_of[edge.object_id]
         if s == o:
             continue
         global_graph.accumulate_edge(s, o, edge.votes)
@@ -599,31 +600,25 @@ def record_points(
     points' keys, and merges by key are associative, so this keeps the
     points, in the order, that merging at every decision would.
 
-    A local graph from build_local_graph has its points drawn here, in one
-    pass over its detections' windows (_frame_eval_points) with keys from
-    rng. The pass drops the pixels whose keys are at or below the floor of
-    the reservoir they go to (_GlobalNode.eval_floor), which could never
-    keep them, so they are never back-projected. A local graph built from
-    nodes (eval_sources None) merges its own eval-point columns and draws
-    nothing. A local graph that integrate has not placed records nothing.
+    The points are drawn here from what build_local_graph lifted the nodes
+    from (local.eval_sources), in one pass over their detections' windows
+    (_frame_eval_points) with keys from rng. The pass drops the pixels whose
+    keys are at or below the floor of the reservoir they go to
+    (_GlobalNode.eval_floor), which could never keep them, so they are never
+    back-projected. A local graph without eval_sources, or one that
+    integrate has not placed, records nothing and draws nothing.
     """
     placement = local.placement
-    if not placement:
+    if not placement or local.eval_sources is None:
         return
     cap = cfg.eval_point_cap
     nodes = graph.nodes
-    if local.eval_sources is None:
-        points, keys, seen = local.eval_points, local.eval_keys, local.eval_seen
-    else:
-        floors = [0.0] * len(placement)
-        for k, gid in placement:
-            floors[k] = nodes[gid].eval_floor(cap)
-        points, keys, seen = _eval_point_pass(local, cfg, depth_provider, rng, floors)
+    floors = [0.0] * len(placement)
     for k, gid in placement:
-        if points[k] is None:
-            nodes[gid].eval_seen += seen[k]  # a merge of nothing adds only its count
-        else:
-            nodes[gid].merge_eval_points(points[k], keys[k], seen[k], cap)
+        floors[k] = nodes[gid].eval_floor(cap)
+    points, keys, seen = _eval_point_pass(local, cfg, depth_provider, rng, floors)
+    for k, gid in placement:
+        nodes[gid].merge_eval_points(points[k], keys[k], seen[k], cap)
 
 
 def process_frame(

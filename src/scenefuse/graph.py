@@ -2,17 +2,16 @@
 the per-frame local graph plus the accumulated global graph.
 
 Both graphs store node state as columns of Python values, not as node
-objects. The local graph is nothing but columns (class ids, weights, score
-sums, eval-point reservoirs, and Gaussians as a 3-float mean row and a
-9-float covariance row); its `nodes` are built from them when read. The
-global graph stores every node's Gaussian once, as such rows keyed by node
-id (so they hold the live nodes and nothing else, whatever the ids), and
-indexes each class's nodes by mean x. The fusion engine merges a few nodes
-per detection, one at a time, and at that size numpy's per-call cost
-outweighs the arithmetic: the engine reads and writes the float rows and
-finds candidates through the per-class view of the x index (GlobalSSG.x_order
-and x_var_bounds, read but never written by the engine), with no numpy call
-per merge. A global node's `gaussian` is a Gaussian3D built from its rows each
+objects. The local graph, which the lift builds (fusion.build_local_graph),
+is nothing but columns (class ids, score sums, and Gaussians as a 3-float
+mean row and a 9-float covariance row). The global graph stores every
+node's Gaussian once, as such rows keyed by node id (so they hold the live
+nodes and nothing else, whatever the ids), and indexes each class's nodes by
+mean x. The fusion engine merges a few nodes per detection, one at a time,
+and at that size numpy's per-call cost outweighs the arithmetic: the engine
+reads and writes the float rows and finds candidates through the per-class
+view of the x index (GlobalSSG.x_order and x_var_bounds, read but never
+written by the engine), with no numpy call per merge. A global node's `gaussian` is a Gaussian3D built from its rows each
 time it is read; the rows are the only store of node Gaussians. The graph
 derives each row's log-determinant itself, where it stores the row, and
 `validate` checks them all. Eval points without keys get them where
@@ -21,8 +20,7 @@ they enter the graph (add_node); no merge draws a key.
 Means and covariances are finite; covariances are symmetric, and positive
 definite unless degenerate (log_det9 is -inf). The lift (which refuses a
 row that is not finite) and the moment merge give such rows; what comes from
-outside is checked where it enters (gaussian_problem: import_graph, LocalSSG
-built from nodes).
+outside is checked where it enters (gaussian_problem, in import_graph).
 """
 
 from __future__ import annotations
@@ -32,11 +30,15 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidEdgeError, MergeContractError, StreamFormatError
 from .geometry import Gaussian3D
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .fusion import _EvalSources
 
 logger = logging.getLogger(__name__)
 
@@ -128,8 +130,7 @@ class ObjectNode:
     evaluation, reservoir-capped; eval_seen counts every point ever offered
     to the reservoir. eval_keys holds one sampling key in [0, 1] per row of
     eval_points (see merge_point_reservoirs). Points that enter a graph
-    without keys get them there: GlobalSSG.add_node draws them, and a
-    LocalSSG built from nodes refuses them.
+    without keys get them there: GlobalSSG.add_node draws them.
     """
 
     id: int
@@ -159,94 +160,33 @@ class RelationEdge:
             tally[1] += score_sum
 
 
+@dataclass(eq=False)  # compared by identity: eval_sources holds arrays
 class LocalSSG:
-    """Per-frame lifted graph; node ids are dense 0-based local indices.
+    """Per-frame lifted graph, as build_local_graph returns it; node ids are
+    dense 0-based local indices.
 
-    The columns are the store, one entry per node i: class_ids[i],
-    weights[i], score_sums[i], its eval-point reservoir (eval_points[i], None
-    or a (k, 3) array, with eval_keys[i] and the count seen eval_seen[i]),
-    and its Gaussian as rows of Python floats, row_means[i] (3 floats) and
-    row_covs[i] (9 floats, row-major). integrate reads only the columns and
-    leaves them as they are. `nodes` is a view: a list of ObjectNodes built
-    from the columns each time it is read, so changing one changes nothing.
+    Every node is one detection, of weight 1. The columns are the store, one
+    entry per node i: class_ids[i], score_sums[i] and its Gaussian as rows of
+    Python floats, row_means[i] (3 floats) and row_covs[i] (9 floats,
+    row-major). They are the lift's rows and are not checked: they are
+    covariances by construction. integrate reads only the columns and leaves
+    them as they are.
 
-    build_local_graph fills the columns straight from the stacked lift
-    (from_columns). LocalSSG(frame_id, nodes, edges) takes them from the
-    nodes, whose ids must be 0, 1, ... in order, and raises
-    MergeContractError for a node with eval points without keys or with a
-    Gaussian the gate cannot score (gaussian_problem, as import_graph); a
-    degenerate covariance is accepted.
-
-    Two attributes are not columns. eval_sources is what build_local_graph
-    lifted the nodes from (None for a graph built from nodes). placement is
-    set by integrate: (local node, global node) pairs in merge order.
-    fusion.record_points, run after integrate, merges eval points in
-    placement order: those it draws from eval_sources if the graph has
-    them, else those of the eval_points, eval_keys and eval_seen columns.
-    build_local_graph leaves those columns empty (None, None and 0).
+    eval_sources is what build_local_graph lifted the nodes from (None when
+    it kept no detection). placement is set by integrate: (local node,
+    global node) pairs in merge order. fusion.record_points, run after
+    integrate, draws the nodes' eval points from eval_sources and merges
+    them in placement order; a graph without eval_sources records nothing.
     """
 
-    eval_sources = None
+    frame_id: int
+    edges: list[RelationEdge]
+    class_ids: list[int]
+    score_sums: list[float]
+    row_means: list[list[float]]
+    row_covs: list[list[float]]
+    eval_sources: _EvalSources | None = None
     placement: list[tuple[int, int]] | None = None
-
-    def __init__(self, frame_id: int, nodes: list[ObjectNode], edges: list[RelationEdge]):
-        for i, node in enumerate(nodes):
-            if node.id != i:
-                raise MergeContractError(f"local node {node.id} at position {i}: ids must be 0, 1, ...")
-            if node.eval_keys is None and node.eval_points is not None and len(node.eval_points):
-                raise MergeContractError(f"local node {node.id} has eval points without keys")
-        self.frame_id = frame_id
-        self.edges = edges
-        self.class_ids = [node.class_id for node in nodes]
-        self.weights = [node.weight for node in nodes]
-        self.score_sums = [node.score_sum for node in nodes]
-        self.eval_points = [node.eval_points for node in nodes]
-        self.eval_keys = [node.eval_keys for node in nodes]
-        self.eval_seen = [node.eval_seen for node in nodes]
-        self.row_means = [node.gaussian.mean.tolist() for node in nodes]
-        self.row_covs = [node.gaussian.cov.reshape(9).tolist() for node in nodes]
-        for i, (mean, cov) in enumerate(zip(self.row_means, self.row_covs)):
-            problem = gaussian_problem(mean, cov)
-            if problem is not None:
-                raise MergeContractError(f"local node {i}: {problem}")
-
-    @classmethod
-    def from_columns(
-        cls,
-        frame_id: int,
-        edges: list[RelationEdge],
-        class_ids: list[int],
-        score_sums: list[float],
-        row_means: list[list[float]],
-        row_covs: list[list[float]],
-    ) -> "LocalSSG":
-        """A local graph of weight-1 nodes without eval points whose columns
-        are these lists, which it keeps; nothing is checked (the lift's rows
-        are covariances by construction)."""
-        n = len(class_ids)
-        local = cls.__new__(cls)
-        local.frame_id = frame_id
-        local.edges = edges
-        local.class_ids = class_ids
-        local.weights = [1] * n
-        local.score_sums = score_sums
-        local.eval_points = [None] * n
-        local.eval_keys = [None] * n
-        local.eval_seen = [0] * n
-        local.row_means = row_means
-        local.row_covs = row_covs
-        return local
-
-    @property
-    def nodes(self) -> list[ObjectNode]:
-        return [
-            ObjectNode(id=i, class_id=cid, gaussian=Gaussian3D(mean=np.array(mean), cov=np.array(cov)),
-                       weight=w, score_sum=score, eval_points=points, eval_seen=seen, eval_keys=keys)
-            for i, (cid, w, score, mean, cov, points, keys, seen) in enumerate(zip(
-                self.class_ids, self.weights, self.score_sums, self.row_means, self.row_covs,
-                self.eval_points, self.eval_keys, self.eval_seen,
-            ))
-        ]
 
 
 def resolve_predicate(edge: RelationEdge) -> int:
@@ -465,8 +405,7 @@ class GlobalSSG:
         it is degenerate (log_det9 is -inf); see gaussian_problem. The gate
         scores pairs wrongly otherwise, and validate fails. Rows of
         the lift and of the moment merge meet it by construction;
-        import_graph and a LocalSSG built from nodes check what comes from
-        outside.
+        import_graph checks what comes from outside.
 
         Eval points without keys get their A-ES keys here, where they enter
         the graph (_aes_keys, seeded by the node id, so that they do not

@@ -6,21 +6,24 @@ pseudo-inverse, and the back-projected covariance. geometry.lift_detections,
 the one lift of the package, must equal it bit for bit row by row, and raise
 the same errors with the same messages.
 
-`integrate` here is the plain per-query form of the engine's algorithm:
-every query scans every live same-class candidate with the vectorized numpy
-Hellinger kernel, merges go through the numpy moment merge, and point
-reservoirs merge by a full sort of their keys. The engine, which culls
-candidates first, scores and merges in scalar Python and partitions keys,
-must reproduce its decisions, merge events, distances and reservoirs
-exactly; tests/test_oracle.py checks that on random streams. Neither integrate
-draws a random number: every point already has its key.
+`integrate` here is the plain per-query form of the engine's algorithm, on
+a local graph given as a list of nodes (`LocalNodes`), each with its weight
+and eval points: every query scans every live same-class candidate with the
+vectorized numpy Hellinger kernel, merges go through the numpy moment merge,
+and point reservoirs merge at every decision, by a full sort of their keys.
+The engine, which culls candidates first, scores and merges in scalar Python
+and records eval points after its decisions, must reproduce its decisions,
+merge events, distances and reservoirs exactly; tests/test_oracle.py checks
+that on random streams. This integrate draws no random number: every point
+already has its key. `local_ssg` hands weight-1 nodes without eval points to
+the engine as the columns of a LocalSSG.
 
 `frame_eval_points` back-projects evaluation points one detection at a time
 (`eval_region_points`); the engine's one pass over a frame must equal it bit
-for bit. `record_in_the_lift` fills a local graph's eval-point columns before
-any decision, with no floors, so that this integrate merges them eagerly;
-fusion.record_points, which draws them after the decisions, must give the
-same reservoirs.
+for bit. `record_in_the_lift` gives the nodes of a local graph from
+build_local_graph with their eval points drawn before any decision, with no
+floors, so that this integrate merges them eagerly; fusion.record_points,
+which draws them after the decisions, must give the same reservoirs.
 
 `validate_pose` is the numpy pose check; CameraPose.validate's scalar check
 must reach its verdicts, and word its errors, except within rounding of tol.
@@ -45,6 +48,7 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +70,8 @@ from scenefuse.graph import (
     ClassVocabulary,
     GlobalSSG,
     LocalSSG,
+    ObjectNode,
+    RelationEdge,
     log_det9,
     resolve_predicate,
 )
@@ -434,12 +440,40 @@ def frame_eval_points(dets, maps, means, cam, pose, cap, rng):
     return points, keys, seen
 
 
-def record_in_the_lift(local: LocalSSG, cfg: FusionConfig, rng: np.random.Generator, depth_provider=None) -> None:
-    """Fill the eval-point columns of a local graph from build_local_graph with
-    the engine's pass (fusion._eval_point_pass), with keys from rng and no
-    floors: every valid pixel of a window is back-projected."""
-    if local.eval_sources is not None:
-        local.eval_points, local.eval_keys, local.eval_seen = _eval_point_pass(local, cfg, depth_provider, rng)
+class LocalNodes(NamedTuple):
+    """A local graph as a list of nodes, whose ids are 0, 1, ... in order: the
+    form this module's integrate takes."""
+
+    frame_id: int
+    nodes: list[ObjectNode]
+    edges: list[RelationEdge]
+
+
+def local_ssg(frame_id: int, nodes: list[ObjectNode], edges: list[RelationEdge]) -> LocalSSG:
+    """The engine's local graph of these nodes, which must have ids 0, 1, ...
+    in order, weight 1 and no eval points, as the lift's nodes have."""
+    for i, node in enumerate(nodes):
+        assert node.id == i and node.weight == 1 and node.eval_points is None, f"node {i} is not a lifted node"
+    return LocalSSG(frame_id, edges, [node.class_id for node in nodes], [node.score_sum for node in nodes],
+                    [node.gaussian.mean.tolist() for node in nodes],
+                    [node.gaussian.cov.reshape(9).tolist() for node in nodes])
+
+
+def record_in_the_lift(local: LocalSSG, cfg: FusionConfig, rng: np.random.Generator,
+                       depth_provider=None) -> LocalNodes:
+    """The nodes of a local graph from build_local_graph, with eval points
+    drawn by the engine's pass (fusion._eval_point_pass), with keys from rng
+    and no floors: every valid pixel of a window is back-projected."""
+    n = len(local.class_ids)
+    points, keys, seen = ([None] * n, [None] * n, [0] * n) if local.eval_sources is None else \
+        _eval_point_pass(local, cfg, depth_provider, rng)
+    nodes = [
+        ObjectNode(id=i, class_id=cid, gaussian=Gaussian3D(mean=mean, cov=cov), weight=1, score_sum=score,
+                   eval_points=points[i], eval_seen=seen[i], eval_keys=keys[i])
+        for i, (cid, score, mean, cov) in enumerate(zip(local.class_ids, local.score_sums,
+                                                         local.row_means, local.row_covs))
+    ]
+    return LocalNodes(local.frame_id, nodes, local.edges)
 
 
 def log_det9_batch(a: np.ndarray) -> np.ndarray:
@@ -557,7 +591,7 @@ class _Slot:
 
 
 def integrate(
-    local: LocalSSG,
+    local: LocalNodes,
     global_graph: GlobalSSG,
     cfg: FusionConfig,
 ) -> tuple[GlobalSSG, list[MergeEvent]]:

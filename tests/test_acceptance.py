@@ -26,7 +26,6 @@ from scenefuse import (
     FusionConfig,
     Gaussian3D,
     GlobalSSG,
-    LocalSSG,
     NoiseModel,
     ObjectNode,
     Relation2D,
@@ -82,12 +81,15 @@ def _fuse(frames, cfg=None, seed_pair=None, record=False) -> GlobalSSG:
     return g
 
 
-def _merged_node(a: Gaussian3D, w_a: int, b: Gaussian3D, w_b: int) -> ObjectNode:
+def _merged_node(a: Gaussian3D, w_a: int, b: Gaussian3D) -> ObjectNode:
     """The node integrate makes of a global node (a, weight w_a) and a local
-    one (b, weight w_b), with a gate (0.99) that lets the pair merge."""
+    one (b, weight 1), with a gate (0.99) that lets the pair merge."""
+    # imported here: tests/ is not on sys.path under perfbench/selftest.py
+    from reference_fusion import local_ssg
+
     g = GlobalSSG()
     g.add_node(0, a, weight=w_a)
-    local = LocalSSG(frame_id=0, nodes=[ObjectNode(id=0, class_id=0, gaussian=b, weight=w_b)], edges=[])
+    local = local_ssg(frame_id=0, nodes=[ObjectNode(id=0, class_id=0, gaussian=b)], edges=[])
     _, events = integrate(local, g, FusionConfig(hellinger_threshold=0.99))
     assert len(events) == 1 and len(g.nodes) == 1
     return g.nodes[0]
@@ -165,14 +167,14 @@ def test_closed_form_examples_hold_at_tolerance():
     checks.append(("H of the scaled pair matches 0.53333 to 5e-5", bool(abs(h_scale - 0.53333) < 5e-5)))
     checks.append(("H is exactly 0.0 on an identical pair", hellinger(ga, ga) == 0.0))
 
-    even = _merged_node(ga, 1, gb, 1)
+    even = _merged_node(ga, 1, gb)
     checks.append(
         ("1:1 merge of the shifted pair gives ((1,0,0), diag(2,1,1), w=2)",
          even.weight == 2
          and np.array_equal(even.gaussian.mean, [1.0, 0.0, 0.0])
          and np.array_equal(even.gaussian.cov, np.diag([2.0, 1.0, 1.0])))
     )
-    skewed = _merged_node(ga, 3, Gaussian3D(mean=[4.0, 0.0, 0.0], cov=np.eye(3)), 1)
+    skewed = _merged_node(ga, 3, Gaussian3D(mean=[4.0, 0.0, 0.0], cov=np.eye(3)))
     checks.append(
         ("3:1 merge gives ((1,0,0), diag(4,1,1), w=4)",
          skewed.weight == 4

@@ -44,7 +44,8 @@ from scenefuse.graph import (
 from scenefuse.streams import DepthMap, Detection, FrameRecord, Relation2D
 from scenefuse.synthetic import NoiseModel, SceneSpec, generate_scene, orbit_frames, render_frames
 
-from reference_fusion import best_match_np, merge_moments_np, record_in_the_lift
+import reference_fusion
+from reference_fusion import best_match_np, local_ssg, merge_moments_np, record_in_the_lift
 
 
 def _g(mean, cov=None):
@@ -153,9 +154,9 @@ def test_hellinger_of_a_pair_that_is_not_positive_definite_does_not_overflow():
     # 999, which pass the guards and the per-axis cull, but it is indefinite.
     # An offset d = (80, -80, 0) lies in the -1 eigenspace: B = -|d|^2/8 =
     # -1600, and exp(-B) would overflow; the distance is 0.0, in hellinger and
-    # in a merge. A LocalSSG built from nodes refuses such a covariance, so
-    # the merge goes through columns, which are not checked (as a lift's rows
-    # are not)
+    # in a merge. A graph document that holds such a covariance is refused
+    # (test_graph), but a local graph's columns are not checked, as a lift's
+    # rows are not
     indefinite = 1000.0 * np.ones((3, 3)) - np.eye(3)
     a = _g([0, 0, 0], indefinite)
     b = _g([80, -80, 0], indefinite)
@@ -163,9 +164,7 @@ def test_hellinger_of_a_pair_that_is_not_positive_definite_does_not_overflow():
     assert hellinger(a, b) == 0.0
     g = GlobalSSG()
     g.add_node(class_id=0, gaussian=a)
-    with pytest.raises(MergeContractError, match="not positive definite"):
-        LocalSSG(frame_id=0, nodes=[_node(0, 0, b.mean, b.cov)], edges=[])
-    local = LocalSSG.from_columns(0, [], [0], [0.9], [b.mean.tolist()], [b.cov.reshape(9).tolist()])
+    local = LocalSSG(0, [], [0], [0.9], [b.mean.tolist()], [b.cov.reshape(9).tolist()])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, events = integrate(local, g, FusionConfig())
@@ -345,8 +344,7 @@ def test_per_axis_cull_rules_out_only_pairs_beyond_the_gate(pair):
     assume(ld_a != -math.inf)
     g = GlobalSSG()
     g.add_node(class_id=0, gaussian=_g(mean_b, b))
-    local = LocalSSG.from_columns(0, [], [0, 0], [1.0, 0.5], [mean_a.tolist(), mean_b.tolist()],
-                                  [cov_a, cov_b])
+    local = LocalSSG(0, [], [0, 0], [1.0, 0.5], [mean_a.tolist(), mean_b.tolist()], [cov_a, cov_b])
     seen = []
     scorer = fusion.best_match
 
@@ -380,12 +378,12 @@ def test_merge_events_record_hellinger_bit_for_bit():
         a, b = _random_gauss(rng), _random_gauss(rng)
         g = GlobalSSG()
         g.add_node(class_id=0, gaussian=a)
-        _, events = integrate(LocalSSG(frame_id=0, nodes=[_node(0, 0, b.mean, b.cov)], edges=[]), g, cfg)
+        _, events = integrate(local_ssg(frame_id=0, nodes=[_node(0, 0, b.mean, b.cov)], edges=[]), g, cfg)
         if events:
             assert events == [MergeEvent(0, -1, hellinger(a, b), 0)]
             into_global += 1
-        local = LocalSSG(frame_id=0, nodes=[_node(0, 0, a.mean, a.cov), _node(1, 0, b.mean, b.cov, score=0.8)],
-                         edges=[])
+        local = local_ssg(frame_id=0, nodes=[_node(0, 0, a.mean, a.cov), _node(1, 0, b.mean, b.cov, score=0.8)],
+                          edges=[])
         _, events = integrate(local, GlobalSSG(), cfg)
         if events:
             assert events == [MergeEvent(-1, -2, hellinger(a, b), 0)]
@@ -420,11 +418,11 @@ def test_merge_kernel_paths_agree():
 
 
 def _merge_into_global(a: ObjectNode, b: ObjectNode):
-    """The global node integrate makes of global node a and local node b,
-    with a gate (0.99) that lets the pair merge."""
+    """The global node integrate makes of global node a and local node b (of
+    weight 1), with a gate (0.99) that lets the pair merge."""
     g = GlobalSSG()
     g.add_node(class_id=a.class_id, gaussian=a.gaussian, weight=a.weight, score_sum=a.score_sum)
-    _, events = integrate(LocalSSG(frame_id=0, nodes=[replace(b, id=0)], edges=[]), g,
+    _, events = integrate(local_ssg(frame_id=0, nodes=[replace(b, id=0)], edges=[]), g,
                           FusionConfig(hellinger_threshold=0.99))
     assert len(events) == 1 and list(g.nodes) == [0]
     return g.nodes[0]
@@ -452,11 +450,11 @@ def test_merge_identical_fixed_point():
     # dyadic values stay bit-exact through the weighted average
     g = _g([0.5, -0.25, 2.0], np.diag([1.0, 0.5, 0.25]))
     a = ObjectNode(id=0, class_id=1, gaussian=g, weight=3, score_sum=2.0)
-    b = ObjectNode(id=1, class_id=1, gaussian=g, weight=5, score_sum=4.0)
+    b = ObjectNode(id=1, class_id=1, gaussian=g, weight=1, score_sum=4.0)
     k = _merge_into_global(a, b)
     np.testing.assert_array_equal(k.gaussian.mean, g.mean)
     np.testing.assert_array_equal(k.gaussian.cov, g.cov)
-    assert k.weight == 8
+    assert k.weight == 4
     assert k.score_sum == pytest.approx(6.0)
 
 
@@ -511,18 +509,18 @@ def test_merge_matches_mixture_moments_monte_carlo():
 def test_build_filters_by_confidence():
     frame = _frame([_det(score=0.9), _det(score=0.8, cx=5.0), _det(score=0.5, cx=15.0)])
     local = build_local_graph(frame, frame.camera, frame.pose, FusionConfig())
-    assert len(local.nodes) == 2
-    assert all(n.weight == 1 for n in local.nodes)
-    assert [n.score_sum for n in local.nodes] == [0.9, 0.8]
+    assert local.class_ids == [0, 0]
+    assert local.score_sums == [0.9, 0.8]
 
 
 def test_local_graph_is_freed_without_the_cycle_collector():
-    # a reference cycle between a local graph and its nodes would leave every
+    # a reference cycle between a local graph and its parts would leave every
     # frame's graph to the cyclic garbage collector, whose passes stall frames
-    frame = _frame([_det(score=0.9), _det(score=0.8, cx=5.0)])
+    frame = _frame([_det(score=0.9), _det(score=0.8, cx=5.0)], [Relation2D(0, 1, 0, 0.9)])
     local = build_local_graph(frame, frame.camera, frame.pose, FusionConfig())
-    refs = [weakref.ref(local)] + [weakref.ref(n) for n in local.nodes]
-    assert len(refs) == 3
+    integrate(local, GlobalSSG(), FusionConfig())
+    refs = [weakref.ref(local)] + [weakref.ref(e) for e in local.edges]
+    assert len(refs) == 2 and local.eval_sources is not None and local.placement
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -554,7 +552,7 @@ def test_build_drops_relations_of_dropped_detections():
     dets = [_det(score=0.9), _det(score=0.5, cx=15.0)]
     rels = [Relation2D(0, 1, 0, 0.9), Relation2D(1, 0, 0, 0.9)]
     local = build_local_graph(_frame(dets, rels), _cam(), _pose(), FusionConfig())
-    assert len(local.nodes) == 1
+    assert local.score_sums == [0.9]
     assert local.edges == []
 
 
@@ -577,14 +575,14 @@ def test_build_drops_detection_without_depth_source():
     dets = [_det(score=0.9), _det(score=0.9, cx=5.0, depth=None)]
     rels = [Relation2D(0, 1, 0, 0.9)]
     local = build_local_graph(_frame(dets, rels), _cam(), _pose(), FusionConfig())
-    assert len(local.nodes) == 1
+    assert len(local.class_ids) == 1
     assert local.edges == []
 
 
 def test_build_drops_sub_minimum_depth():
     dets = [_det(score=0.9, depth=1e-5)]
     local = build_local_graph(_frame(dets), _cam(), _pose(), FusionConfig())
-    assert local.nodes == []
+    assert local.class_ids == [] and local.row_means == [] and local.eval_sources is None
 
 
 def _recorded_node(frame, cfg=FusionConfig(), depth=None):
@@ -702,9 +700,9 @@ def test_depth_less_detections_try_an_unreadable_ref_once(caplog):
 
 def test_integrate_distinct_classes_insert():
     g = GlobalSSG()
-    local = LocalSSG(frame_id=0,
-                     nodes=[_node(0, 0, [0, 0, 0]), _node(1, 1, [1, 0, 0]), _node(2, 2, [0, 1, 0])],
-                     edges=[])
+    local = local_ssg(frame_id=0,
+                      nodes=[_node(0, 0, [0, 0, 0]), _node(1, 1, [1, 0, 0]), _node(2, 2, [0, 1, 0])],
+                      edges=[])
     g2, events = integrate(local, g, FusionConfig())
     assert g2 is g
     assert len(g.nodes) == 3
@@ -718,9 +716,9 @@ def test_integrate_identical_frame_twice():
     g = GlobalSSG()
 
     def fresh_local(fid):
-        return LocalSSG(frame_id=fid,
-                        nodes=[_node(0, 0, [0, 0, 0]), _node(1, 1, [3, 0, 0]), _node(2, 0, [9, 0, 0])],
-                        edges=[RelationEdge(0, 1, {1: [1, 0.8]})])
+        return local_ssg(frame_id=fid,
+                         nodes=[_node(0, 0, [0, 0, 0]), _node(1, 1, [3, 0, 0]), _node(2, 0, [9, 0, 0])],
+                         edges=[RelationEdge(0, 1, {1: [1, 0.8]})])
 
     integrate(fresh_local(0), g, cfg)
     n_after_first = len(g.nodes)
@@ -736,9 +734,9 @@ def test_integrate_identical_frame_twice():
 def test_integrate_queue_internal_merge():
     # two same-class nodes at Hellinger distance 0.3
     offset = math.sqrt(-8.0 * math.log(1.0 - 0.3 ** 2))
-    local = LocalSSG(frame_id=0,
-                     nodes=[_node(0, 0, [0, 0, 0], score=0.9), _node(1, 0, [offset, 0, 0], score=0.8)],
-                     edges=[])
+    local = local_ssg(frame_id=0,
+                      nodes=[_node(0, 0, [0, 0, 0], score=0.9), _node(1, 0, [offset, 0, 0], score=0.8)],
+                      edges=[])
     g = GlobalSSG()
     _, events = integrate(local, g, FusionConfig(hellinger_threshold=0.85))
     assert len(g.nodes) == 1
@@ -758,8 +756,8 @@ def test_integrate_chain_merge_through_reinsertion():
     b_abc = 1.44 / (8.0 * 1.08) + 0.5 * math.log(1.08 / math.sqrt(1.16))
     h_abc = math.sqrt(1.0 - math.exp(-b_abc))
     assert h_ab < 0.5 < h_ac and h_abc < 0.5
-    local = LocalSSG(frame_id=0,
-                     nodes=[_node(0, 0, [0, 0, 0], score=0.9),
+    local = local_ssg(frame_id=0,
+                      nodes=[_node(0, 0, [0, 0, 0], score=0.9),
                             _node(1, 0, [0.8, 0, 0], score=0.8),
                             _node(2, 0, [1.6, 0, 0], score=0.7)],
                      edges=[])
@@ -775,9 +773,9 @@ def test_integrate_chain_merge_through_reinsertion():
 
 def test_integrate_without_reinsertion_would_split():
     # same layout, but only A and C: distance 0.5233 >= 0.5 keeps them apart
-    local = LocalSSG(frame_id=0,
-                     nodes=[_node(0, 0, [0, 0, 0], score=0.9), _node(1, 0, [1.6, 0, 0], score=0.7)],
-                     edges=[])
+    local = local_ssg(frame_id=0,
+                      nodes=[_node(0, 0, [0, 0, 0], score=0.9), _node(1, 0, [1.6, 0, 0], score=0.7)],
+                      edges=[])
     g = GlobalSSG()
     _, events = integrate(local, g, FusionConfig(hellinger_threshold=0.5))
     assert len(g.nodes) == 2 and events == []
@@ -787,9 +785,9 @@ def test_integrate_prefers_global_on_exact_tie():
     g = GlobalSSG()
     g.add_node(class_id=0, gaussian=_g([0, 0, 0]), weight=1, score_sum=0.9)
     # both local copies are bit-identical to the global node: every distance 0
-    local = LocalSSG(frame_id=1,
-                     nodes=[_node(0, 0, [0, 0, 0], score=0.9), _node(1, 0, [0, 0, 0], score=0.8)],
-                     edges=[])
+    local = local_ssg(frame_id=1,
+                      nodes=[_node(0, 0, [0, 0, 0], score=0.9), _node(1, 0, [0, 0, 0], score=0.8)],
+                      edges=[])
     _, events = integrate(local, g, FusionConfig())
     assert len(g.nodes) == 1
     assert g.nodes[0].weight == 3
@@ -800,9 +798,9 @@ def test_integrate_prefers_global_on_exact_tie():
 
 def test_integrate_processes_by_descending_score():
     # B (higher score) dequeues first and absorbs A: kept slot is B's (-2 is A)
-    local = LocalSSG(frame_id=0,
-                     nodes=[_node(0, 0, [0, 0, 0], score=0.7), _node(1, 0, [0.1, 0, 0], score=0.95)],
-                     edges=[])
+    local = local_ssg(frame_id=0,
+                      nodes=[_node(0, 0, [0, 0, 0], score=0.7), _node(1, 0, [0.1, 0, 0], score=0.95)],
+                      edges=[])
     g = GlobalSSG()
     _, events = integrate(local, g, FusionConfig())
     (ev,) = events
@@ -811,9 +809,9 @@ def test_integrate_processes_by_descending_score():
 
 def test_integrate_degenerate_node_inserted_directly():
     deg = ObjectNode(id=0, class_id=0, gaussian=_g([0, 0, 0], np.zeros((3, 3))), weight=1, score_sum=0.95)
-    local = LocalSSG(frame_id=0,
-                     nodes=[deg, _node(1, 0, [0, 0, 0], score=0.9)],
-                     edges=[RelationEdge(0, 1, {2: [1, 0.7]})])
+    local = local_ssg(frame_id=0,
+                      nodes=[deg, _node(1, 0, [0, 0, 0], score=0.9)],
+                      edges=[RelationEdge(0, 1, {2: [1, 0.7]})])
     g = GlobalSSG()
     _, events = integrate(local, g, FusionConfig())
     # identical position and class, but the degenerate node never matches
@@ -826,8 +824,8 @@ def test_integrate_degenerate_node_inserted_directly():
 def test_integrate_degenerate_never_attracts_later_nodes():
     deg = ObjectNode(id=0, class_id=0, gaussian=_g([0, 0, 0], np.zeros((3, 3))), weight=1, score_sum=0.95)
     g = GlobalSSG()
-    integrate(LocalSSG(frame_id=0, nodes=[deg], edges=[]), g, FusionConfig())
-    local = LocalSSG(frame_id=1, nodes=[_node(0, 0, [0, 0, 0], score=0.9)], edges=[])
+    integrate(local_ssg(frame_id=0, nodes=[deg], edges=[]), g, FusionConfig())
+    local = local_ssg(frame_id=1, nodes=[_node(0, 0, [0, 0, 0], score=0.9)], edges=[])
     _, events = integrate(local, g, FusionConfig())
     assert len(g.nodes) == 2 and events == []
 
@@ -837,7 +835,7 @@ def test_integrate_redirects_edges_and_drops_self_loops():
     g.add_node(class_id=0, gaussian=_g([0, 0, 0]), weight=1, score_sum=0.9)
     g.add_node(class_id=1, gaussian=_g([5, 0, 0]), weight=1, score_sum=0.9)
     # local nodes 0 and 1 both merge into global 0; their edge becomes a self-loop
-    local = LocalSSG(
+    local = local_ssg(
         frame_id=1,
         nodes=[_node(0, 0, [0, 0, 0], score=0.9), _node(1, 0, [0.05, 0, 0], score=0.8),
                _node(2, 1, [5, 0, 0], score=0.7)],
@@ -850,10 +848,26 @@ def test_integrate_redirects_edges_and_drops_self_loops():
     g.validate()
 
 
+def test_integrate_refuses_an_unknown_edge_endpoint_before_the_graph_changes():
+    g = GlobalSSG()
+    cfg = FusionConfig()
+    integrate(local_ssg(frame_id=0, nodes=[_node(0, 0, [0, 0, 0]), _node(1, 1, [5, 0, 0])], edges=[]), g, cfg)
+    vocab = ClassVocabulary(("a", "b"), ("near",))
+    before = json.dumps(export_graph(g, vocab))
+    for s, o, unknown in ((0, 5, 5), (7, 1, 7), (-1, 0, -1)):
+        local = local_ssg(frame_id=1, nodes=[_node(0, 0, [0, 0, 0]), _node(1, 1, [5, 0, 0])],
+                          edges=[RelationEdge(s, o, {0: [1, 0.9]})])
+        with pytest.raises(MergeContractError, match=f"edge references unknown local node {unknown}$"):
+            integrate(local, g, cfg)
+        assert json.dumps(export_graph(g, vocab)) == before and g.total_weight() == 2
+        assert local.placement is None
+    g.validate()
+
+
 def test_integrate_empty_local_noop():
     g = GlobalSSG()
     g.add_node(class_id=0, gaussian=_g([0, 0, 0]))
-    _, events = integrate(LocalSSG(frame_id=0, nodes=[], edges=[]), g, FusionConfig())
+    _, events = integrate(local_ssg(frame_id=0, nodes=[], edges=[]), g, FusionConfig())
     assert events == [] and len(g.nodes) == 1
 
 
@@ -874,7 +888,7 @@ def test_integrate_weight_conservation_random_streams():
             s, o = rng.integers(0, n, size=2)
             if s != o and all(not (e.subject_id == s and e.object_id == o) for e in edges):
                 edges.append(RelationEdge(int(s), int(o), {int(rng.integers(0, 4)): [1, float(rng.random())]}))
-        _, events = integrate(LocalSSG(frame_id=fid, nodes=nodes, edges=edges), g, cfg)
+        _, events = integrate(local_ssg(frame_id=fid, nodes=nodes, edges=edges), g, cfg)
         accepted += n
         assert g.total_weight() == accepted
         assert all(e.distance < cfg.hellinger_threshold for e in events)
@@ -892,11 +906,11 @@ def test_integrate_reingestion_never_grows_node_count():
     g = GlobalSSG()
     for fid, spec in enumerate(frames):
         nodes = [_node(i, cid, mean, score=s) for i, (cid, mean, s) in enumerate(spec)]
-        integrate(LocalSSG(frame_id=fid, nodes=nodes, edges=[]), g, cfg)
+        integrate(local_ssg(frame_id=fid, nodes=nodes, edges=[]), g, cfg)
     count_first = len(g.nodes)
     for fid, spec in enumerate(frames):
         nodes = [_node(i, cid, mean, score=s) for i, (cid, mean, s) in enumerate(spec)]
-        integrate(LocalSSG(frame_id=100 + fid, nodes=nodes, edges=[]), g, cfg)
+        integrate(local_ssg(frame_id=100 + fid, nodes=nodes, edges=[]), g, cfg)
     assert len(g.nodes) == count_first
 
 
@@ -981,19 +995,18 @@ def test_recording_without_a_generator_is_refused_before_the_graph_changes():
 
 
 def test_integrate_alone_leaves_every_reservoir_as_it_was():
-    # integrate only decides: a local graph that carries eval points merges
-    # into the global nodes, and no reservoir changes until record_points
+    # integrate only decides: a lifted local graph, which holds what its eval
+    # points are drawn from, merges into the global nodes, and no reservoir
+    # changes until record_points
     g = GlobalSSG()
     _fuse_recorded(g, 0, np.random.default_rng(4))
     reservoirs = _reservoirs(g)
-    local = build_local_graph(_recorded_frame(6, np.random.default_rng(5)), _cam(), _pose(), _RECORDED_CFG,
-                              depth_provider=lambda ref: _RECORDED_DEPTH)
-    record_in_the_lift(local, _RECORDED_CFG, np.random.default_rng(6))
-    far = ObjectNode(id=3, class_id=0, gaussian=_g([50.0, 0, 0]), score_sum=0.9,
-                     eval_points=np.ones((2, 3)), eval_seen=4, eval_keys=np.array([0.25, 0.75]))
-    eager = LocalSSG(local.frame_id, local.nodes + [far], local.edges)
-    assert all(n.eval_seen > 0 for n in eager.nodes)
-    _, events = integrate(eager, g, _RECORDED_CFG)
+    frame = _recorded_frame(6, np.random.default_rng(5))
+    far = _det(cid=0, depth=8.0)  # behind the others: a new node
+    local = build_local_graph(_frame(frame.detections + [far], frame.relations, frame_id=6), _cam(), _pose(),
+                              _RECORDED_CFG, depth_provider=lambda ref: _RECORDED_DEPTH)
+    assert local.eval_sources is not None
+    _, events = integrate(local, g, _RECORDED_CFG)
     assert [e.kept_id for e in events] == [0, 1, 2] and len(g.nodes) == 4
     new = g.nodes[3]
     assert (new.eval_points, new.eval_keys, new.eval_seen) == (None, None, 0)
@@ -1038,23 +1051,25 @@ def test_a_loaded_graph_fuses_to_the_same_bytes_every_time(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_keyless_local_graph_is_refused_before_the_global_graph_changes():
+def test_a_hand_built_local_graph_records_no_eval_points():
+    # a local graph without eval_sources has nothing to draw points from:
+    # placed by integrate, into nodes with reservoirs and a new one,
+    # record_points leaves every reservoir and count seen, and the
+    # generator, as they were
     g = GlobalSSG()
-    g.add_node(class_id=0, gaussian=_g([0, 0, 0]), eval_points=np.zeros((2, 3)), eval_seen=2)
-    before = json.dumps(export_graph(g, _RECORDED_VOCAB))
-    keys_before = g.nodes[0].eval_keys.tobytes()
-    keyed = ObjectNode(id=0, class_id=0, gaussian=_g([0, 0, 0]), score_sum=0.9,
-                       eval_points=np.ones((1, 3)), eval_seen=1, eval_keys=np.array([0.5]))
-    keyless = ObjectNode(id=1, class_id=0, gaussian=_g([0.1, 0, 0]), score_sum=0.8,
-                         eval_points=np.ones((2, 3)), eval_seen=3)
-    with pytest.raises(MergeContractError, match="local node 1 has eval points without keys"):
-        integrate(LocalSSG(frame_id=1, nodes=[keyed, keyless], edges=[]), g, FusionConfig())
-    assert json.dumps(export_graph(g, _RECORDED_VOCAB)) == before
-    assert g.nodes[0].eval_keys.tobytes() == keys_before and g.nodes[0].eval_seen == 2
-    # no points, or an empty array of them, needs no keys
-    empty = ObjectNode(id=0, class_id=0, gaussian=_g([0, 0, 0]), eval_points=np.empty((0, 3)))
-    integrate(LocalSSG(frame_id=2, nodes=[empty, _node(1, 0, [0, 0, 0])], edges=[]), g, FusionConfig())
-    g.validate()
+    _fuse_recorded(g, 0, np.random.default_rng(4))
+    reservoirs = _reservoirs(g)
+    nodes = [_node(i, g.nodes[i].class_id, g.nodes[i].gaussian.mean, g.nodes[i].gaussian.cov) for i in range(3)]
+    local = local_ssg(frame_id=6, nodes=nodes + [_node(3, 0, [50.0, 0, 0])], edges=[])
+    _, events = integrate(local, g, _RECORDED_CFG)
+    assert [e.kept_id for e in events] == [0, 1, 2] and len(local.placement) == 4
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    record_points(local, g, _RECORDED_CFG, rng=rng, depth_provider=lambda ref: _RECORDED_DEPTH)
+    assert _reservoirs(g, reservoirs) == reservoirs
+    new = g.nodes[3]
+    assert (new.eval_points, new.eval_keys, new.eval_seen) == (None, None, 0)
+    assert rng.bit_generator.state == state
 
 
 def test_merge_event_fields():
@@ -1062,45 +1077,7 @@ def test_merge_event_fields():
     assert (ev.kept_id, ev.absorbed_id, ev.distance, ev.frame_id) == (3, -1, 0.4, 7)
 
 
-# -- covariances from outside the program --------------------------------------
-
-
-def test_node_built_local_graph_refuses_covariances_the_gate_cannot_score():
-    def local(cov):
-        return LocalSSG(frame_id=0, nodes=[_node(0, 0, [0, 0, 0]), _node(1, 0, [1, 0, 0], cov)], edges=[])
-
-    skew = np.eye(3)
-    skew[0, 1] = 1e-3
-    for cov, problem in (
-        (skew, "not symmetric"),
-        (np.diag([-1.0, -1.0, 1000.0]), "not positive definite"),  # det > 0, c00 < 0
-        (np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -1.0]]), "not positive definite"),  # 2x2 minor < 0
-    ):
-        with pytest.raises(MergeContractError, match=f"local node 1: covariance is {problem}"):
-            local(cov)
-    # degenerate covariances are taken, and inserted without matching
-    for cov in (np.zeros((3, 3)), -np.eye(3), np.diag([1.0, 1.0, 0.0])):
-        g = GlobalSSG()
-        _, events = integrate(local(cov), g, FusionConfig())
-        assert len(g.nodes) == 2 and events == []
-    # a rank-one v v' whose determinant rounds above DET_MIN, its 2x2 minor to -1e-16
-    v = np.array([1.0, 0.8, 0.1875])
-    local(np.outer(v, v))
-
-
-def test_node_built_local_graph_refuses_non_finite_entries():
-    # the check import_graph makes; the lift's own rows (from_columns) are not checked
-    for mean, cov, problem in (
-        ([math.nan, 0, 0], None, "mean is not finite"),
-        ([0, 0, math.inf], None, "mean is not finite"),
-        ([1, 0, 0], np.diag([math.inf, 1.0, 1.0]), "covariance is not finite"),
-        ([1, 0, 0], np.full((3, 3), math.nan), "covariance is not finite"),
-    ):
-        with pytest.raises(MergeContractError, match=f"local node 1: {problem}"):
-            LocalSSG(frame_id=0, nodes=[_node(0, 0, [0, 0, 0]), _node(1, 0, mean, cov)], edges=[])
-
-
-# -- graph bytes, and the two ways of building a local graph --------------------
+# -- graph bytes, and the engine against the reference's node-built graphs ------
 
 
 def _room_stream():
@@ -1136,35 +1113,27 @@ def test_graph_bytes_are_pinned(tmp_path):
 
 
 def test_node_built_and_columnar_local_graphs_integrate_alike():
-    # build_local_graph's columns, and a LocalSSG built from the nodes they
-    # view, give the same events and, with record_points after integrate,
-    # the same graph, eval keys included: the columnar graph's points are
-    # drawn by the step from what the nodes were lifted from, the node-built
-    # graph's are the eager columns, drawn from a generator seeded alike
+    # process_frame, which records eval points from what build_local_graph's
+    # columns were lifted from once integrate has placed them, and the
+    # reference integrate on the nodes those columns hold, with eval points
+    # drawn in the lift (record_in_the_lift) from a generator seeded alike
+    # and merged at every decision, give the same events and the same graph,
+    # eval keys included
     frames, maps = _room_stream()
     cfg = FusionConfig()
     rng_cols, rng_nodes = np.random.default_rng(5), np.random.default_rng(5)
     g_cols, g_nodes = GlobalSSG(), GlobalSSG()
     merges = 0
     for frame in frames:
+        res = process_frame(frame, g_cols, cfg, rng=rng_cols, depth_provider=maps.__getitem__,
+                            record_eval_points=True)
         local = build_local_graph(frame, frame.camera, frame.pose, cfg, depth_provider=maps.__getitem__)
-        record_in_the_lift(local, cfg, rng_nodes, maps.__getitem__)
-        nodes = local.nodes
-        assert all(n.eval_keys is not None and len(n.eval_keys) == len(n.eval_points) for n in nodes)
-        hand = LocalSSG(frame.frame_id, nodes, [RelationEdge(e.subject_id, e.object_id,
-                                                             {p: list(v) for p, v in e.votes.items()})
-                                                for e in local.edges])
-        _, ev_cols = integrate(local, g_cols, cfg)
-        record_points(local, g_cols, cfg, rng=rng_cols, depth_provider=maps.__getitem__)
-        _, ev_nodes = integrate(hand, g_nodes, cfg)
-        record_points(hand, g_nodes, cfg, rng=rng_nodes)
-        assert ev_cols == ev_nodes
-        merges += len(ev_cols)
-        # integrate leaves the columns, and so the view, as they were
-        for a, b in zip(local.nodes, nodes):
-            assert (a.class_id, a.weight, a.score_sum, a.eval_seen) == (b.class_id, b.weight, b.score_sum, b.eval_seen)
-            assert a.gaussian.cov.tobytes() == b.gaussian.cov.tobytes()
-            assert a.eval_points is b.eval_points and a.eval_keys is b.eval_keys
+        eager = record_in_the_lift(local, cfg, rng_nodes, maps.__getitem__)
+        assert all(n.eval_keys is not None and len(n.eval_keys) == len(n.eval_points) for n in eager.nodes)
+        _, ev_nodes = reference_fusion.integrate(eager, g_nodes, cfg)
+        assert [e[:2] for e in res.merge_events] == [e[:2] for e in ev_nodes]
+        assert [e.distance for e in res.merge_events] == pytest.approx([e.distance for e in ev_nodes], abs=1e-15)
+        merges += len(ev_nodes)
     assert merges > 0 and g_cols.edges
     g_cols.validate(eval_point_cap=cfg.eval_point_cap)
     vocab = ClassVocabulary(tuple(f"c{i}" for i in range(10)), tuple(f"p{i}" for i in range(5)))

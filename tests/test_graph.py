@@ -17,7 +17,6 @@ from scenefuse.graph import (
     ENTRY_KEY_SEED,
     ClassVocabulary,
     GlobalSSG,
-    LocalSSG,
     ObjectNode,
     RelationEdge,
     det9,
@@ -376,8 +375,7 @@ def test_reservoir_merge_handles_empty_sides():
 def test_a_merge_of_nothing_keeps_an_empty_reservoir():
     # None is nothing: merged with an empty reservoir, either way round, it
     # leaves an empty one, so the node an imported `"eval_points": []` makes
-    # keeps it through merges without eval points, whether or not integrate
-    # walks its reservoirs that frame
+    # keeps it through merges without eval points
     empty = np.empty((0, 3))
     for a, b in ((empty, None), (None, empty), (empty, empty)):
         merged, keys, seen = merge_point_reservoirs(a, None, 2, b, None, 3, 4)
@@ -386,19 +384,15 @@ def test_a_merge_of_nothing_keeps_an_empty_reservoir():
     doc = export_graph(_populated_graph(), _vocab())
     doc["nodes"][1].update({"eval_points": [], "eval_points_seen": 4})
     cfg = FusionConfig()
-    for recorded in (False, True):
-        g, vocab = import_graph(json.loads(json.dumps(doc)))
-        nodes = [ObjectNode(id=0, class_id=1, gaussian=_gauss([1, 0, 0], 2.0), weight=1, score_sum=0.5)]
-        if recorded:  # a node of another class carries points, so integrate walks every reservoir
-            nodes.append(ObjectNode(id=1, class_id=2, gaussian=_gauss([9, 9, 9]), weight=1, score_sum=0.5,
-                                    eval_points=np.ones((1, 3)), eval_seen=1, eval_keys=np.array([0.5])))
-        _, events = integrate(LocalSSG(0, nodes, []), g, cfg)
-        assert events[0].kept_id == 1
-        out = export_graph(g, vocab)["nodes"][1]
-        assert out["weight"] == 2 and out["eval_points"] == [] and out["eval_points_seen"] == 4
-        g.nodes[1].merge_eval_points(None, None, 3, cfg.eval_point_cap)
-        assert g.nodes[1].eval_points.shape == (0, 3) and g.nodes[1].eval_seen == 7
-        g.validate()
+    g, vocab = import_graph(doc)
+    nodes = [ObjectNode(id=0, class_id=1, gaussian=_gauss([1, 0, 0], 2.0), weight=1, score_sum=0.5)]
+    _, events = integrate(reference_fusion.local_ssg(0, nodes, []), g, cfg)
+    assert events[0].kept_id == 1
+    out = export_graph(g, vocab)["nodes"][1]
+    assert out["weight"] == 2 and out["eval_points"] == [] and out["eval_points_seen"] == 4
+    g.nodes[1].merge_eval_points(None, None, 3, cfg.eval_point_cap)
+    assert g.nodes[1].eval_points.shape == (0, 3) and g.nodes[1].eval_seen == 7
+    g.validate()
 
 
 def test_reservoir_merge_caps_overflow_with_subset():
@@ -983,6 +977,16 @@ def test_import_refuses_covariances_the_gate_cannot_score():
         doc["nodes"][1]["cov"] = cov
         loaded, _ = import_graph(doc)
         assert loaded.row_logdets[1] == -math.inf
+    # a rank-one v v' whose determinant rounds above DET_MIN is no more wrong
+    # than other near-singular covariances, also where its 2x2 minor rounds
+    # below 0 (to -1.1e-16 for the second v): taken
+    for v in ([1.0, 0.8, 0.1875], [0.9694, 0.77, 0.2871]):
+        cov = np.outer(v, v).reshape(9).tolist()
+        assert cov[0] * cov[4] - cov[1] * cov[3] <= 0.0
+        doc = json.loads(json.dumps(good))
+        doc["nodes"][1]["cov"] = cov
+        loaded, _ = import_graph(doc)
+        assert loaded.row_logdets[1] != -math.inf
 
 
 def test_import_refuses_non_finite_means_and_covariances():
@@ -995,6 +999,7 @@ def test_import_refuses_non_finite_means_and_covariances():
     nan_entry = [1.0, math.nan, 0, math.nan, 1.0, 0, 0, 0, 1.0]
     for key, value, problem in (
         ("mean", [math.nan, 0.0, 0.0], "mean is not finite"),
+        ("mean", [0.0, 0.0, math.inf], "mean is not finite"),
         ("cov", [math.inf, 0, 0, 0, 1.0, 0, 0, 0, 1.0], "covariance is not finite"),
         ("cov", nan_entry, "covariance is not finite"),
     ):

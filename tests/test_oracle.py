@@ -14,7 +14,7 @@ frame reader must give the record of the per-field walk that defines the
 frame grammar (reference_fusion.walk_frame), or raise its error with the
 same message; the scalar pose check must reach the numpy check's verdicts; a
 local graph handed over as the lift's float rows must integrate exactly as
-one of hand-built nodes; and the stream parser, which decodes with orjson
+one built from nodes lifted one by one; and the stream parser, which decodes with orjson
 first, must give the records and errors of a json-only reference on raw
 bytes.
 """
@@ -44,7 +44,7 @@ from scenefuse.geometry import (
     lift_detections,
 )
 from scenefuse.graph import (
-    ClassVocabulary, GlobalSSG, LocalSSG, ObjectNode, RelationEdge, export_graph, load_graph, log_det9, save_graph,
+    ClassVocabulary, GlobalSSG, ObjectNode, RelationEdge, export_graph, load_graph, log_det9, save_graph,
 )
 from scenefuse.streams import (
     ID_LIMIT, DepthMap, Detection, FrameRecord, Relation2D, _read_frame, frame_to_obj, parse_frame_stream,
@@ -187,8 +187,8 @@ def streams(draw):
     return cfg, frames, next_class
 
 
-def _local(fid, nodes, relations) -> LocalSSG:
-    return LocalSSG(
+def _local(fid, nodes, relations) -> reference_fusion.LocalNodes:
+    return reference_fusion.LocalNodes(
         frame_id=fid,
         nodes=[
             ObjectNode(id=i, class_id=cid, gaussian=Gaussian3D(mean=mean, cov=cov), weight=1,
@@ -199,15 +199,27 @@ def _local(fid, nodes, relations) -> LocalSSG:
     )
 
 
+def _engine_local(fid, nodes, relations):
+    """_local's graph as the engine takes it, without the nodes' eval points."""
+    ref = _local(fid, [(cid, mean, cov, score, None, 0, None) for cid, mean, cov, score, *_ in nodes], relations)
+    return reference_fusion.local_ssg(*ref)
+
+
 @SETTINGS
 @given(streams())
 def test_integrate_matches_reference_on_random_streams(stream):
+    # The engine records eval points only from what it lifted, so the nodes'
+    # own points are merged here, in the order integrate placed the nodes
+    # (local.placement), as record_points merges the points it draws; the
+    # reference merges them at every decision
     cfg, frames, n_classes = stream
     g_new, g_ref = GlobalSSG(), GlobalSSG()
     for fid, (nodes, relations) in enumerate(frames):
-        local = _local(fid, nodes, relations)
+        local = _engine_local(fid, nodes, relations)
         _, ev_new = integrate(local, g_new, cfg)
-        fusion.record_points(local, g_new, cfg, rng=np.random.default_rng(0))
+        for k, gid in local.placement or ():
+            _, _, _, _, points, seen, keys = nodes[k]
+            g_new.nodes[gid].merge_eval_points(points, keys, seen, cfg.eval_point_cap)
         _, ev_ref = reference_fusion.integrate(_local(fid, nodes, relations), g_ref, cfg)
         assert [(e.kept_id, e.absorbed_id, e.frame_id) for e in ev_new] == \
             [(e.kept_id, e.absorbed_id, e.frame_id) for e in ev_ref]
@@ -252,7 +264,7 @@ def test_integrate_matches_reference_where_the_axis_cull_beats_the_trace_cull():
                     b = np.array(g_new.row_covs[gid]).reshape(3, 3)
                     axes = d * d > reach * (np.diag(cov) + np.diag(b))
                     beaten += bool(axes.any()) and not float(d @ d) > reach * float(np.trace(cov) + np.trace(b))
-        _, ev_new = integrate(_local(fid, nodes, []), g_new, cfg)
+        _, ev_new = integrate(_engine_local(fid, nodes, []), g_new, cfg)
         _, ev_ref = reference_fusion.integrate(_local(fid, nodes, []), g_ref, cfg)
         assert [(e.kept_id, e.absorbed_id) for e in ev_new] == [(e.kept_id, e.absorbed_id) for e in ev_ref]
         assert [e.distance for e in ev_new] == pytest.approx([e.distance for e in ev_ref], abs=1e-15)
@@ -378,21 +390,20 @@ def recorded_streams(draw):
     return frames, maps, caps, reads, draw(st.integers(1, n_frames))
 
 
-def _record_three_ways(frames, maps, caps, reads, reload_at, seed=7):
-    """Fuse the frames with eval points three ways, each from its own
-    generator seeded alike: process_frame, which records them after the
-    decisions; the oracle's eager columns (reference_fusion.record_in_the_lift),
-    handed over as a local graph built from nodes, through integrate and
-    record_points; and the same columns through the reference integrate,
-    whose reservoirs merge at every decision. Checks the events agree frame
-    by frame and the graphs, keys and generators at the end, and returns
-    the graphs and the process_frame events."""
+def _record_both_ways(frames, maps, caps, reads, reload_at, seed=7):
+    """Fuse the frames with eval points two ways, each from its own generator
+    seeded alike: process_frame, which records them after the decisions; and
+    the reference integrate on the lifted nodes with eval points drawn in the
+    lift (reference_fusion.record_in_the_lift), whose reservoirs merge at
+    every decision. Checks the events agree frame by frame and the graphs,
+    keys and generators at the end, and returns the graphs and the
+    process_frame events."""
     def provider(ref):
         if ref not in maps:
             raise FileNotFoundError(ref)
         return maps[ref]
 
-    graphs = [GlobalSSG(), GlobalSSG(), GlobalSSG()]
+    graphs = [GlobalSSG(), GlobalSSG()]
     rngs = [np.random.default_rng(seed) for _ in graphs]
     vocab = ClassVocabulary(("c0", "c1", "c2", "c3", "c4"), ("p0", "p1"))
     events = []
@@ -409,25 +420,17 @@ def _record_three_ways(frames, maps, caps, reads, reload_at, seed=7):
         cfg = FusionConfig(eval_point_cap=caps[f])
         res = process_frame(frame, graphs[0], cfg, rng=rngs[0], depth_provider=provider, record_eval_points=True)
         assert not res.skipped
-        eager = []
-        for rng in rngs[1:]:
-            local = build_local_graph(frame, frame.camera, frame.pose, cfg, depth_provider=provider)
-            reference_fusion.record_in_the_lift(local, cfg, rng, provider)
-            eager.append(LocalSSG(frame.frame_id, local.nodes, local.edges))
-        _, ev_new = integrate(eager[0], graphs[1], cfg)
-        fusion.record_points(eager[0], graphs[1], cfg, rng=rngs[1])
-        _, ev_ref = reference_fusion.integrate(eager[1], graphs[2], cfg)
-        for ev in (ev_new, ev_ref):
-            assert [e[:2] for e in ev] == [e[:2] for e in res.merge_events]
+        local = build_local_graph(frame, frame.camera, frame.pose, cfg, depth_provider=provider)
+        eager = reference_fusion.record_in_the_lift(local, cfg, rngs[1], provider)
+        _, ev_ref = reference_fusion.integrate(eager, graphs[1], cfg)
+        assert [e[:2] for e in ev_ref] == [e[:2] for e in res.merge_events]
         events.append(res.merge_events)
     for g in graphs:
         g.validate(eval_point_cap=max(caps))
-    docs = [json.dumps(export_graph(g, vocab)) for g in graphs]
-    assert docs[0] == docs[1] == docs[2]
+    assert json.dumps(export_graph(graphs[0], vocab)) == json.dumps(export_graph(graphs[1], vocab))
     for nid, node in graphs[0].nodes.items():
-        for other in graphs[1:]:
-            assert node.eval_keys.tobytes() == other.nodes[nid].eval_keys.tobytes()
-    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
+        assert node.eval_keys.tobytes() == graphs[1].nodes[nid].eval_keys.tobytes()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
     return graphs, events
 
 
@@ -438,7 +441,7 @@ def test_recording_after_the_decisions_matches_recording_in_the_lift(stream):
     # and back-projects only pixels above their reservoir's floor; the graph,
     # eval keys included, and the generator's state must be those of
     # recording in build_local_graph and merging at every decision
-    _record_three_ways(*stream)
+    _record_both_ways(*stream)
 
 
 def _merge_order_stream():
@@ -468,13 +471,13 @@ def _merge_order_stream():
 
 def test_recording_after_the_decisions_on_every_merge_order():
     # the graph of _merge_order_stream, also loaded and fused on, must be the
-    # same three ways, from each of a few seeds: a floor taken too early, or
+    # both ways, from each of a few seeds: a floor taken too early, or
     # kept across the cap's change, drops a one-pixel node's point for about
     # every other seed
     stream = _merge_order_stream()
     for seed in range(1, 4):
-        _record_three_ways(*stream, reload_at=2, seed=seed)
-    graphs, events = _record_three_ways(*stream, reload_at=2, seed=0)
+        _record_both_ways(*stream, reload_at=2, seed=seed)
+    graphs, events = _record_both_ways(*stream, reload_at=2, seed=0)
     first = events[0]
     assert any(e.kept_id < 0 for e in first)  # queued peers
     # frame 0: the root that absorbed local node 0 merged into global node 0, created that frame
@@ -495,12 +498,12 @@ def test_recording_after_the_decisions_on_every_merge_order():
 
     fusion._frame_eval_points = counting
     try:
-        _record_three_ways(*stream, reload_at=2, seed=0)
+        _record_both_ways(*stream, reload_at=2, seed=0)
     finally:
         fusion._frame_eval_points = original
-    # per frame: process_frame's pass, then the eager columns' for integrate and for the reference
-    assert len(counted) == 3 * len(stream[0]) and counted[1::3] == counted[2::3]
-    assert sum(counted[0::3]) < sum(counted[1::3])
+    # per frame: process_frame's pass, then the reference's eager one
+    assert len(counted) == 2 * len(stream[0])
+    assert sum(counted[0::2]) < sum(counted[1::2])
 
 
 @st.composite
@@ -895,7 +898,7 @@ def test_lifted_rows_integrate_as_hand_built_nodes(stream):
                 lifted.append((det, reference_fusion.lift_detection(box, z, frame.camera, frame.pose)))
             except (InvalidDepthError, InvalidDetectionError, SingularJacobianError):
                 continue
-        hand = LocalSSG(
+        hand = reference_fusion.local_ssg(
             frame_id=frame.frame_id,
             nodes=[ObjectNode(id=i, class_id=det.class_id, gaussian=g, weight=1, score_sum=det.score)
                    for i, (det, g) in enumerate(lifted)],
@@ -906,11 +909,10 @@ def test_lifted_rows_integrate_as_hand_built_nodes(stream):
         _, ev_nodes = integrate(hand, g_nodes, cfg)
         assert ev_rows == ev_nodes
         # read after integrate: the lift's rows are left as they were
-        assert len(local.nodes) == len(lifted)
-        for node, (det, g) in zip(local.nodes, lifted):
-            assert (node.class_id, node.score_sum, node.weight) == (det.class_id, det.score, 1)
-            assert node.gaussian.mean.tobytes() == g.mean.tobytes()
-            assert node.gaussian.cov.tobytes() == g.cov.tobytes()
+        assert local.class_ids == [det.class_id for det, _ in lifted]
+        assert local.score_sums == [det.score for det, _ in lifted]
+        assert np.array(local.row_means).tobytes() == np.array([g.mean for _, g in lifted]).tobytes()
+        assert np.array(local.row_covs).tobytes() == np.array([g.cov.reshape(9) for _, g in lifted]).tobytes()
     g_rows.validate()
     vocab = ClassVocabulary(("c0", "c1", "c2"), ("p0", "p1", "p2"))
     assert json.dumps(export_graph(g_rows, vocab)) == json.dumps(export_graph(g_nodes, vocab))
